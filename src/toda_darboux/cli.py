@@ -35,7 +35,6 @@ from .darboux import (
     SamplingFailed,
     TableBreakdown,
     assemble_transform,
-    backlund_entry,
     darboux_factorization,
     factors_to_table,
 )
@@ -45,6 +44,7 @@ from .lattice import (
     ResidualReport,
     evolve_kdv,
     evolve_toda,
+    reconstruct_transform,
     theorem1_diagram,
     trajectory_rows,
 )
@@ -197,11 +197,13 @@ def cmd_transform(cfg: RunConfig, args) -> int:
         raise ValueError(f"transform index {i} outside 0..{p}")
     Ji, window = assemble_transform(factors, i)
     wcmp = min(window.rows, table.columns)
+    closed = reconstruct_transform(table, i, factors.C, rows=wcmp)
     worst = 0.0
-    for row in range(wcmp):
-        for col in range(max(0, row - p), row + 1):
-            d = abs(Ji.entry(row, col) - backlund_entry(table, i, col, row - col, factors.C))
-            worst = max(worst, d)
+    for d in range(p + 1):
+        diff = Ji.bands[d][d:wcmp] - closed.bands[d][d:]
+        # hypot equals Python's abs(complex) bit for bit, where np.abs may
+        # round differently; fmax skips NaN entries as Python's max() does
+        worst = float(np.fmax.reduce(np.hypot(diff.real, diff.imag), initial=worst))
     reports = [
         ResidualReport(
             f"transform {i} product vs closed form",

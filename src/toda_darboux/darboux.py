@@ -364,7 +364,7 @@ def hyperplane_determinant(T: UnitLowerBanded, s: int, r: int, k: int) -> comple
     rows = [q - r - 1] + [q + t for t in range(k - 1)]
     if max(rows) > T.n - 1:
         raise ValueError(f"order k={k} needs rows up to {max(rows)}, size is {T.n}")
-    m = np.array([[T.entry(a, b) for b in range(k)] for a in rows])
+    m = T.to_dense()[np.ix_(rows, range(k))]
     return complex(np.linalg.det(m))
 
 

@@ -38,8 +38,8 @@ from .banded import BandedHessenberg, ValidWindow
 from .darboux import (
     DarbouxFactors,
     GammaTable,
-    backlund_entry,
     darboux_factorization,
+    enumerate_indices,
 )
 from .lu import char_poly
 
@@ -366,20 +366,77 @@ def check_delta_derivative(table: GammaTable, table_dot) -> float:
 # the commuting diagram
 
 
+def _transform_bands(values: np.ndarray, p: int, j: int, rows: int, C=0.0) -> list:
+    """Bands 0..p of J^(j) on rows 0..rows-1, for a stack of gamma tables.
+
+    ``values`` has shape (..., size), one flat gamma array per leading
+    index, and every returned band has shape (..., rows), indexed by row
+    like a BandedHessenberg band.  The caller guarantees rows <= columns,
+    so every gamma read lies inside the table.
+
+    This is backlund_entry's closed form with the same index tuples, the
+    same products and the same accumulation order, so it agrees with the
+    scalar route bit for bit.  Column i of band k reads gamma_{i (p+1) + o}
+    for an offset o fixed by the tuple coordinate, so each factor is one
+    strided slice of the zero-padded table, for all columns and all
+    stacked tables at once.  Complex products are spelled out in real
+    arithmetic: numpy's complex multiply may fuse a multiply and an add,
+    Python's does not.
+    """
+    if not 0 <= j <= p:
+        raise ValueError(f"transform index {j} outside 0..{p}")
+    lead, size = values.shape[:-1], values.shape[-1]
+    # gamma_n sits at index n + p, so gamma_{n <= 0} reads the zero padding
+    parts = []
+    for part in (values.real, values.imag):
+        padded = np.zeros(lead + (p + 1 + size,))
+        padded[..., p + 1 :] = part
+        parts.append(padded)
+    C = complex(C)
+
+    def factor(o, cols):
+        # gamma_{i (p+1) + o} for columns i = 0..cols-1, as (real, imag)
+        return [a[..., o + p :: p + 1][..., :cols] for a in parts]
+
+    bands = []
+    for k in range(p + 1):
+        band = np.zeros(lead + (rows,), dtype=np.complex128)
+        cols = rows - k
+        if cols > 0:
+            shape = lead + (cols,)
+            if k == 0:
+                acc_re, acc_im = np.full(shape, C.real), np.full(shape, C.imag)
+                for s in range(j + 1, j + p + 2):
+                    g_re, g_im = factor(s - p, cols)
+                    acc_re += g_re
+                    acc_im += g_im
+            else:
+                acc_re, acc_im = np.zeros(shape), np.zeros(shape)
+                for t in enumerate_indices(j, k, p):
+                    pr, pi = np.ones(shape), np.zeros(shape)
+                    for r, idx in enumerate(t, start=1):
+                        g_re, g_im = factor((r - 2) * p + idx, cols)
+                        pr, pi = pr * g_re - pi * g_im, pr * g_im + pi * g_re
+                    acc_re += pr
+                    acc_im += pi
+            band.real[..., k:] = acc_re
+            band.imag[..., k:] = acc_im
+        bands.append(band)
+    return bands
+
+
 def reconstruct_transform(table: GammaTable, j: int, C=0.0, rows: int = None) -> BandedHessenberg:
-    """Assemble J^(j) of a given size from a gamma table, entry by entry."""
-    p = table.p
+    """Assemble J^(j) of a given size from a gamma table.
+
+    Every entry is the closed form of backlund_entry, evaluated for all
+    entries at once and equal to it bit for bit.
+    """
     if rows is None:
         rows = table.columns
     if rows > table.columns:
         raise ValueError(f"{rows} rows need {rows} columns, table has {table.columns}")
-    bands = []
-    for d in range(p + 1):
-        arr = np.zeros(rows, dtype=np.complex128)
-        for i in range(d, rows):
-            arr[i] = backlund_entry(table, j, i - d, d, C)
-        bands.append(arr)
-    return BandedHessenberg(p, rows, tuple(bands))
+    bands = _transform_bands(table.values, table.p, j, rows, C)
+    return BandedHessenberg(table.p, rows, tuple(bands))
 
 
 def theorem1_diagram(
@@ -398,7 +455,8 @@ def theorem1_diagram(
     Route one evolves J0 under the Toda flow directly.  Route two
     factors J0 - C I at time zero, evolves the gamma table under the KdV
     lattice, and reassembles every transformed matrix J^(0) .. J^(p)
-    from the evolved table through the closed-form entries.
+    from the evolved table through the closed-form entries, evaluated
+    for the whole trajectory in one vectorised pass per transform.
 
     Reports, keyed by name: "path" compares the reassembled J^(0)
     against the directly evolved J0 inside a window shrunk by
@@ -421,14 +479,14 @@ def theorem1_diagram(
     traj_direct = evolve_toda(J0, C, dt, steps)
     traj_table = evolve_kdv(table0, dt, steps)
 
-    recon = {
-        j: Trajectory(
-            traj_table.times,
-            tuple(reconstruct_transform(tb, j, C, rows) for tb in traj_table.states),
-            dt,
+    stack = np.stack([tb.values for tb in traj_table.states])
+    recon = {}
+    for j in range(p + 1):
+        bands = _transform_bands(stack, p, j, rows, C)
+        states = tuple(
+            BandedHessenberg(p, rows, tuple(b[m] for b in bands)) for m in range(len(stack))
         )
-        for j in range(p + 1)
-    }
+        recon[j] = Trajectory(traj_table.times, states, dt)
 
     worst, arg = 0.0, ("", 0)
     for m, (direct, re_j0) in enumerate(zip(traj_direct.states, recon[0].states)):

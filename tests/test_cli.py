@@ -9,6 +9,12 @@ import sys
 import pytest
 
 from toda_darboux.cli import main
+from toda_darboux.darboux import (
+    DarbouxFactors,
+    assemble_transform,
+    backlund_entry,
+    factors_to_table,
+)
 
 
 def run_json(argv, capsys):
@@ -66,6 +72,27 @@ def test_transform_round_trip_via_saved_factors(tmp_path, capsys):
     code, payload = run_json(["transform", "--factors", str(fpath), "--i", "2"], capsys)
     assert code == 0
     assert payload["reports"][0]["passed"]
+
+
+def test_transform_residual_is_the_entrywise_scalar_maximum(tmp_path, capsys):
+    fpath = tmp_path / "factors.json"
+    # at this seed np.abs and Python's abs round one of the residuals differently
+    argv = ["--p", "3", "--n", "12", "--seed", "5", "--mode", "complex",
+            "--C-re", "0.3", "--C-im", "-0.2"]
+    assert main(["factorize", *argv, "--out", str(fpath)]) == 0
+    capsys.readouterr()
+    factors = DarbouxFactors.from_json_dict(json.loads(fpath.read_text())["factors"])
+    table = factors_to_table(factors)
+    for i in range(4):
+        code, payload = run_json(["transform", "--factors", str(fpath), "--i", str(i)], capsys)
+        Ji, window = assemble_transform(factors, i)
+        worst = 0.0
+        for row in range(min(window.rows, table.columns)):
+            for col in range(max(0, row - 3), row + 1):
+                closed = backlund_entry(table, i, col, row - col, factors.C)
+                worst = max(worst, abs(Ji.entry(row, col) - closed))
+        assert code == 0
+        assert payload["reports"][0]["max_residual"] == worst
 
 
 def test_transform_index_out_of_range(capsys):

@@ -154,6 +154,17 @@ def test_hyperplane_determinant_matches_cofactor_oracle(seed):
             assert abs(got - truth) <= 1e-10 * max(1.0, abs(truth))
 
 
+@pytest.mark.parametrize("q", [1, 2, 3, 4])
+def test_hyperplane_determinant_equals_det_of_entrywise_submatrix(q):
+    n = 16
+    T = random_unit_lower(q, n, seed=30 + q)
+    for r in range(q):
+        for k in range(1, n - q + 2):
+            rows = [q - r - 1] + list(range(q, q + k - 1))
+            sub = np.array([[T.entry(a, b) for b in range(k)] for a in rows])
+            assert hyperplane_determinant(T, 0, r, k) == complex(np.linalg.det(sub))
+
+
 def test_sample_parameters_none_to_sample():
     T = random_unit_lower(1, 6, seed=2)
     out = sample_parameters(T, 0, 6, np.random.default_rng(0))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from toda_darboux.banded import (
+    BandedHessenberg,
     ValidWindow,
     graded_scale,
     random_hessenberg,
@@ -11,12 +12,15 @@ from toda_darboux.banded import (
 from toda_darboux.darboux import (
     GammaTable,
     ParameterSet,
+    backlund_entry,
     darboux_factorization,
     identity_parameters,
 )
 from toda_darboux.lattice import (
     BlowUp,
     InsufficientSamples,
+    Trajectory,
+    _transform_bands,
     check_delta_derivative,
     check_poly_derivative,
     evolve_kdv,
@@ -298,6 +302,36 @@ def test_reconstruct_transform_row_bound():
     _, table = darboux_factorization(J, 0.0, rng=np.random.default_rng(0))
     with pytest.raises(ValueError):
         reconstruct_transform(table, 0, rows=table.columns + 1)
+    with pytest.raises(ValueError):
+        reconstruct_transform(table, 2)
+
+
+def scalar_transform_bands(table, j, C, rows):
+    """Bands of J^(j) entry by entry through the scalar closed form."""
+    return [
+        [backlund_entry(table, j, i - d, d, C) for i in range(d, rows)]
+        for d in range(table.p + 1)
+    ]
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+@pytest.mark.parametrize("mode", ["real", "complex"])
+def test_transform_kernel_equals_backlund_entry_exactly(p, mode):
+    rng = np.random.default_rng(10 * p)
+    columns = 7
+    shape = (3, (p + 1) * columns)
+    values = rng.normal(size=shape) + (1j * rng.normal(size=shape) if mode == "complex" else 0)
+    tables = [GammaTable(p, columns, v) for v in values]
+    C = 0.2 - 0.3j if mode == "complex" else 0.2
+    for j in range(p + 1):
+        for rows in (1, columns - 1, columns):
+            stacked = _transform_bands(values, p, j, rows, C)
+            for m, table in enumerate(tables):
+                single = reconstruct_transform(table, j, C, rows)
+                for d, want in enumerate(scalar_transform_bands(table, j, C, rows)):
+                    assert stacked[d][m, :d].tolist() == [0j] * min(d, rows)
+                    assert stacked[d][m, d:].tolist() == want
+                    assert single.bands[d][d:].tolist() == want
 
 
 @pytest.mark.parametrize("p,jseed,pseed", [(1, 101, 0), (2, 107, 207), (3, 107, 207)])
@@ -309,6 +343,43 @@ def test_commuting_diagram_passes_on_tame_instance(p, jseed, pseed):
     assert set(out) == {"path"} | {f"toda[{j}]" for j in range(p + 1)} | {"kdv"}
     for rep in out.values():
         assert rep.passed, rep.line()
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_commuting_diagram_equals_per_state_scalar_route(p):
+    J = graded_scale(random_hessenberg(p, 16, seed=120 + p), 0.15)
+    params = small_params(p, 220 + p, 0.15)
+    C, dt, steps = 0.015, 1e-3, 20
+    out = theorem1_diagram(J, C=C, params=params, dt=dt, steps=steps)
+
+    _, table0 = darboux_factorization(J, C, params=params)
+    rows = table0.columns
+    w_path = rows - (p + 2)
+    traj_table = evolve_kdv(table0, dt, steps)
+    recon = {}
+    for j in range(p + 1):
+        states = []
+        for tb in traj_table.states:
+            bands = [np.zeros(rows, dtype=np.complex128) for _ in range(p + 1)]
+            for d, entries in enumerate(scalar_transform_bands(tb, j, C, rows)):
+                bands[d][d:] = entries
+            states.append(BandedHessenberg(p, rows, tuple(bands)))
+        recon[j] = Trajectory(traj_table.times, states, dt)
+
+    worst, arg = 0.0, ("", 0)
+    for m, direct in enumerate(evolve_toda(J, C, dt, steps).states):
+        for d in range(p + 1):
+            res = np.abs(direct.bands[d][:w_path] - recon[0].states[m].bands[d][:w_path])[d:]
+            if res.size and res.max() > worst:
+                i = d + int(np.argmax(res))
+                worst, arg = float(res.max()), (f"a[{i},{i - d}]", m)
+    assert (out["path"].max_residual, out["path"].argmax) == (worst, arg)
+    for j in range(p + 1):
+        rep = verify_toda(recon[j], 1e-5)
+        assert (out[f"toda[{j}]"].max_residual, out[f"toda[{j}]"].argmax) == (
+            rep.max_residual,
+            rep.argmax,
+        )
 
 
 def test_commuting_diagram_single_step_is_path_only():
