@@ -198,12 +198,10 @@ def cmd_transform(cfg: RunConfig, args) -> int:
     Ji, window = assemble_transform(factors, i)
     wcmp = min(window.rows, table.columns)
     closed = reconstruct_transform(table, i, factors.C, rows=wcmp)
-    worst = 0.0
-    for d in range(p + 1):
-        diff = Ji.bands[d][d:wcmp] - closed.bands[d][d:]
-        # hypot equals Python's abs(complex) bit for bit, where np.abs may
-        # round differently; fmax skips NaN entries as Python's max() does
-        worst = float(np.fmax.reduce(np.hypot(diff.real, diff.imag), initial=worst))
+    # hypot is Python's abs(complex) bit for bit, where np.abs may round
+    # differently; max propagates NaN, so a NaN entry fails
+    diff = np.stack(Ji.bands)[:, :wcmp] - np.stack(closed.bands)
+    worst = float(np.max(np.hypot(diff.real, diff.imag), initial=0.0))
     reports = [
         ResidualReport(
             f"transform {i} product vs closed form",
@@ -233,10 +231,8 @@ def cmd_evolve(cfg: RunConfig, args) -> int:
             tol_pivot=cfg.tol_pivot, tol_margin=cfg.tol_margin, mode=cfg.mode,
         )
         traj = evolve_kdv(table, cfg.dt, cfg.steps)
-    lines = ["t,entry_id,re,im"]
-    for t, eid, v in trajectory_rows(traj):
-        lines.append(f"{t!r},{eid},{v.real!r},{v.imag!r}")
-    text = "\n".join(lines) + "\n"
+    rows = (f"{t!r},{eid},{v.real!r},{v.imag!r}\n" for t, eid, v in trajectory_rows(traj))
+    text = "t,entry_id,re,im\n" + "".join(rows)
     manifest = {
         "dt": cfg.dt,
         "steps": cfg.steps,

@@ -20,6 +20,8 @@ entries gives trajectories of the Toda flow, for every member J^(0),
 Everything is integrated with fixed-step classical RK4 and verified by
 comparing central finite differences of a trajectory against the exact
 right hand side, so residuals of honest solutions shrink like dt^2.
+A ``Trajectory`` is one array over the time axis, filled in place by
+RK4 and swept by the verifiers in blocks of samples; a NaN residual fails.
 Truncation is handled by windows: the bottom rows of a finite Toda
 truncation and the top indices of a finite gamma table feel the missing
 neighbors immediately, so equations are only checked where the full
@@ -29,18 +31,14 @@ certified rows.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Sequence, Union
+from itertools import repeat
 
 import numpy as np
 
 from .banded import BandedHessenberg, ValidWindow
-from .darboux import (
-    DarbouxFactors,
-    GammaTable,
-    darboux_factorization,
-    enumerate_indices,
-)
+from .darboux import GammaTable, darboux_factorization, enumerate_indices
 from .lu import char_poly
 
 __all__ = [
@@ -61,6 +59,9 @@ __all__ = [
     "verify_toda",
 ]
 
+# Verifiers sweep samples in blocks of about this many bytes of state.
+_BLOCK_BYTES = 1 << 20
+
 
 class BlowUp(RuntimeError):
     """A state entry left the representable range during integration."""
@@ -76,28 +77,51 @@ class InsufficientSamples(ValueError):
 
 @dataclass(frozen=True, eq=False, repr=False)
 class Trajectory:
-    """Fixed-step trajectory of matrix or gamma-table states."""
+    """Fixed-step trajectory of a lattice, one read-only array over time.
+
+    ``data[m]`` is sample m: the row-indexed bands (p + 1, n) of J for
+    the Toda flow, or the flat gamma table ((p + 1) columns,) for KdV.
+    """
 
     times: np.ndarray
-    states: tuple
+    data: np.ndarray
     dt: float
-    method: str = "rk4"
+    p: int
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        t.flags.writeable = False
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "states", tuple(self.states))
+        for name, dtype in (("times", float), ("data", np.complex128)):
+            arr = np.asarray(getattr(self, name), dtype=dtype)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def kind(self) -> str:
-        return "kdv" if isinstance(self.states[0], GammaTable) else "toda"
+        return "toda" if self.data.ndim == 3 else "kdv"
+
+    @property
+    def states(self) -> "_States":
+        """The samples as BandedHessenberg or GammaTable, built per access."""
+        return _States(self)
 
     def __len__(self):
-        return len(self.states)
+        return len(self.data)
 
     def __repr__(self):
         return f"Trajectory(kind={self.kind!r}, samples={len(self)}, dt={self.dt})"
+
+
+@dataclass(frozen=True)
+class _States(Sequence):
+    traj: Trajectory
+
+    def __len__(self):
+        return len(self.traj)
+
+    def __getitem__(self, m):
+        data, p = self.traj.data, self.traj.p
+        if data.ndim == 3:
+            return BandedHessenberg(p, data.shape[2], tuple(data[m]))
+        return GammaTable(p, data.shape[1] // (p + 1), data[m])
 
 
 @dataclass(frozen=True)
@@ -127,6 +151,36 @@ def _report(label, residual, argmax, tol) -> ResidualReport:
 # right hand sides
 
 
+def _toda_rhs(B: np.ndarray) -> np.ndarray:
+    """Toda derivative of row-indexed bands B of shape (..., p + 1, n)."""
+    n = B.shape[-1]
+    # band p + 1 and row n read zero, through one padding band and column
+    padded = np.zeros(B.shape[:-2] + (B.shape[-2] + 1, n + 1), dtype=np.complex128)
+    padded[..., :-1, :-1] = B
+    shifted = np.zeros_like(B)
+    for d in range(B.shape[-2]):
+        shifted[..., d, d:] = B[..., 0, : n - d]
+    der = (B[..., :1, :] - shifted) * B
+    der += padded[..., 1:, 1:]
+    der -= padded[..., 1:, :-1]
+    for d in range(1, B.shape[-2]):
+        der[..., d, :d] = 0
+    return der
+
+
+def _kdv_rhs(g: np.ndarray, p: int) -> np.ndarray:
+    """KdV derivative of flat gamma arrays g of shape (..., size)."""
+    size = g.shape[-1]
+    # cs[k + p] is the sum of gamma_1 .. gamma_k: p zeros lead for the lower
+    # boundary, p copies of the full sum trail for the truncation
+    cs = np.zeros(g.shape[:-1] + (size + 1 + 2 * p,), dtype=np.complex128)
+    np.cumsum(g, axis=-1, out=cs[..., p + 1 : p + 1 + size])
+    cs[..., p + 1 + size :] = cs[..., p + size, None]
+    upper = cs[..., 2 * p + 1 :] - cs[..., p + 1 : p + 1 + size]
+    lower = cs[..., p : p + size] - cs[..., :size]
+    return g * (upper - lower)
+
+
 def toda_rhs(J: BandedHessenberg) -> tuple:
     """Band derivatives of the Toda flow, one array per offset 0..p.
 
@@ -135,20 +189,7 @@ def toda_rhs(J: BandedHessenberg) -> tuple:
     carry the exact semi-infinite derivative, so row n - 1 is trustworthy
     for the truncated system only; windows account for that downstream.
     """
-    p, n = J.p, J.n
-    diag = J.band(0)
-    out = []
-    for d in range(p + 1):
-        b = J.band(d)
-        nxt = J.band(d + 1)
-        shifted = np.zeros(n, dtype=np.complex128)
-        shifted[d:] = diag[: n - d]
-        der = (diag - shifted) * b
-        der += np.concatenate([nxt[1:], [0j]])
-        der -= nxt
-        der[:d] = 0
-        out.append(der)
-    return tuple(out)
+    return tuple(_toda_rhs(np.stack(J.bands)))
 
 
 def kdv_rhs(table: GammaTable) -> np.ndarray:
@@ -159,40 +200,30 @@ def kdv_rhs(table: GammaTable) -> np.ndarray:
     truncation, so only entries with the full upper stencil inside the
     table carry the semi-infinite derivative.
     """
-    g = table.values
-    p = table.p
-    size = len(g)
-    cs = np.concatenate([[0j], np.cumsum(g)])
-    idx = np.arange(size)
-    upper = cs[np.minimum(idx + 1 + p, size)] - cs[np.minimum(idx + 1, size)]
-    lower = cs[idx] - cs[np.maximum(idx - p, 0)]
-    return g * (upper - lower)
+    return _kdv_rhs(table.values, table.p)
 
 
 # ---------------------------------------------------------------------------
 # integration
 
 
-def _axpy_toda(J: BandedHessenberg, h: float, k: tuple) -> BandedHessenberg:
-    return BandedHessenberg(J.p, J.n, tuple(b + h * kb for b, kb in zip(J.bands, k)))
-
-
-def _axpy_kdv(t: GammaTable, h: float, k: np.ndarray) -> GammaTable:
-    return GammaTable(t.p, t.columns, t.values + h * k)
-
-
-def _rk4(state, dt, rhs, axpy):
-    k1 = rhs(state)
-    k2 = rhs(axpy(state, dt / 2, k1))
-    k3 = rhs(axpy(state, dt / 2, k2))
-    k4 = rhs(axpy(state, dt, k3))
-    incr = tuple((a + 2 * b + 2 * c + d) for a, b, c, d in zip(k1, k2, k3, k4)) \
-        if isinstance(k1, tuple) else (k1 + 2 * k2 + 2 * k3 + k4)
-    return axpy(state, dt / 6, incr)
-
-
-def _finite_toda(J: BandedHessenberg) -> bool:
-    return all(np.all(np.isfinite(b.view(float))) for b in J.bands)
+def _rk4(y0: np.ndarray, rhs, dt: float, steps: int, p: int) -> Trajectory:
+    """Fixed-step RK4 from y0, every sample stored in one preallocated array."""
+    if steps < 0:
+        raise ValueError("steps must be nonnegative")
+    out = np.empty((steps + 1,) + y0.shape, dtype=np.complex128)
+    out[0] = y0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(steps):
+            y = out[m]
+            k1 = rhs(y)
+            k2 = rhs(y + dt / 2 * k1)
+            k3 = rhs(y + dt / 2 * k2)
+            k4 = rhs(y + dt * k3)
+            np.add(y, dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4), out=out[m + 1])
+            if not np.isfinite(out[m + 1].view(float)).all():
+                raise BlowUp(m * dt)
+    return Trajectory(np.arange(steps + 1) * dt, out, dt, p)
 
 
 def evolve_toda(J0: BandedHessenberg, C=0.0, dt: float = 1e-3, steps: int = 100) -> Trajectory:
@@ -204,36 +235,53 @@ def evolve_toda(J0: BandedHessenberg, C=0.0, dt: float = 1e-3, steps: int = 100)
     Raises BlowUp with the last finite time if an entry leaves the
     representable range.
     """
-    if steps < 0:
-        raise ValueError("steps must be nonnegative")
-    states = [J0]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for m in range(steps):
-            nxt = _rk4(states[-1], dt, toda_rhs, _axpy_toda)
-            if not _finite_toda(nxt):
-                raise BlowUp(m * dt)
-            states.append(nxt)
-    times = np.arange(steps + 1) * dt
-    return Trajectory(times, tuple(states), dt)
+    return _rk4(np.stack(J0.bands), _toda_rhs, dt, steps, J0.p)
 
 
 def evolve_kdv(table0: GammaTable, dt: float = 1e-3, steps: int = 100) -> Trajectory:
     """Integrate the discrete KdV lattice from a gamma table, RK4."""
-    if steps < 0:
-        raise ValueError("steps must be nonnegative")
-    states = [table0]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for m in range(steps):
-            nxt = _rk4(states[-1], dt, kdv_rhs, _axpy_kdv)
-            if not np.all(np.isfinite(nxt.values.view(float))):
-                raise BlowUp(m * dt)
-            states.append(nxt)
-    times = np.arange(steps + 1) * dt
-    return Trajectory(times, tuple(states), dt)
+    return _rk4(table0.values, lambda g: _kdv_rhs(g, table0.p), dt, steps, table0.p)
 
 
 # ---------------------------------------------------------------------------
 # verification
+
+
+def _worst(residual, lo: int, hi: int, state_bytes: int):
+    """Worst residual over samples lo..hi-1 and its (entry, sample).
+
+    ``residual(m0, m1)`` gives samples m0..m1-1 of Toda band residuals
+    (samples, p + 1, rows), skipping the d slots before band d's first
+    row, or of gamma residuals (samples, size).  Only a strictly larger
+    entry in C order replaces the worst, so on ties the first sample,
+    then band and row, wins; a NaN is worse than any number.
+    """
+    worst, arg = 0.0, ("", 0)
+    block = max(1, _BLOCK_BYTES // state_bytes)
+    for m0 in range(lo, hi, block):
+        res = residual(m0, min(m0 + block, hi))
+        if res.ndim == 3:
+            res[:, np.tri(*res.shape[1:], -1, dtype=bool)] = 0
+        if res.size:
+            k = int(np.argmax(res))  # argmax stops at the first NaN
+            v = float(res.flat[k])
+            if v > worst or (v != v and worst == worst):  # the first NaN stays
+                m, *at = map(int, np.unravel_index(k, res.shape))
+                entry = f"a[{at[1]},{at[1] - at[0]}]" if res.ndim == 3 else f"gamma[{at[0] + 1}]"
+                worst, arg = v, (entry, m0 + m)
+    return worst, arg
+
+
+def _central(data: np.ndarray, dt: float, rhs, cap: int):
+    """_worst of central differences against rhs, entries below cap on the last axis."""
+    if len(data) < 3:
+        raise InsufficientSamples(f"need at least 3 samples, have {len(data)}")
+
+    def residual(m0, m1):
+        diff = (data[m0 + 1 : m1 + 1] - data[m0 - 1 : m1 - 1]) / (2 * dt)
+        return np.abs(diff - rhs(data[m0:m1]))[..., :cap]
+
+    return _worst(residual, 1, len(data) - 1, data[0].nbytes)
 
 
 def verify_toda(traj: Trajectory, tol: float, window: ValidWindow = None) -> ResidualReport:
@@ -243,21 +291,9 @@ def verify_toda(traj: Trajectory, tol: float, window: ValidWindow = None) -> Res
     full stencil (the neighbor one row down) lies inside the certified
     window; with an exact flow they scale like dt^2.
     """
-    if len(traj) < 3:
-        raise InsufficientSamples(f"need at least 3 samples, have {len(traj)}")
-    states = traj.states
-    n, p = states[0].n, states[0].p
+    n = traj.data.shape[2]
     wlim = n if window is None else min(window.rows, n)
-    cap = wlim - 1
-    worst, arg = 0.0, ("", 0)
-    for m in range(1, len(states) - 1):
-        rhs = toda_rhs(states[m])
-        for d in range(p + 1):
-            diff = (states[m + 1].bands[d] - states[m - 1].bands[d]) / (2 * traj.dt)
-            res = np.abs(diff - rhs[d])[d:cap]
-            if res.size and res.max() > worst:
-                i = d + int(np.argmax(res))
-                worst, arg = float(res.max()), (f"a[{i},{i - d}]", m)
+    worst, arg = _central(traj.data, traj.dt, _toda_rhs, wlim - 1)
     return _report("toda residual", worst, arg, tol)
 
 
@@ -268,19 +304,8 @@ def verify_kdv(traj: Trajectory, tol: float) -> ResidualReport:
     checked; the lower boundary is exact by the gamma_{n<=0} = 0
     convention.
     """
-    if len(traj) < 3:
-        raise InsufficientSamples(f"need at least 3 samples, have {len(traj)}")
-    states = traj.states
-    p = states[0].p
-    size = states[0].size
-    cap = size - p
-    worst, arg = 0.0, ("", 0)
-    for m in range(1, len(states) - 1):
-        rhs = kdv_rhs(states[m])
-        diff = (states[m + 1].values - states[m - 1].values) / (2 * traj.dt)
-        res = np.abs(diff - rhs)[:cap]
-        if res.size and res.max() > worst:
-            worst, arg = float(res.max()), (f"gamma[{int(np.argmax(res)) + 1}]", m)
+    p, size = traj.p, traj.data.shape[1]
+    worst, arg = _central(traj.data, traj.dt, lambda g: _kdv_rhs(g, p), size - p)
     return _report("kdv residual", worst, arg, tol)
 
 
@@ -295,8 +320,6 @@ def check_poly_derivative(J: BandedHessenberg, Jdot, z, m: int) -> float:
     deviation over degrees up to m, and it reacts to any inconsistency
     between J and Jdot.
     """
-    if isinstance(Jdot, BandedHessenberg):
-        Jdot = Jdot.bands
     if m < 0 or m > J.n - 1:
         raise ValueError(f"degree {m} outside 0..{J.n - 1}")
     p = J.p
@@ -366,13 +389,13 @@ def check_delta_derivative(table: GammaTable, table_dot) -> float:
 # the commuting diagram
 
 
-def _transform_bands(values: np.ndarray, p: int, j: int, rows: int, C=0.0) -> list:
+def _transform_bands(values: np.ndarray, p: int, j: int, rows: int, C=0.0) -> np.ndarray:
     """Bands 0..p of J^(j) on rows 0..rows-1, for a stack of gamma tables.
 
     ``values`` has shape (..., size), one flat gamma array per leading
-    index, and every returned band has shape (..., rows), indexed by row
-    like a BandedHessenberg band.  The caller guarantees rows <= columns,
-    so every gamma read lies inside the table.
+    index, and the result has shape (..., p + 1, rows), the bands indexed
+    by row like those of a BandedHessenberg.  The caller guarantees
+    rows <= columns, so every gamma read lies inside the table.
 
     This is backlund_entry's closed form with the same index tuples, the
     same products and the same accumulation order, so it agrees with the
@@ -398,9 +421,8 @@ def _transform_bands(values: np.ndarray, p: int, j: int, rows: int, C=0.0) -> li
         # gamma_{i (p+1) + o} for columns i = 0..cols-1, as (real, imag)
         return [a[..., o + p :: p + 1][..., :cols] for a in parts]
 
-    bands = []
+    bands = np.zeros(lead + (p + 1, rows), dtype=np.complex128)
     for k in range(p + 1):
-        band = np.zeros(lead + (rows,), dtype=np.complex128)
         cols = rows - k
         if cols > 0:
             shape = lead + (cols,)
@@ -419,9 +441,8 @@ def _transform_bands(values: np.ndarray, p: int, j: int, rows: int, C=0.0) -> li
                         pr, pi = pr * g_re - pi * g_im, pr * g_im + pi * g_re
                     acc_re += pr
                     acc_im += pi
-            band.real[..., k:] = acc_re
-            band.imag[..., k:] = acc_im
-        bands.append(band)
+            bands.real[..., k, k:] = acc_re
+            bands.imag[..., k, k:] = acc_im
     return bands
 
 
@@ -470,43 +491,26 @@ def theorem1_diagram(
     produced.
     """
     factors, table0 = darboux_factorization(J0, C, params=params, rng=rng)
-    p, n = J0.p, J0.n
-    rows = table0.columns
+    p, rows = J0.p, table0.columns
     if path_margin is None:
         path_margin = p + 2
     w_path = max(1, rows - path_margin)
 
-    traj_direct = evolve_toda(J0, C, dt, steps)
+    direct = evolve_toda(J0, C, dt, steps).data
     traj_table = evolve_kdv(table0, dt, steps)
+    recon = [_transform_bands(traj_table.data, p, j, rows, C) for j in range(p + 1)]
 
-    stack = np.stack([tb.values for tb in traj_table.states])
-    recon = {}
-    for j in range(p + 1):
-        bands = _transform_bands(stack, p, j, rows, C)
-        states = tuple(
-            BandedHessenberg(p, rows, tuple(b[m] for b in bands)) for m in range(len(stack))
-        )
-        recon[j] = Trajectory(traj_table.times, states, dt)
+    def path_residual(m0, m1):
+        return np.abs(direct[m0:m1, :, :w_path] - recon[0][m0:m1, :, :w_path])
 
-    worst, arg = 0.0, ("", 0)
-    for m, (direct, re_j0) in enumerate(zip(traj_direct.states, recon[0].states)):
-        for d in range(p + 1):
-            res = np.abs(direct.bands[d][:w_path] - re_j0.bands[d][:w_path])[d:]
-            if res.size and res.max() > worst:
-                i = d + int(np.argmax(res))
-                worst, arg = float(res.max()), (f"a[{i},{i - d}]", m)
+    worst, arg = _worst(path_residual, 0, len(direct), direct[0].nbytes)
     reports = {"path": _report("path agreement", worst, arg, tol_path)}
 
     if len(traj_table) >= 3:
         for j in range(p + 1):
-            rep = verify_toda(recon[j], tol_verify)
-            reports[f"toda[{j}]"] = ResidualReport(
-                f"toda residual of transform {j}",
-                rep.max_residual,
-                rep.argmax,
-                rep.tolerance,
-                rep.passed,
-            )
+            worst, arg = _central(recon[j], dt, _toda_rhs, rows - 1)
+            label = f"toda residual of transform {j}"
+            reports[f"toda[{j}]"] = _report(label, worst, arg, tol_verify)
         reports["kdv"] = verify_kdv(traj_table, tol_verify)
     return reports
 
@@ -517,12 +521,12 @@ def theorem1_diagram(
 
 def trajectory_rows(traj: Trajectory):
     """Yield (t, entry_id, value) rows in a fixed deterministic order."""
-    for t, state in zip(traj.times, traj.states):
-        if isinstance(state, GammaTable):
-            for idx, v in enumerate(state.values, start=1):
-                yield float(t), f"gamma[{idx}]", complex(v)
-        else:
-            for d in range(state.p + 1):
-                b = state.bands[d]
-                for i in range(d, state.n):
-                    yield float(t), f"a[{i},{i - d}]", complex(b[i])
+    if traj.kind == "kdv":
+        ids = [f"gamma[{k}]" for k in range(1, traj.data.shape[1] + 1)]
+        samples = traj.data
+    else:
+        bands, n = traj.data.shape[1:]
+        ids = [f"a[{i},{i - d}]" for d in range(bands) for i in range(d, n)]
+        samples = traj.data[:, ~np.tri(bands, n, -1, dtype=bool)]
+    for t, values in zip(traj.times.tolist(), samples):
+        yield from zip(repeat(t), ids, values.tolist())

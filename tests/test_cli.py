@@ -2,19 +2,25 @@
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from toda_darboux.banded import graded_scale, random_hessenberg
 from toda_darboux.cli import main
 from toda_darboux.darboux import (
     DarbouxFactors,
+    GammaTable,
     assemble_transform,
     backlund_entry,
+    darboux_factorization,
     factors_to_table,
 )
+from toda_darboux.lattice import evolve_kdv, evolve_toda
 
 
 def run_json(argv, capsys):
@@ -95,6 +101,19 @@ def test_transform_residual_is_the_entrywise_scalar_maximum(tmp_path, capsys):
         assert payload["reports"][0]["max_residual"] == worst
 
 
+def test_transform_nan_factor_entry_fails(tmp_path, capsys):
+    fpath = tmp_path / "factors.json"
+    assert main(["factorize", "--p", "2", "--n", "8", "--seed", "5", "--out", str(fpath)]) == 0
+    capsys.readouterr()
+    payload = json.loads(fpath.read_text())
+    payload["factors"]["factors"][0]["bands"]["1"][3][0] = float("nan")
+    fpath.write_text(json.dumps(payload))
+    code, out = run_json(["transform", "--factors", str(fpath), "--i", "1"], capsys)
+    assert code == 1
+    report = out["reports"][0]
+    assert math.isnan(report["max_residual"]) and not report["passed"]
+
+
 def test_transform_index_out_of_range(capsys):
     code, payload = run_json(["transform", "--p", "2", "--i", "5"], capsys)
     assert code == 1
@@ -157,6 +176,40 @@ def test_evolve_kdv_lattice(tmp_path, capsys):
     with open(out, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[1][1].startswith("gamma[")
+
+
+def per_state_csv(traj):
+    """The trajectory CSV as the per-state row generator formatted it."""
+    lines = ["t,entry_id,re,im"]
+    for t, state in zip(traj.times, traj.states):
+        if isinstance(state, GammaTable):
+            rows = [(f"gamma[{k}]", v) for k, v in enumerate(state.values, start=1)]
+        else:
+            rows = [(f"a[{i},{i - d}]", state.bands[d][i])
+                    for d in range(state.p + 1) for i in range(d, state.n)]
+        for eid, v in rows:
+            v = complex(v)
+            lines.append(f"{float(t)!r},{eid},{v.real!r},{v.imag!r}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("lattice", ["toda", "kdv"])
+def test_evolve_csv_bytes_equal_per_state_formatting(lattice, tmp_path, capsys):
+    out = tmp_path / "traj.csv"
+    p, n, seed, steps, dt, scale = 2, 8, 4, 12, 1e-3, 0.15
+    code = main([
+        "evolve", "--lattice", lattice, "--p", str(p), "--n", str(n), "--seed", str(seed),
+        "--steps", str(steps), "--mode", "complex", "--out", str(out),
+    ])
+    capsys.readouterr()
+    assert code == 0
+    J = graded_scale(random_hessenberg(p, n, seed=seed, mode="complex"), scale)
+    if lattice == "toda":
+        traj = evolve_toda(J, 0j, dt, steps)
+    else:
+        _, table = darboux_factorization(J, 0j, rng=np.random.default_rng(seed), mode="complex")
+        traj = evolve_kdv(table, dt, steps)
+    assert out.read_bytes() == per_state_csv(traj).encode()
 
 
 def test_evolve_requires_out():

@@ -16,6 +16,7 @@ from toda_darboux.darboux import (
     darboux_factorization,
     identity_parameters,
 )
+from toda_darboux import lattice
 from toda_darboux.lattice import (
     BlowUp,
     InsufficientSamples,
@@ -184,6 +185,218 @@ def test_trajectory_repr_and_kind():
 
 
 # ---------------------------------------------------------------------------
+# the array integrator and verifiers against the per-state route they replaced
+
+
+def per_state_toda_rhs(J):
+    p, n = J.p, J.n
+    diag = J.band(0)
+    out = []
+    for d in range(p + 1):
+        b = J.band(d)
+        nxt = J.band(d + 1)
+        shifted = np.zeros(n, dtype=np.complex128)
+        shifted[d:] = diag[: n - d]
+        der = (diag - shifted) * b
+        der += np.concatenate([nxt[1:], [0j]])
+        der -= nxt
+        der[:d] = 0
+        out.append(der)
+    return tuple(out)
+
+
+def per_state_kdv_rhs(table):
+    g = table.values
+    p = table.p
+    size = len(g)
+    cs = np.concatenate([[0j], np.cumsum(g)])
+    idx = np.arange(size)
+    upper = cs[np.minimum(idx + 1 + p, size)] - cs[np.minimum(idx + 1, size)]
+    lower = cs[idx] - cs[np.maximum(idx - p, 0)]
+    return g * (upper - lower)
+
+
+def per_state_rk4(state, dt, steps):
+    """RK4 with one frozen BandedHessenberg or GammaTable per stage."""
+    if isinstance(state, GammaTable):
+        rhs = per_state_kdv_rhs
+
+        def axpy(t, h, k):
+            return GammaTable(t.p, t.columns, t.values + h * k)
+
+        def arrays(t):
+            return (t.values,)
+    else:
+        rhs = per_state_toda_rhs
+
+        def axpy(J, h, k):
+            return BandedHessenberg(J.p, J.n, tuple(b + h * kb for b, kb in zip(J.bands, k)))
+
+        def arrays(J):
+            return J.bands
+    states = [state]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(steps):
+            y = states[-1]
+            k1 = rhs(y)
+            k2 = rhs(axpy(y, dt / 2, k1))
+            k3 = rhs(axpy(y, dt / 2, k2))
+            k4 = rhs(axpy(y, dt, k3))
+            if isinstance(k1, tuple):
+                incr = tuple(a + 2 * b + 2 * c + d for a, b, c, d in zip(k1, k2, k3, k4))
+            else:
+                incr = k1 + 2 * k2 + 2 * k3 + k4
+            nxt = axpy(y, dt / 6, incr)
+            if not all(np.all(np.isfinite(a.view(float))) for a in arrays(nxt)):
+                raise BlowUp(m * dt)
+            states.append(nxt)
+    return states
+
+
+def per_state_verify_toda(states, dt, window=None):
+    n, p = states[0].n, states[0].p
+    cap = (n if window is None else min(window.rows, n)) - 1
+    worst, arg = 0.0, ("", 0)
+    for m in range(1, len(states) - 1):
+        rhs = per_state_toda_rhs(states[m])
+        for d in range(p + 1):
+            diff = (states[m + 1].bands[d] - states[m - 1].bands[d]) / (2 * dt)
+            res = np.abs(diff - rhs[d])[d:cap]
+            if res.size and res.max() > worst:
+                i = d + int(np.argmax(res))
+                worst, arg = float(res.max()), (f"a[{i},{i - d}]", m)
+    return worst, arg
+
+
+def per_state_verify_kdv(states, dt):
+    cap = states[0].size - states[0].p
+    worst, arg = 0.0, ("", 0)
+    for m in range(1, len(states) - 1):
+        diff = (states[m + 1].values - states[m - 1].values) / (2 * dt)
+        res = np.abs(diff - per_state_kdv_rhs(states[m]))[:cap]
+        if res.size and res.max() > worst:
+            worst, arg = float(res.max()), (f"gamma[{int(np.argmax(res)) + 1}]", m)
+    return worst, arg
+
+
+def flow_instances(p, mode):
+    J = graded_scale(random_hessenberg(p, 9, seed=40 + p, mode=mode), 0.4)
+    rng = np.random.default_rng(50 + p)
+    size = (p + 1) * 6
+    values = rng.uniform(0.5, 1.5, size).astype(np.complex128)
+    if mode == "complex":
+        values += 1j * rng.uniform(-0.5, 0.5, size)
+    return J, GammaTable(p, 6, values)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+@pytest.mark.parametrize("mode", ["real", "complex"])
+def test_array_flows_equal_per_state_route_bit_for_bit(p, mode, monkeypatch):
+    J, table = flow_instances(p, mode)
+    assert np.stack(toda_rhs(J)).tobytes() == np.stack(per_state_toda_rhs(J)).tobytes()
+    assert kdv_rhs(table).tobytes() == per_state_kdv_rhs(table).tobytes()
+    dt, steps = 1e-2, 30
+    toda = evolve_toda(J, dt=dt, steps=steps)
+    kdv = evolve_kdv(table, dt=dt, steps=steps)
+    toda_states = per_state_rk4(J, dt, steps)
+    kdv_states = per_state_rk4(table, dt, steps)
+    assert toda.data.tobytes() == np.stack([np.stack(s.bands) for s in toda_states]).tobytes()
+    assert kdv.data.tobytes() == np.stack([s.values for s in kdv_states]).tobytes()
+    assert [s.bands[-1].tolist() for s in toda.states] == [s.bands[-1].tolist() for s in toda_states]
+    windows = [None, ValidWindow(J.n - p - 1)]
+    toda_want = [per_state_verify_toda(toda_states, dt, w) for w in windows]
+    kdv_want = per_state_verify_kdv(kdv_states, dt)
+    # the default block holds all 29 interior samples; one byte makes every
+    # sample its own block
+    for block in (lattice._BLOCK_BYTES, 1):
+        monkeypatch.setattr(lattice, "_BLOCK_BYTES", block)
+        for w, want in zip(windows, toda_want):
+            rep = verify_toda(toda, 1.0, w)
+            assert (rep.max_residual, rep.argmax) == want
+        rep = verify_kdv(kdv, 1.0)
+        assert (rep.max_residual, rep.argmax) == kdv_want
+
+
+def test_array_flows_blow_up_at_the_per_state_time():
+    J = random_hessenberg(2, 8, seed=1)
+    J = BandedHessenberg(2, 8, tuple(30.0 * b for b in J.bands))
+    table = GammaTable(1, 3, np.array([1e30, 2e30, -1e30, 3e30, 1e30, -2e30]))
+    for state, evolve, dt in ((J, evolve_toda, 5e-2), (table, evolve_kdv, 1e-31)):
+        with pytest.raises(BlowUp) as want:
+            per_state_rk4(state, dt, 200)
+        with pytest.raises(BlowUp) as got:
+            evolve(state, dt=dt, steps=200)
+        assert got.value.t == want.value.t > 0
+
+
+@pytest.mark.parametrize("block", [None, 1])
+def test_verifier_ties_go_to_the_first_sample_then_band(block, monkeypatch):
+    if block:  # one sample per block: ties across blocks keep the first
+        monkeypatch.setattr(lattice, "_BLOCK_BYTES", block)
+    # a[1,0] = 1 gives band-0 residuals of modulus 1 at rows 0 and 1; a[3,1] = 1
+    # gives band-1 residuals of modulus 1 at rows 2 and 3.  Samples alternate
+    # so every central difference vanishes and the residual is |rhs|.
+    n = 6
+    only_band1 = np.zeros((3, n), dtype=np.complex128)
+    only_band1[2, 3] = 1.0
+    only_band0 = np.zeros((3, n), dtype=np.complex128)
+    only_band0[1, 1] = 1.0
+    both = only_band0 + only_band1
+    for samples, want in [
+        ([only_band0, only_band1, only_band0, only_band1], ("a[2,1]", 1)),
+        ([only_band1, only_band0, only_band1, only_band0], ("a[0,0]", 1)),
+        ([both, both, both, both], ("a[0,0]", 1)),
+    ]:
+        traj = Trajectory(np.arange(4) * 0.1, np.stack(samples), 0.1, 2)
+        rep = verify_toda(traj, 1.0)
+        assert (rep.max_residual, rep.argmax) == (1.0, want)
+        assert per_state_verify_toda(list(traj.states), 0.1) == (1.0, want)
+
+
+@pytest.mark.parametrize("block", [None, 1])
+@pytest.mark.parametrize("where", [(5, 1, 3), (0, 0, 2)])
+def test_nan_entry_fails_verify_toda(where, block, monkeypatch):
+    if block:  # one sample per block: later blocks hold NaNs too
+        monkeypatch.setattr(lattice, "_BLOCK_BYTES", block)
+    J = graded_scale(random_hessenberg(2, 8, seed=3), 0.4)
+    traj = evolve_toda(J, dt=1e-3, steps=10)
+    data = traj.data.copy()
+    data[where] = np.nan
+    rep = verify_toda(Trajectory(traj.times, data, traj.dt, traj.p), tol=1.0)
+    m, d, i = where
+    assert np.isnan(rep.max_residual) and not rep.passed
+    # the first NaN in sample order: the difference one sample before, or
+    # for the first sample the difference one sample after
+    assert rep.argmax == (f"a[{i},{i - d}]", max(m - 1, 1))
+
+
+@pytest.mark.parametrize("block", [None, 1])
+def test_nan_entry_fails_verify_kdv(block, monkeypatch):
+    if block:
+        monkeypatch.setattr(lattice, "_BLOCK_BYTES", block)
+    _, table = flow_instances(2, "real")
+    traj = evolve_kdv(table, dt=1e-3, steps=10)
+    data = traj.data.copy()
+    data[4, 2] = np.nan
+    rep = verify_kdv(Trajectory(traj.times, data, traj.dt, traj.p), tol=1.0)
+    assert np.isnan(rep.max_residual) and not rep.passed
+    assert rep.argmax == ("gamma[3]", 3)
+
+
+def test_trajectory_states_are_read_only_and_built_per_access():
+    J, table = flow_instances(2, "complex")
+    for traj, cls in ((evolve_toda(J, steps=3), BandedHessenberg), (evolve_kdv(table, steps=3), GammaTable)):
+        states = traj.states
+        assert len(states) == len(traj) == 4
+        assert all(isinstance(s, cls) for s in states)
+        assert states[-1] is not states[-1]
+        with pytest.raises(IndexError):
+            states[4]
+        with pytest.raises(ValueError):
+            traj.data[0, 0] = 0
+
+
+# ---------------------------------------------------------------------------
 # residual verification
 
 
@@ -226,16 +439,11 @@ def test_verify_kdv_on_evolved_table():
 def test_verify_window_excludes_corrupt_tail_row():
     J = graded_scale(random_hessenberg(1, 7, seed=10), 0.4)
     traj = evolve_toda(J, dt=1e-3, steps=10)
-    from toda_darboux.banded import BandedHessenberg
-    from toda_darboux.lattice import Trajectory
-    spoiled = []
-    for state in traj.states:
-        bands = tuple(state.band(d).copy() for d in range(state.p + 1))
-        # constant corruption in the last row: it feeds the row-below stencil
-        # of row n-2 but never moves the finite difference
-        bands[1][-1] += 50.0
-        spoiled.append(BandedHessenberg(state.p, state.n, bands))
-    bad = Trajectory(times=traj.times, states=tuple(spoiled), dt=traj.dt)
+    spoiled = traj.data.copy()
+    # constant corruption in the last row: it feeds the row-below stencil
+    # of row n-2 but never moves the finite difference
+    spoiled[:, 1, -1] += 50.0
+    bad = Trajectory(times=traj.times, data=spoiled, dt=traj.dt, p=traj.p)
     full = verify_toda(bad, tol=1e-5)
     assert not full.passed
     trimmed = verify_toda(bad, tol=1e-5, window=ValidWindow(J.n - 1))
@@ -329,8 +537,8 @@ def test_transform_kernel_equals_backlund_entry_exactly(p, mode):
             for m, table in enumerate(tables):
                 single = reconstruct_transform(table, j, C, rows)
                 for d, want in enumerate(scalar_transform_bands(table, j, C, rows)):
-                    assert stacked[d][m, :d].tolist() == [0j] * min(d, rows)
-                    assert stacked[d][m, d:].tolist() == want
+                    assert stacked[m, d, :d].tolist() == [0j] * min(d, rows)
+                    assert stacked[m, d, d:].tolist() == want
                     assert single.bands[d][d:].tolist() == want
 
 
@@ -358,13 +566,11 @@ def test_commuting_diagram_equals_per_state_scalar_route(p):
     traj_table = evolve_kdv(table0, dt, steps)
     recon = {}
     for j in range(p + 1):
-        states = []
-        for tb in traj_table.states:
-            bands = [np.zeros(rows, dtype=np.complex128) for _ in range(p + 1)]
+        data = np.zeros((len(traj_table), p + 1, rows), dtype=np.complex128)
+        for m, tb in enumerate(traj_table.states):
             for d, entries in enumerate(scalar_transform_bands(tb, j, C, rows)):
-                bands[d][d:] = entries
-            states.append(BandedHessenberg(p, rows, tuple(bands)))
-        recon[j] = Trajectory(traj_table.times, states, dt)
+                data[m, d, d:] = entries
+        recon[j] = Trajectory(traj_table.times, data, dt, p)
 
     worst, arg = 0.0, ("", 0)
     for m, direct in enumerate(evolve_toda(J, C, dt, steps).states):
