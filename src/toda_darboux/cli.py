@@ -42,11 +42,11 @@ from .lattice import (
     BlowUp,
     InsufficientSamples,
     ResidualReport,
+    _entry_table,
     evolve_kdv,
     evolve_toda,
     reconstruct_transform,
     theorem1_diagram,
-    trajectory_rows,
 )
 from .lu import SingularLeadingMinor
 
@@ -231,8 +231,13 @@ def cmd_evolve(cfg: RunConfig, args) -> int:
             tol_pivot=cfg.tol_pivot, tol_margin=cfg.tol_margin, mode=cfg.mode,
         )
         traj = evolve_kdv(table, cfg.dt, cfg.steps)
-    rows = (f"{t!r},{eid},{v.real!r},{v.imag!r}\n" for t, eid, v in trajectory_rows(traj))
-    text = "t,entry_id,re,im\n" + "".join(rows)
+    ids, samples = _entry_table(traj)
+    lines = ["t,entry_id,re,im\n"]
+    for t, values in zip(traj.times.tolist(), samples):
+        t = repr(t)
+        rows = zip(ids, values.real.tolist(), values.imag.tolist())
+        lines.append("".join([f"{t},{eid},{re!r},{im!r}\n" for eid, re, im in rows]))
+    text = "".join(lines)
     manifest = {
         "dt": cfg.dt,
         "steps": cfg.steps,

@@ -20,8 +20,9 @@ entries gives trajectories of the Toda flow, for every member J^(0),
 Everything is integrated with fixed-step classical RK4 and verified by
 comparing central finite differences of a trajectory against the exact
 right hand side, so residuals of honest solutions shrink like dt^2.
-A ``Trajectory`` is one array over the time axis, filled in place by
-RK4 and swept by the verifiers in blocks of samples; a NaN residual fails.
+A ``Trajectory`` is one array over the time axis, float64 for real states
+and complex128 otherwise, filled in place by RK4 on stage buffers allocated
+once and swept by the verifiers in blocks of samples; a NaN residual fails.
 Truncation is handled by windows: the bottom rows of a finite Toda
 truncation and the top indices of a finite gamma table feel the missing
 neighbors immediately, so equations are only checked where the full
@@ -36,6 +37,7 @@ from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .banded import BandedHessenberg, ValidWindow
 from .darboux import GammaTable, darboux_factorization, enumerate_indices
@@ -81,6 +83,8 @@ class Trajectory:
 
     ``data[m]`` is sample m: the row-indexed bands (p + 1, n) of J for
     the Toda flow, or the flat gamma table ((p + 1) columns,) for KdV.
+    ``data`` is float64 when the states are real (every imaginary part
+    +0.0) and complex128 otherwise; ``states`` are complex either way.
     """
 
     times: np.ndarray
@@ -89,7 +93,8 @@ class Trajectory:
     p: int
 
     def __post_init__(self):
-        for name, dtype in (("times", float), ("data", np.complex128)):
+        real = np.isrealobj(self.data)
+        for name, dtype in (("times", float), ("data", float if real else np.complex128)):
             arr = np.asarray(getattr(self, name), dtype=dtype)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -151,34 +156,53 @@ def _report(label, residual, argmax, tol) -> ResidualReport:
 # right hand sides
 
 
-def _toda_rhs(B: np.ndarray) -> np.ndarray:
-    """Toda derivative of row-indexed bands B of shape (..., p + 1, n)."""
-    n = B.shape[-1]
+def _toda_kernel(shape: tuple, dtype, p: int):
+    """rhs(B, out) writes the Toda derivative of bands B of shape (..., p + 1, n) to out."""
+    lead, bands, n = shape[:-2], p + 1, shape[-1]
     # band p + 1 and row n read zero, through one padding band and column
-    padded = np.zeros(B.shape[:-2] + (B.shape[-2] + 1, n + 1), dtype=np.complex128)
-    padded[..., :-1, :-1] = B
-    shifted = np.zeros_like(B)
-    for d in range(B.shape[-2]):
-        shifted[..., d, d:] = B[..., 0, : n - d]
-    der = (B[..., :1, :] - shifted) * B
-    der += padded[..., 1:, 1:]
-    der -= padded[..., 1:, :-1]
-    for d in range(1, B.shape[-2]):
-        der[..., d, :d] = 0
-    return der
+    padded = np.zeros((*lead, bands + 1, n + 1), dtype)
+    # shifted[..., d, i] is the diagonal entry of row i - d, zero for i < d
+    diag = np.zeros((*lead, bands - 1 + n), dtype)
+    shifted = sliding_window_view(diag, n, axis=-1)[..., ::-1, :]
+    outside = np.tri(bands, n, -1, dtype=bool)
+
+    def rhs(B, out):
+        padded[..., :-1, :-1] = B
+        diag[..., bands - 1 :] = B[..., 0, :]
+        np.multiply(np.subtract(B[..., :1, :], shifted, out=out), B, out=out)
+        out += padded[..., 1:, 1:]
+        out -= padded[..., 1:, :-1]
+        np.copyto(out, 0, where=outside)
+        return out
+
+    return rhs
+
+
+def _kdv_kernel(shape: tuple, dtype, p: int):
+    """rhs(g, out) writes the KdV derivative of flat gamma arrays g of shape (..., size) to out."""
+    size = shape[-1]
+    # cs[k + p] is the sum of gamma_1 .. gamma_k: p zeros lead for the lower
+    # boundary, p copies of the full sum trail for the truncation
+    cs = np.zeros((*shape[:-1], size + 1 + 2 * p), dtype)
+    lower = np.empty(shape, dtype)
+
+    def rhs(g, out):
+        np.cumsum(g, axis=-1, out=cs[..., p + 1 : p + 1 + size])
+        cs[..., p + 1 + size :] = cs[..., p + size, None]
+        np.subtract(cs[..., 2 * p + 1 :], cs[..., p + 1 : p + 1 + size], out=out)
+        np.subtract(out, np.subtract(cs[..., p : p + size], cs[..., :size], out=lower), out=out)
+        np.multiply(g, out, out=out)
+        return out
+
+    return rhs
+
+
+def _toda_rhs(B: np.ndarray) -> np.ndarray:
+    return _toda_kernel(B.shape, B.dtype, B.shape[-2] - 1)(B, np.empty_like(B))
 
 
 def _kdv_rhs(g: np.ndarray, p: int) -> np.ndarray:
-    """KdV derivative of flat gamma arrays g of shape (..., size)."""
-    size = g.shape[-1]
-    # cs[k + p] is the sum of gamma_1 .. gamma_k: p zeros lead for the lower
-    # boundary, p copies of the full sum trail for the truncation
-    cs = np.zeros(g.shape[:-1] + (size + 1 + 2 * p,), dtype=np.complex128)
-    np.cumsum(g, axis=-1, out=cs[..., p + 1 : p + 1 + size])
-    cs[..., p + 1 + size :] = cs[..., p + size, None]
-    upper = cs[..., 2 * p + 1 :] - cs[..., p + 1 : p + 1 + size]
-    lower = cs[..., p : p + size] - cs[..., :size]
-    return g * (upper - lower)
+    return _kdv_kernel(g.shape, g.dtype, p)(g, np.empty_like(g))
 
 
 def toda_rhs(J: BandedHessenberg) -> tuple:
@@ -207,22 +231,40 @@ def kdv_rhs(table: GammaTable) -> np.ndarray:
 # integration
 
 
-def _rk4(y0: np.ndarray, rhs, dt: float, steps: int, p: int) -> Trajectory:
-    """Fixed-step RK4 from y0, every sample stored in one preallocated array."""
+def _rk4(y0: np.ndarray, kernel, dt: float, steps: int, p: int) -> Trajectory:
+    """Fixed-step RK4 from y0, every sample stored in one preallocated array.
+
+    A y0 whose imaginary parts are all +0.0 is integrated in float64, which
+    gives the real parts complex arithmetic gives.  Finiteness is checked
+    once per block of samples; BlowUp names the time of the last finite one.
+    """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
-    out = np.empty((steps + 1,) + y0.shape, dtype=np.complex128)
+    if not (y0.imag.any() or np.signbit(y0.imag).any()):
+        y0 = y0.real
+    out = np.empty((steps + 1,) + y0.shape, dtype=y0.dtype)
     out[0] = y0
+    rhs = kernel(y0.shape, y0.dtype, p)
+    # s is a stage's argument, k its slope, acc sums k1 + 2 k2 + 2 k3 + k4; operands keep
+    # the order of y + h * k and 2 * k, as complex multiply is not bitwise commutative
+    s, acc, k = (np.empty(y0.shape, y0.dtype) for _ in range(3))
+    block = max(1, _BLOCK_BYTES // out[0].nbytes)
     with np.errstate(over="ignore", invalid="ignore"):
-        for m in range(steps):
-            y = out[m]
-            k1 = rhs(y)
-            k2 = rhs(y + dt / 2 * k1)
-            k3 = rhs(y + dt / 2 * k2)
-            k4 = rhs(y + dt * k3)
-            np.add(y, dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4), out=out[m + 1])
-            if not np.isfinite(out[m + 1].view(float)).all():
-                raise BlowUp(m * dt)
+        for m0 in range(0, steps, block):
+            m1 = min(m0 + block, steps)
+            for m in range(m0, m1):
+                y = out[m]
+                rhs(y, acc)
+                rhs(np.add(y, np.multiply(dt / 2, acc, out=s), out=s), k)
+                for h in (dt / 2, dt):
+                    np.add(y, np.multiply(h, k, out=s), out=s)
+                    np.add(acc, np.multiply(2, k, out=k), out=acc)
+                    rhs(s, k)
+                np.multiply(dt / 6, np.add(acc, k, out=acc), out=acc)
+                np.add(y, acc, out=out[m + 1])
+            finite = np.isfinite(out[m0 + 1 : m1 + 1].view(float).reshape(m1 - m0, -1)).all(1)
+            if not finite.all():
+                raise BlowUp((m0 + int(np.argmin(finite))) * dt)
     return Trajectory(np.arange(steps + 1) * dt, out, dt, p)
 
 
@@ -235,12 +277,12 @@ def evolve_toda(J0: BandedHessenberg, C=0.0, dt: float = 1e-3, steps: int = 100)
     Raises BlowUp with the last finite time if an entry leaves the
     representable range.
     """
-    return _rk4(np.stack(J0.bands), _toda_rhs, dt, steps, J0.p)
+    return _rk4(np.stack(J0.bands), _toda_kernel, dt, steps, J0.p)
 
 
 def evolve_kdv(table0: GammaTable, dt: float = 1e-3, steps: int = 100) -> Trajectory:
     """Integrate the discrete KdV lattice from a gamma table, RK4."""
-    return _rk4(table0.values, lambda g: _kdv_rhs(g, table0.p), dt, steps, table0.p)
+    return _rk4(table0.values, _kdv_kernel, dt, steps, table0.p)
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +335,7 @@ def verify_toda(traj: Trajectory, tol: float, window: ValidWindow = None) -> Res
     """
     n = traj.data.shape[2]
     wlim = n if window is None else min(window.rows, n)
-    worst, arg = _central(traj.data, traj.dt, _toda_rhs, wlim - 1)
+    worst, arg = _central(traj.data, traj.dt, _toda_rhs, max(wlim - 1, 0))
     return _report("toda residual", worst, arg, tol)
 
 
@@ -519,14 +561,17 @@ def theorem1_diagram(
 # export
 
 
-def trajectory_rows(traj: Trajectory):
-    """Yield (t, entry_id, value) rows in a fixed deterministic order."""
+def _entry_table(traj: Trajectory):
+    """Entry ids and the (samples, entries) array of stored entries, in row order."""
     if traj.kind == "kdv":
-        ids = [f"gamma[{k}]" for k in range(1, traj.data.shape[1] + 1)]
-        samples = traj.data
-    else:
-        bands, n = traj.data.shape[1:]
-        ids = [f"a[{i},{i - d}]" for d in range(bands) for i in range(d, n)]
-        samples = traj.data[:, ~np.tri(bands, n, -1, dtype=bool)]
+        return [f"gamma[{k}]" for k in range(1, traj.data.shape[1] + 1)], traj.data
+    bands, n = traj.data.shape[1:]
+    ids = [f"a[{i},{i - d}]" for d in range(bands) for i in range(d, n)]
+    return ids, traj.data[:, ~np.tri(bands, n, -1, dtype=bool)]
+
+
+def trajectory_rows(traj: Trajectory):
+    """Yield (t, entry_id, value) rows, values complex, in a fixed deterministic order."""
+    ids, samples = _entry_table(traj)
     for t, values in zip(traj.times.tolist(), samples):
-        yield from zip(repeat(t), ids, values.tolist())
+        yield from zip(repeat(t), ids, values.astype(complex).tolist())

@@ -300,8 +300,10 @@ def test_array_flows_equal_per_state_route_bit_for_bit(p, mode, monkeypatch):
     kdv = evolve_kdv(table, dt=dt, steps=steps)
     toda_states = per_state_rk4(J, dt, steps)
     kdv_states = per_state_rk4(table, dt, steps)
-    assert toda.data.tobytes() == np.stack([np.stack(s.bands) for s in toda_states]).tobytes()
-    assert kdv.data.tobytes() == np.stack([s.values for s in kdv_states]).tobytes()
+    assert (np.asarray(toda.data, complex).tobytes()
+            == np.stack([np.stack(s.bands) for s in toda_states]).tobytes())
+    assert (np.asarray(kdv.data, complex).tobytes()
+            == np.stack([s.values for s in kdv_states]).tobytes())
     assert [s.bands[-1].tolist() for s in toda.states] == [s.bands[-1].tolist() for s in toda_states]
     windows = [None, ValidWindow(J.n - p - 1)]
     toda_want = [per_state_verify_toda(toda_states, dt, w) for w in windows]
@@ -327,6 +329,68 @@ def test_array_flows_blow_up_at_the_per_state_time():
         with pytest.raises(BlowUp) as got:
             evolve(state, dt=dt, steps=200)
         assert got.value.t == want.value.t > 0
+
+
+@pytest.mark.parametrize("block_samples", [None, 3])
+def test_complex_flows_blow_up_at_the_per_state_time(block_samples, monkeypatch):
+    J = random_hessenberg(2, 8, seed=1, mode="complex")
+    J = BandedHessenberg(2, 8, tuple(30.0 * b for b in J.bands))
+    table = GammaTable(1, 3, np.array([1e30, 2e30j, -1e30, 3e30, 1e30 + 1e30j, -2e30]))
+    # (state, flow, step, complex bytes per sample)
+    cases = ((J, evolve_toda, 5e-2, 3 * 8 * 16), (table, evolve_kdv, 1e-31, 6 * 16))
+    for state, evolve, dt, nbytes in cases:
+        if block_samples:  # the blow-up (step 4 or 7) lands in the second or third block
+            monkeypatch.setattr(lattice, "_BLOCK_BYTES", block_samples * nbytes)
+        with pytest.raises(BlowUp) as want:
+            per_state_rk4(state, dt, 200)
+        with pytest.raises(BlowUp) as got:
+            evolve(state, dt=dt, steps=200)
+        assert got.value.t == want.value.t >= 4 * dt
+
+
+def with_negative_zero(state):
+    """The same state with the imaginary part of its first entry set to -0.0."""
+    if isinstance(state, GammaTable):
+        values = state.values.copy()
+        values[0] = complex(values[0].real, -0.0)
+        return GammaTable(state.p, state.columns, values)
+    bands = [b.copy() for b in state.bands]
+    bands[0][0] = complex(bands[0][0].real, -0.0)
+    return BandedHessenberg(state.p, state.n, tuple(bands))
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_real_states_integrate_in_float64_like_the_complex_route(p):
+    J, table = flow_instances(p, "real")
+    Jc, tablec = flow_instances(p, "complex")
+    for state, cstate, evolve in ((J, Jc, evolve_toda), (table, tablec, evolve_kdv)):
+        real = evolve(state, dt=1e-2, steps=30)
+        forced = evolve(with_negative_zero(state), dt=1e-2, steps=30)
+        assert real.data.dtype == np.float64
+        assert forced.data.dtype == evolve(cstate, dt=1e-2, steps=30).data.dtype == np.complex128
+        # same real parts bit for bit; past the initial sample every stored
+        # imaginary part of the complex route is +0.0
+        assert real.data.tobytes() == np.ascontiguousarray(forced.data.real).tobytes()
+        assert not forced.data.imag[1:].view(np.uint64).any()
+        # states and exported rows stay complex
+        first = real.states[0]
+        assert np.asarray(getattr(first, "bands", None) or first.values).dtype == np.complex128
+        assert {type(v) for _, _, v in trajectory_rows(real)} == {complex}
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_verify_reports_equal_on_float64_data_and_its_complex_cast(p):
+    J, table = flow_instances(p, "real")
+    toda = evolve_toda(J, dt=1e-2, steps=30)
+    kdv = evolve_kdv(table, dt=1e-2, steps=30)
+    assert toda.data.dtype == kdv.data.dtype == np.float64
+
+    def cast(traj):
+        return Trajectory(traj.times, traj.data.astype(complex), traj.dt, traj.p)
+
+    for w in (None, ValidWindow(0), ValidWindow(3), ValidWindow(J.n - p - 1)):
+        assert verify_toda(toda, 1e-9, w) == verify_toda(cast(toda), 1e-9, w)
+    assert verify_kdv(kdv, 1e-9) == verify_kdv(cast(kdv), 1e-9)
 
 
 @pytest.mark.parametrize("block", [None, 1])
@@ -448,6 +512,16 @@ def test_verify_window_excludes_corrupt_tail_row():
     assert not full.passed
     trimmed = verify_toda(bad, tol=1e-5, window=ValidWindow(J.n - 1))
     assert trimmed.passed
+
+
+def test_verify_window_of_zero_rows_checks_nothing():
+    J = graded_scale(random_hessenberg(2, 8, seed=3), 0.4)
+    traj = evolve_toda(J, dt=0.1, steps=10)
+    full = verify_toda(traj, tol=1e-30, window=ValidWindow(8))
+    assert not full.passed and full.argmax == ("a[5,4]", 9)
+    for rows in (0, 1):
+        rep = verify_toda(traj, tol=1e-30, window=ValidWindow(rows))
+        assert (rep.max_residual, rep.argmax, rep.passed) == (0.0, ("", 0), True)
 
 
 # ---------------------------------------------------------------------------
