@@ -10,11 +10,11 @@ the central-difference verifier reports a worst residual that drops by
 import numpy as np
 
 from toda_darboux import (
+    ParameterSet,
     darboux_factorization,
     evolve_kdv,
     evolve_toda,
     graded_scale,
-    identity_parameters,
     random_hessenberg,
     verify_kdv,
     verify_toda,
@@ -33,7 +33,7 @@ def main():
 
     print("\ngamma flow on the factor entries of a tamer p = 1 instance:")
     J1 = graded_scale(random_hessenberg(1, N, seed=101), 0.15)
-    _, table = darboux_factorization(J1, 0.0, params=identity_parameters(1))
+    _, table = darboux_factorization(J1, 0.0, params=ParameterSet(()))
     for dt, steps in [(2e-3, 50), (1e-3, 100)]:
         traj = evolve_kdv(table, dt=dt, steps=steps)
         rep = verify_kdv(traj, tol=1e-5)

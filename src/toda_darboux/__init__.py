@@ -2,10 +2,9 @@
 Hessenberg matrices, and the lattice flows they intertwine."""
 
 from .banded import (
+    Banded,
     BandedHessenberg,
-    Bidiagonal,
     ShapeError,
-    UnitLowerBanded,
     ValidWindow,
     full_window,
     graded_scale,
@@ -16,8 +15,6 @@ from .banded import (
     truncate,
 )
 from .lu import (
-    PolySequence,
-    ShiftedProblem,
     SingularLeadingMinor,
     char_poly,
     lu_factorize,
@@ -39,7 +36,6 @@ from .darboux import (
     factors_to_table,
     hyperplane_determinant,
     hyperplane_point_from_alphas,
-    identity_parameters,
     peel,
     sample_parameters,
     table_fill,

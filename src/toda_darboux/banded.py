@@ -1,23 +1,19 @@
-"""Banded Hessenberg matrices stored diagonal by diagonal.
+"""Band matrices stored diagonal by diagonal.
 
-The matrices handled here are lower Hessenberg with a bounded number of
-subdiagonals: entry (i, j) may be nonzero only for i - p <= j <= i + 1,
-and the superdiagonal (i, i + 1) is identically one.  Together with the
-unit lower triangular factors that show up in their factorizations,
-three shapes cover everything:
+Entry (i, j) of a band matrix may be nonzero only for i - p <= j <= i + hi,
+and one type, ``Banded``, holds every shape the factorizations need:
 
-* ``BandedHessenberg``: free bands at offsets 0..p, implicit unit
-  superdiagonal.
-* ``UnitLowerBanded``: free bands at offsets 1..p, implicit unit
-  diagonal.
-* ``Bidiagonal``: one free band next to a structural unit band.  The
-  upper kind has a free diagonal under a unit superdiagonal, the lower
-  kind a free subdiagonal under a unit diagonal.
+* the banded Hessenberg matrices J, with p subdiagonals and a unit
+  superdiagonal (hi = 1), built by ``BandedHessenberg``;
+* the unit lower banded L of their LU factorization (hi = 0);
+* the bidiagonal Darboux factors: U with a free diagonal under a unit
+  superdiagonal (p = 0, hi = 1), and each L^(i) with a free subdiagonal
+  under a unit diagonal (p = 1, hi = 0).
 
-All entries are complex double precision, even when the input data is
-real.  A band with offset d holds the entries (i, i - d) in row order,
-so offset -1 is the superdiagonal; internally every band is padded to
-the full matrix size and indexed by row.
+Unit bands are stored as data like any other band.  All entries are
+complex double precision, even when the input data is real.  A band with
+offset d holds the entries (i, i - d) indexed by row i, so offset -1 is
+the superdiagonal, and slots that have no matrix entry hold zero.
 
 Finite matrices stand in for truncations of semi-infinite ones, and the
 leading rows are the only part of a truncation that can be trusted once
@@ -30,15 +26,14 @@ compares matrices inside such a window only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Sequence
 
 import numpy as np
 
 __all__ = [
+    "Banded",
     "BandedHessenberg",
-    "Bidiagonal",
     "ShapeError",
-    "UnitLowerBanded",
     "ValidWindow",
     "from_json_dict",
     "full_window",
@@ -51,12 +46,9 @@ __all__ = [
     "truncate",
 ]
 
-Scalar = complex
-Matrix = Union["BandedHessenberg", "UnitLowerBanded", "Bidiagonal"]
-
 
 class ShapeError(ValueError):
-    """Size mismatch, malformed band data, or an unrepresentable product."""
+    """Size mismatch, malformed band data, or a factor of the wrong shape."""
 
 
 @dataclass(frozen=True)
@@ -66,205 +58,99 @@ class ValidWindow:
     rows: int
 
 
-def _row_band(values, n: int, d: int) -> np.ndarray:
-    """Normalize band data to a read-only length-n array indexed by row.
-
-    Accepts either the natural length (n - |d| entries in row order) or an
-    already padded length-n array.  Slots that have no matrix entry are
-    forced to zero.
-    """
-    v = np.asarray(values, dtype=np.complex128)
-    if v.shape == (n,):
-        arr = v.copy()
-    elif v.shape == (max(n - abs(d), 0),):
-        arr = np.zeros(n, dtype=np.complex128)
-        if d >= 0:
-            arr[min(d, n):] = v
-        else:
-            arr[: n - 1] = v
-    else:
-        raise ShapeError(
-            f"band {d} needs {max(n - abs(d), 0)} or {n} entries, got shape {v.shape}"
-        )
-    if d > 0:
-        arr[:d] = 0
-    if d < 0:
-        arr[n - 1 :] = 0
-    arr.flags.writeable = False
-    return arr
-
-
-def _unit_superdiagonal(n: int) -> np.ndarray:
-    arr = np.ones(n, dtype=np.complex128)
-    arr[n - 1] = 0
-    arr.flags.writeable = False
-    return arr
-
-
-def _zeros(n: int) -> np.ndarray:
-    arr = np.zeros(n, dtype=np.complex128)
-    arr.flags.writeable = False
-    return arr
-
-
 @dataclass(frozen=True, eq=False, repr=False)
-class BandedHessenberg:
-    """Lower Hessenberg matrix with p subdiagonals and a unit superdiagonal."""
+class Banded:
+    """Band matrix with p subdiagonals and hi superdiagonals.
+
+    ``data`` has shape (p + hi + 1, n), and row hi + d holds the band at
+    offset d indexed by row.  It is stored as a read-only complex copy
+    whose slots without a matrix entry are zero.
+    """
 
     p: int
-    n: int
-    bands: tuple
+    hi: int
+    data: np.ndarray
 
     def __post_init__(self):
-        if self.p < 1:
-            raise ShapeError(f"band count p={self.p} must be at least 1")
-        if self.n < 1:
-            raise ShapeError(f"size n={self.n} must be at least 1")
-        if len(self.bands) != self.p + 1:
-            raise ShapeError(f"expected {self.p + 1} bands, got {len(self.bands)}")
-        norm = tuple(_row_band(b, self.n, d) for d, b in enumerate(self.bands))
-        object.__setattr__(self, "bands", norm)
+        data = np.array(self.data, dtype=np.complex128)
+        if self.p < 0 or self.hi < 0:
+            raise ShapeError(f"band counts p={self.p}, hi={self.hi} must be nonnegative")
+        if data.ndim != 2 or data.shape[0] != self.p + self.hi + 1 or data.shape[1] < 1:
+            raise ShapeError(
+                f"p={self.p}, hi={self.hi} needs data of shape ({self.p + self.hi + 1}, n >= 1),"
+                f" got {data.shape}"
+            )
+        # column i - d of the entry that row i of band d would hold
+        n = data.shape[1]
+        cols = np.arange(n) - np.arange(-self.hi, self.p + 1)[:, None]
+        data[(cols < 0) | (cols >= n)] = 0
+        data.flags.writeable = False
+        object.__setattr__(self, "data", data)
+
+    @property
+    def n(self) -> int:
+        return self.data.shape[1]
+
+    @property
+    def bands(self) -> tuple:
+        """Bands at offsets 0..p, the diagonal and the subdiagonals."""
+        return tuple(self.data[self.hi :])
 
     def band(self, d: int) -> np.ndarray:
-        """Band at offset d as a row-indexed length-n array, zeros off band."""
-        if d == -1:
-            return _unit_superdiagonal(self.n)
-        if 0 <= d <= self.p:
-            return self.bands[d]
-        return _zeros(self.n)
+        """Band at offset d as a row-indexed length-n view, zeros off band."""
+        if -self.hi <= d <= self.p:
+            return self.data[self.hi + d]
+        return np.broadcast_to(np.complex128(0), self.n)
 
-    def entry(self, i: int, j: int) -> Scalar:
+    def entry(self, i: int, j: int) -> complex:
         return complex(self.band(i - j)[i])
 
     @property
     def regular(self) -> bool:
         """True when every represented entry of the deepest band is nonzero."""
-        tail = self.bands[self.p][self.p :]
+        tail = self.data[-1][self.p :]
         return bool(tail.size == 0 or np.all(np.abs(tail) > 0))
 
     def to_dense(self) -> np.ndarray:
-        return _dense(self)
+        n = self.n
+        out = np.zeros((n, n), dtype=np.complex128)
+        flat = out.reshape(-1)
+        for d in range(max(-self.hi, 1 - n), min(self.p, n - 1) + 1):
+            # entry (i, i - d) sits at flat index i (n + 1) - d
+            k, first = n - abs(d), max(d, 0)
+            flat[first * (n + 1) - d :: n + 1][:k] = self.data[self.hi + d, first : first + k]
+        return out
 
     def __repr__(self):
-        return f"BandedHessenberg(p={self.p}, n={self.n})"
+        return f"Banded(p={self.p}, hi={self.hi}, n={self.n})"
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class UnitLowerBanded:
-    """Unit lower triangular matrix with p free subdiagonals."""
+def BandedHessenberg(p: int, n: int, bands) -> Banded:
+    """Lower Hessenberg matrix with p subdiagonals and a unit superdiagonal.
 
-    p: int
-    n: int
-    bands: tuple
-
-    def __post_init__(self):
-        if self.p < 1:
-            raise ShapeError(f"band count p={self.p} must be at least 1")
-        if self.n < 1:
-            raise ShapeError(f"size n={self.n} must be at least 1")
-        if len(self.bands) != self.p:
-            raise ShapeError(f"expected {self.p} bands, got {len(self.bands)}")
-        norm = tuple(_row_band(b, self.n, d + 1) for d, b in enumerate(self.bands))
-        object.__setattr__(self, "bands", norm)
-
-    def band(self, d: int) -> np.ndarray:
-        if d == 0:
-            arr = np.ones(self.n, dtype=np.complex128)
-            arr.flags.writeable = False
-            return arr
-        if 1 <= d <= self.p:
-            return self.bands[d - 1]
-        return _zeros(self.n)
-
-    def entry(self, i: int, j: int) -> Scalar:
-        return complex(self.band(i - j)[i])
-
-    def to_dense(self) -> np.ndarray:
-        return _dense(self)
-
-    def __repr__(self):
-        return f"UnitLowerBanded(p={self.p}, n={self.n})"
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class Bidiagonal:
-    """Two-band matrix, one band free and the neighboring band unit.
-
-    kind="upper": free diagonal, unit superdiagonal.
-    kind="lower": unit diagonal, free subdiagonal.
+    ``bands`` holds the offsets 0..p, each either of natural length
+    (n - d entries in row order) or already padded to length n.
     """
-
-    kind: str
-    n: int
-    entries: np.ndarray
-
-    def __post_init__(self):
-        if self.kind not in ("upper", "lower"):
-            raise ShapeError(f"kind must be 'upper' or 'lower', got {self.kind!r}")
-        if self.n < 1:
-            raise ShapeError(f"size n={self.n} must be at least 1")
-        d = 0 if self.kind == "upper" else 1
-        object.__setattr__(self, "entries", _row_band(self.entries, self.n, d))
-
-    def band(self, d: int) -> np.ndarray:
-        if self.kind == "upper":
-            if d == -1:
-                return _unit_superdiagonal(self.n)
-            if d == 0:
-                return self.entries
+    if p < 1:
+        raise ShapeError(f"band count p={p} must be at least 1")
+    if n < 1:
+        raise ShapeError(f"size n={n} must be at least 1")
+    if len(bands) != p + 1:
+        raise ShapeError(f"expected {p + 1} bands, got {len(bands)}")
+    data = np.ones((p + 2, n), dtype=np.complex128)
+    for d, values in enumerate(bands):
+        v = np.asarray(values, dtype=np.complex128)
+        k = max(n - d, 0)
+        if v.shape == (n,):
+            data[d + 1] = v
+        elif v.shape == (k,):
+            data[d + 1, n - k :] = v
         else:
-            if d == 0:
-                arr = np.ones(self.n, dtype=np.complex128)
-                arr.flags.writeable = False
-                return arr
-            if d == 1:
-                return self.entries
-        return _zeros(self.n)
-
-    def entry(self, i: int, j: int) -> Scalar:
-        return complex(self.band(i - j)[i])
-
-    def to_dense(self) -> np.ndarray:
-        return _dense(self)
-
-    def __repr__(self):
-        return f"Bidiagonal(kind={self.kind!r}, n={self.n})"
+            raise ShapeError(f"band {d} needs {k} or {n} entries, got shape {v.shape}")
+    return Banded(p, 1, data)
 
 
-# ---------------------------------------------------------------------------
-# structural reach
-
-
-def _upper_reach(m: Matrix) -> int:
-    if isinstance(m, BandedHessenberg):
-        return 1
-    if isinstance(m, Bidiagonal) and m.kind == "upper":
-        return 1
-    return 0
-
-
-def _lower_reach(m: Matrix) -> int:
-    if isinstance(m, BandedHessenberg) or isinstance(m, UnitLowerBanded):
-        return m.p
-    if isinstance(m, Bidiagonal) and m.kind == "lower":
-        return 1
-    return 0
-
-
-def _offsets(m: Matrix) -> range:
-    return range(-_upper_reach(m), _lower_reach(m) + 1)
-
-
-def _dense(m: Matrix) -> np.ndarray:
-    out = np.zeros((m.n, m.n), dtype=np.complex128)
-    for d in _offsets(m):
-        b = m.band(d)
-        rows = np.arange(max(d, 0), m.n if d >= 0 else m.n - 1)
-        out[rows, rows - d] = b[rows]
-    return out
-
-
-def full_window(m: Matrix) -> ValidWindow:
+def full_window(m: Banded) -> ValidWindow:
     return ValidWindow(m.n)
 
 
@@ -272,79 +158,51 @@ def full_window(m: Matrix) -> ValidWindow:
 # operations
 
 
-def truncate(m: Matrix, size: int) -> Matrix:
-    """Leading principal submatrix of the given size, same shape class.
+def truncate(m: Banded, size: int) -> Banded:
+    """Leading principal submatrix of the given size, same band counts.
 
     Truncation commutes with reading entries: band arrays are simply cut.
     """
     if size < 1 or size > m.n:
         raise ShapeError(f"truncation size {size} outside 1..{m.n}")
-    if isinstance(m, BandedHessenberg):
-        return BandedHessenberg(m.p, size, tuple(b[:size] for b in m.bands))
-    if isinstance(m, UnitLowerBanded):
-        return UnitLowerBanded(m.p, size, tuple(b[:size] for b in m.bands))
-    return Bidiagonal(m.kind, size, m.entries[:size])
+    return Banded(m.p, m.hi, m.data[:, :size])
 
 
-def multiply(a: Matrix, b: Matrix, window_a: ValidWindow = None, window_b: ValidWindow = None):
+def multiply(a: Banded, b: Banded, window_a: ValidWindow = None, window_b: ValidWindow = None):
     """Banded product with window tracking.
 
-    Returns (product, window).  Inside the returned window the entries of
-    the product agree with the product of the corresponding semi-infinite
-    matrices: rows below the window may be polluted by the truncation.
-    Only the left factor's reach above the diagonal consumes certified
-    rows; its last certified row would need one row of the right factor
-    that lies outside the right factor's certified region, and the last
-    row of the truncated product is missing one term for the same reason.
-
-    At most one factor may reach above the diagonal, otherwise the result
-    would carry a second superdiagonal and leave the shape family.
+    Returns (product, window).  The product has min(a.p + b.p, n - 1)
+    subdiagonals and a.hi + b.hi superdiagonals; the partial products
+    accumulate band by band, offsets of a outer and offsets of b inner.
+    Inside the returned window the entries of the product agree with the
+    product of the corresponding semi-infinite matrices: rows below the
+    window may be polluted by the truncation.  Only the left factor's
+    reach above the diagonal consumes certified rows, one per
+    superdiagonal: its last certified row would need a row of the right
+    factor that lies outside the right factor's certified region, and the
+    last row of the truncated product is missing a term for the same
+    reason.
     """
     if a.n != b.n:
         raise ShapeError(f"size mismatch: {a.n} vs {b.n}")
     n = a.n
-    up_a = _upper_reach(a)
-    up = up_a + _upper_reach(b)
-    if up > 1:
-        raise ShapeError("cannot multiply two factors that both reach above the diagonal")
-    low = _lower_reach(a) + _lower_reach(b)
-    low_c = min(low, n - 1)
-
-    out = {d: np.zeros(n, dtype=np.complex128) for d in range(-up, low_c + 1)}
-    for da in _offsets(a):
+    p, hi = min(a.p + b.p, n - 1), a.hi + b.hi
+    out = np.zeros((p + hi + 1, n), dtype=np.complex128)
+    for da in range(-a.hi, a.p + 1):
         ba = a.band(da)
-        for db in _offsets(b):
+        for db in range(-b.hi, b.p + 1):
             d = da + db
-            if d not in out:
-                continue
-            bb = b.band(db)
-            lo = max(0, da, d)
-            hi = n + min(0, da, d)
-            if hi <= lo:
-                continue
-            out[d][lo:hi] += ba[lo:hi] * bb[lo - da : hi - da]
+            lo, top = max(0, da, d), n + min(0, da, d)
+            if d <= p and lo < top:
+                out[hi + d, lo:top] += ba[lo:top] * b.band(db)[lo - da : top - da]
 
     wa = n if window_a is None else window_a.rows
     wb = n if window_b is None else window_b.rows
-    window = ValidWindow(max(0, min(wa, wb - up_a, n - up_a)))
-
-    if up == 1:
-        sup = out.pop(-1)
-        if not np.array_equal(sup[: n - 1], np.ones(n - 1)):
-            raise ShapeError("product superdiagonal is not unit")
-        if low_c == 0:
-            return Bidiagonal("upper", n, out[0]), window
-        return BandedHessenberg(low_c, n, tuple(out[d] for d in range(low_c + 1))), window
-
-    diag = out.pop(0)
-    if not np.array_equal(diag, np.ones(n)):
-        raise ShapeError("product diagonal is not unit")
-    pl = max(1, low_c)
-    bands = tuple(out.get(d, np.zeros(n, dtype=np.complex128)) for d in range(1, pl + 1))
-    return UnitLowerBanded(pl, n, bands), window
+    window = ValidWindow(max(0, min(wa, wb - a.hi, n - a.hi)))
+    return Banded(p, hi, out), window
 
 
-def multiply_chain(factors: Sequence[Matrix], windows: Sequence[ValidWindow] = None):
+def multiply_chain(factors: Sequence[Banded], windows: Sequence[ValidWindow] = None):
     """Product of a list of factors, folded right to left.
 
     Folding from the right keeps unit lower factors on the left of every
@@ -362,7 +220,7 @@ def multiply_chain(factors: Sequence[Matrix], windows: Sequence[ValidWindow] = N
     return acc, acc_w
 
 
-def residual(a: Matrix, b: Matrix, window: ValidWindow = None) -> float:
+def residual(a: Banded, b: Banded, window: ValidWindow = None) -> float:
     """Largest entry modulus of a - b over the leading window square."""
     if a.n != b.n:
         raise ShapeError(f"size mismatch: {a.n} vs {b.n}")
@@ -373,7 +231,7 @@ def residual(a: Matrix, b: Matrix, window: ValidWindow = None) -> float:
     return float(np.max(np.abs(diff)))
 
 
-def random_hessenberg(p: int, n: int, seed, mode: str = "real") -> BandedHessenberg:
+def random_hessenberg(p: int, n: int, seed, mode: str = "real") -> Banded:
     """Random regular instance with band moduli uniform in [1, 2].
 
     Every represented band entry gets modulus in [1, 2], a random sign in
@@ -396,7 +254,7 @@ def random_hessenberg(p: int, n: int, seed, mode: str = "real") -> BandedHessenb
     return BandedHessenberg(p, n, tuple(bands))
 
 
-def graded_scale(m: BandedHessenberg, factor) -> BandedHessenberg:
+def graded_scale(m: Banded, factor) -> Banded:
     """Scale band offset d by factor**(d + 1).
 
     This is the grading that commutes with the unit superdiagonal: the
@@ -412,14 +270,14 @@ def graded_scale(m: BandedHessenberg, factor) -> BandedHessenberg:
 
 
 def _encode_band(arr: np.ndarray, n: int, d: int) -> list:
-    vals = arr[max(d, 0) :] if d >= 0 else arr[: n - 1]
+    vals = arr[d:] if d >= 0 else arr[: n + d]
     return [[float(z.real), float(z.imag)] for z in vals]
 
 
-def to_json_dict(m: Matrix) -> dict:
-    """Encode a matrix; structural unit bands are written out explicitly."""
-    bands = {str(d): _encode_band(m.band(d), m.n, d) for d in _offsets(m)}
-    return {"p": _lower_reach(m), "n": m.n, "bands": bands}
+def to_json_dict(m: Banded) -> dict:
+    """Encode a matrix; unit bands are written out like any other."""
+    bands = {str(d): _encode_band(m.band(d), m.n, d) for d in range(-m.hi, m.p + 1)}
+    return {"p": m.p, "n": m.n, "bands": bands}
 
 
 def _decode_band(values, n: int, d: int) -> np.ndarray:
@@ -430,16 +288,18 @@ def _decode_band(values, n: int, d: int) -> np.ndarray:
     for idx, pair in enumerate(values):
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise ShapeError(f"band {d} entry {idx} is not an [re, im] pair")
-        out[idx] = complex(float(pair[0]), float(pair[1]))
+        try:
+            out[idx] = complex(float(pair[0]), float(pair[1]))
+        except TypeError:
+            raise ShapeError(f"band {d} entry {idx} holds a non-number") from None
     return out
 
 
-def from_json_dict(payload: Mapping) -> Matrix:
-    """Decode a matrix payload, inferring the shape class from its bands.
+def from_json_dict(payload: Mapping) -> Banded:
+    """Decode a matrix payload.
 
-    A payload with only the offsets 0 and 1 and a unit diagonal decodes as
-    a lower Bidiagonal even if it was written from a one-band
-    UnitLowerBanded; the entries are identical either way.
+    The deepest offset must be p, the negative offsets give hi, and
+    offsets missing in between read as zero.
     """
     try:
         p = int(payload["p"])
@@ -447,6 +307,8 @@ def from_json_dict(payload: Mapping) -> Matrix:
         raw = payload["bands"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ShapeError(f"malformed matrix payload: {exc}") from None
+    if not isinstance(raw, Mapping):
+        raise ShapeError("matrix bands must map offsets to [re, im] lists")
     if n < 1:
         raise ShapeError(f"size n={n} must be at least 1")
     bands = {}
@@ -459,20 +321,8 @@ def from_json_dict(payload: Mapping) -> Matrix:
     low = max([d for d in bands if d > 0], default=0)
     if p != low:
         raise ShapeError(f"p={p} does not match deepest band offset {low}")
-
-    def _is_unit(d):
-        return d in bands and np.array_equal(bands[d], np.ones(max(n - abs(d), 0)))
-
-    if -1 in bands:
-        if not _is_unit(-1):
-            raise ShapeError("superdiagonal present but not unit")
-        if low == 0:
-            return Bidiagonal("upper", n, bands.get(0, np.zeros(n)))
-        full = {d: bands.get(d, np.zeros(max(n - d, 0))) for d in range(low + 1)}
-        return BandedHessenberg(low, n, tuple(full[d] for d in range(low + 1)))
-    if not _is_unit(0):
-        raise ShapeError("lower triangular payload needs a unit diagonal")
-    if low <= 1:
-        return Bidiagonal("lower", n, bands.get(1, np.zeros(max(n - 1, 0))))
-    full = {d: bands.get(d, np.zeros(max(n - d, 0))) for d in range(1, low + 1)}
-    return UnitLowerBanded(low, n, tuple(full[d] for d in range(1, low + 1)))
+    hi = max([-d for d in bands if d < 0], default=0)
+    data = np.zeros((p + hi + 1, n), dtype=np.complex128)
+    for d, values in bands.items():
+        data[hi + d, max(d, 0) : max(d, 0) + len(values)] = values
+    return Banded(p, hi, data)

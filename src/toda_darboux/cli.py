@@ -87,6 +87,9 @@ class RunConfig:
             raise ValueError(f"need n > p >= 1, got p={self.p} n={self.n}")
         if self.mode not in ("real", "complex"):
             raise ValueError(f"mode must be real or complex, got {self.mode!r}")
+        for name in ("dt", "C", "scale"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.dt <= 0 or self.steps < 0:
             raise ValueError("dt must be positive and steps nonnegative")
         for name in ("tol_pivot", "tol_margin", "tol_verify"):
@@ -184,7 +187,7 @@ def cmd_transform(cfg: RunConfig, args) -> int:
     if args.factors:
         with open(args.factors) as fh:
             data = json.load(fh)
-        if "factors" in data and isinstance(data["factors"], dict):
+        if isinstance(data, dict) and isinstance(data.get("factors"), dict):
             data = data["factors"]
         factors = DarbouxFactors.from_json_dict(data)
         table = factors_to_table(factors)

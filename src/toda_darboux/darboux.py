@@ -46,14 +46,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .banded import (
-    BandedHessenberg,
-    Bidiagonal,
-    ShapeError,
-    UnitLowerBanded,
-    ValidWindow,
-    multiply_chain,
-)
+from .banded import Banded, ShapeError, multiply_chain
+from .banded import from_json_dict as matrix_from_json, to_json_dict as matrix_json
 from .lu import lu_factorize
 
 __all__ = [
@@ -237,34 +231,29 @@ class ParameterSet:
         return f"ParameterSet(p={self.p})"
 
 
-def identity_parameters(p: int) -> ParameterSet:
-    """Placeholder-free constructor for p = 1, where no parameters exist."""
-    if p != 1:
-        raise ValueError("only p = 1 has an empty parameter set")
-    return ParameterSet(())
-
-
 @dataclass(frozen=True, eq=False, repr=False)
 class DarbouxFactors:
     """Bidiagonal factors of J - C I: one upper factor and p lower factors.
 
-    ``factors[s]`` is L^(s+1).  U is None for the intermediate result of
-    splitting the unit lower triangular factor alone.
+    U has a free diagonal under a unit superdiagonal (p = 0, hi = 1), and
+    ``factors[s]`` is L^(s+1), a free subdiagonal under a unit diagonal
+    (p = 1, hi = 0).
     """
 
-    U: Bidiagonal
+    U: Banded
     factors: tuple
     C: complex = 0j
 
     def __post_init__(self):
-        if self.U is not None and self.U.kind != "upper":
-            raise ShapeError("U factor must be upper bidiagonal")
+        U = self.U
+        if not isinstance(U, Banded) or (U.p, U.hi) != (0, 1) or not np.all(U.band(-1)[:-1] == 1):
+            raise ShapeError("U factor must be upper bidiagonal with a unit superdiagonal")
         if not self.factors:
             raise ShapeError("at least one lower factor is required")
         for f in self.factors:
-            if not isinstance(f, Bidiagonal) or f.kind != "lower":
-                raise ShapeError("lower factors must be lower bidiagonal")
-        ns = {f.n for f in self.factors} | ({self.U.n} if self.U is not None else set())
+            if not isinstance(f, Banded) or (f.p, f.hi) != (1, 0) or not np.all(f.band(0) == 1):
+                raise ShapeError("lower factors must be lower bidiagonal with a unit diagonal")
+        ns = {f.n for f in (U, *self.factors)}
         if len(ns) != 1:
             raise ShapeError(f"factor sizes disagree: {sorted(ns)}")
         object.__setattr__(self, "C", complex(self.C))
@@ -286,29 +275,25 @@ class DarbouxFactors:
         return ParameterSet(tuple(rows))
 
     def to_json_dict(self) -> dict:
-        from .banded import to_json_dict as matrix_json
-
         return {
             "C": _pair(self.C),
-            "U": None if self.U is None else matrix_json(self.U),
+            "U": matrix_json(self.U),
             "factors": [matrix_json(f) for f in self.factors],
         }
 
     @classmethod
     def from_json_dict(cls, payload: Mapping) -> "DarbouxFactors":
-        from .banded import from_json_dict as matrix_from
-
         try:
             c = _from_pair(payload["C"])
             u = payload["U"]
             fs = payload["factors"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed factor payload: {exc}") from None
-        return cls(
-            None if u is None else matrix_from(u),
-            tuple(matrix_from(f) for f in fs),
-            c,
-        )
+        if u is None:
+            raise ValueError("factor payload has no U")
+        if not isinstance(fs, list):
+            raise ValueError("factor payload needs a list of lower factors")
+        return cls(matrix_from_json(u), tuple(matrix_from_json(f) for f in fs), c)
 
     def __repr__(self):
         return f"DarbouxFactors(p={self.p}, n={self.n}, C={self.C})"
@@ -348,7 +333,7 @@ def enumerate_indices_tilde(k: int, p: int) -> list:
 # parameter sampling
 
 
-def hyperplane_determinant(T: UnitLowerBanded, s: int, r: int, k: int) -> complex:
+def hyperplane_determinant(T: Banded, s: int, r: int, k: int) -> complex:
     """Minor R_k^(s,r) of the stage-s matrix, by dense elimination.
 
     Rows are the single row q - r - 1 followed by rows q .. q + k - 2
@@ -369,7 +354,7 @@ def hyperplane_determinant(T: UnitLowerBanded, s: int, r: int, k: int) -> comple
 
 
 def sample_parameters(
-    T: UnitLowerBanded,
+    T: Banded,
     s: int,
     depth: int,
     rng,
@@ -441,11 +426,12 @@ def hyperplane_point_from_alphas(alphas: np.ndarray) -> np.ndarray:
 # peeling
 
 
-def _band_scale(T) -> float:
-    return max(1.0, max(float(np.max(np.abs(b))) if b.size else 0.0 for b in T.bands))
+def _band_scale(T: Banded) -> float:
+    # the free bands 1..q only, not the stored unit diagonal
+    return max(1.0, float(np.max(np.abs(T.data[T.hi + 1 :]))))
 
 
-def peel(T: UnitLowerBanded, alphas, tol: float = None):
+def peel(T: Banded, alphas, tol: float = None):
     """Split T into D A with D lower bidiagonal and A one band narrower.
 
     The first q - 1 subdiagonal entries of D are the given parameters
@@ -475,7 +461,7 @@ def peel(T: UnitLowerBanded, alphas, tol: float = None):
             return abands[dd - 1][i]
         return 0j
 
-    deep = T.band(q)
+    tbands = T.bands
     for i in range(1, n):
         if i <= q - 1:
             d[i] = alphas[i - 1]
@@ -483,17 +469,17 @@ def peel(T: UnitLowerBanded, alphas, tol: float = None):
             denom = aentry(i - 1, i - q)
             if abs(denom) < tol:
                 raise PeelBreakdown(i, abs(denom))
-            d[i] = deep[i] / denom
+            d[i] = tbands[q][i] / denom
         for dd in range(1, q):
             j = i - dd
             if j < 0:
                 continue
-            abands[dd - 1][i] = T.band(dd)[i] - d[i] * aentry(i - 1, j)
-    return Bidiagonal("lower", n, d), UnitLowerBanded(q - 1, n, tuple(abands))
+            abands[dd - 1][i] = tbands[dd][i] - d[i] * aentry(i - 1, j)
+    return Banded(1, 0, np.vstack([np.ones(n), d])), Banded(q - 1, 0, np.vstack([np.ones(n), *abands]))
 
 
 def darboux_factorize(
-    L: UnitLowerBanded,
+    L: Banded,
     params=None,
     rng=None,
     depth: int = None,
@@ -501,14 +487,14 @@ def darboux_factorize(
     tol_peel: float = None,
     mode: str = "real",
     max_retries: int = 64,
-) -> DarbouxFactors:
+) -> tuple:
     """Split a unit lower banded matrix into p lower bidiagonal factors.
 
     Parameters come either from an explicit ParameterSet or, when a seed
     or generator is passed instead, from rejection sampling stage by
     stage.  Stage s peels L^(s+1) off the current matrix; what remains
-    after p - 1 stages is L^(p) itself.  The returned factors carry no U;
-    combine with the LU pivots for the full factorization.
+    after p - 1 stages is L^(p) itself.  Returns the factors L^(1) ..
+    L^(p); DarbouxFactors joins them with the U of the LU factorization.
     """
     p, n = L.p, L.n
     if params is not None and rng is not None:
@@ -531,12 +517,12 @@ def darboux_factorize(
             )
         d, current = peel(current, alphas, tol_peel)
         factors.append(d)
-    factors.append(Bidiagonal("lower", n, current.band(1)))
-    return DarbouxFactors(None, tuple(factors), 0j)
+    factors.append(current)
+    return tuple(factors)
 
 
 def darboux_factorization(
-    J: BandedHessenberg,
+    J: Banded,
     C=0.0,
     params=None,
     rng=None,
@@ -550,8 +536,7 @@ def darboux_factorization(
     the fill recurrence, which is the reference route for gamma values.
     """
     L, U = lu_factorize(J, C, tol_pivot)
-    split = darboux_factorize(L, params=params, rng=rng, **kwargs)
-    factors = DarbouxFactors(U, split.factors, complex(C))
+    factors = DarbouxFactors(U, darboux_factorize(L, params=params, rng=rng, **kwargs), complex(C))
     table = table_fill(np.asarray(U.band(0)), factors.parameters(), J, C)
     return factors, table
 
@@ -563,8 +548,6 @@ def factors_to_table(factors: DarbouxFactors) -> GammaTable:
     of each lower factor; the last pivot has no matching subdiagonal
     entries and is dropped, giving n - 1 full columns.
     """
-    if factors.U is None:
-        raise ValueError("factors carry no U; build one via the LU route first")
     p, n = factors.p, factors.n
     columns = n - 1
     vals = np.zeros((p + 1) * columns, dtype=np.complex128)
@@ -581,7 +564,7 @@ def factors_to_table(factors: DarbouxFactors) -> GammaTable:
 def table_fill(
     u_diag,
     params: ParameterSet,
-    J: BandedHessenberg,
+    J: Banded,
     C=0.0,
     tol: float = 1e-12,
 ) -> GammaTable:
@@ -633,6 +616,7 @@ def table_fill(
             put((i - 1) * (p + 1) + s + 2, params.alphas[s][i - 1])
 
     tilde = {k: enumerate_indices_tilde(k, p) for k in range(-1, p - 1)}
+    bands = J.bands
     for i in range(1, columns + 1):
         delta = get((i - 1) * p + i)
         for k in range(-1, p - 1):
@@ -650,7 +634,7 @@ def table_fill(
                     prod *= get((i + r - 3) * p + i + idx - 1)
                 total += prod
             target = (k + i + 1) * p + i
-            put(target, (J.band(k + 2)[k + i + 1] - total) / delta)
+            put(target, (bands[k + 2][k + i + 1] - total) / delta)
 
     return GammaTable(p, columns, vals)
 
@@ -667,17 +651,14 @@ def assemble_transform(factors: DarbouxFactors, i: int):
     rows for every i (all n rows for i = 0, where U is the rightmost
     factor and truncation commutes with the product exactly).
     """
-    if factors.U is None:
-        raise ValueError("factors carry no U; build one via the LU route first")
     p = factors.p
     if not 0 <= i <= p:
         raise ValueError(f"transform index {i} outside 0..{p}")
     chain = list(factors.factors[i:]) + [factors.U] + list(factors.factors[:i])
     prod, window = multiply_chain(chain)
-    if not isinstance(prod, BandedHessenberg):
-        raise ShapeError("transform chain did not produce a banded Hessenberg matrix")
-    bands = (prod.bands[0] + factors.C,) + prod.bands[1:]
-    return BandedHessenberg(prod.p, prod.n, bands), window
+    data = prod.data.copy()
+    data[prod.hi] += factors.C
+    return Banded(prod.p, prod.hi, data), window
 
 
 def backlund_entry(table: GammaTable, j: int, i: int, k: int, C=0.0) -> complex:

@@ -39,7 +39,7 @@ from itertools import repeat
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .banded import BandedHessenberg, ValidWindow
+from .banded import Banded, BandedHessenberg, ValidWindow
 from .darboux import GammaTable, darboux_factorization, enumerate_indices
 from .lu import char_poly
 
@@ -105,7 +105,7 @@ class Trajectory:
 
     @property
     def states(self) -> "_States":
-        """The samples as BandedHessenberg or GammaTable, built per access."""
+        """The samples as banded Hessenberg matrices or GammaTables, built per access."""
         return _States(self)
 
     def __len__(self):
@@ -205,7 +205,7 @@ def _kdv_rhs(g: np.ndarray, p: int) -> np.ndarray:
     return _kdv_kernel(g.shape, g.dtype, p)(g, np.empty_like(g))
 
 
-def toda_rhs(J: BandedHessenberg) -> tuple:
+def toda_rhs(J: Banded) -> tuple:
     """Band derivatives of the Toda flow, one array per offset 0..p.
 
     Entries that the truncation cannot see (row n, column -1, offsets
@@ -268,7 +268,7 @@ def _rk4(y0: np.ndarray, kernel, dt: float, steps: int, p: int) -> Trajectory:
     return Trajectory(np.arange(steps + 1) * dt, out, dt, p)
 
 
-def evolve_toda(J0: BandedHessenberg, C=0.0, dt: float = 1e-3, steps: int = 100) -> Trajectory:
+def evolve_toda(J0: Banded, C=0.0, dt: float = 1e-3, steps: int = 100) -> Trajectory:
     """Integrate the Toda flow from J0 with fixed-step RK4.
 
     The flow is invariant under diagonal shifts, so the shift C does not
@@ -351,7 +351,7 @@ def verify_kdv(traj: Trajectory, tol: float) -> ResidualReport:
     return _report("kdv residual", worst, arg, tol)
 
 
-def check_poly_derivative(J: BandedHessenberg, Jdot, z, m: int) -> float:
+def check_poly_derivative(J: Banded, Jdot, z, m: int) -> float:
     """Deviation between three routes to the derivative of P_n(z).
 
     Route one differentiates the characteristic recurrence entry by entry
@@ -365,8 +365,7 @@ def check_poly_derivative(J: BandedHessenberg, Jdot, z, m: int) -> float:
     if m < 0 or m > J.n - 1:
         raise ValueError(f"degree {m} outside 0..{J.n - 1}")
     p = J.p
-    seq = char_poly(J, z, m + 1)
-    P = seq.values
+    P = char_poly(J, z, m + 1)
     Pdot = np.zeros(m + 1, dtype=np.complex128)
     for k in range(m):
         acc = Jdot[0][k] * P[k] + (J.band(0)[k] - z) * Pdot[k]
@@ -436,7 +435,7 @@ def _transform_bands(values: np.ndarray, p: int, j: int, rows: int, C=0.0) -> np
 
     ``values`` has shape (..., size), one flat gamma array per leading
     index, and the result has shape (..., p + 1, rows), the bands indexed
-    by row like those of a BandedHessenberg.  The caller guarantees
+    by row like those of a Banded.  The caller guarantees
     rows <= columns, so every gamma read lies inside the table.
 
     This is backlund_entry's closed form with the same index tuples, the
@@ -488,7 +487,7 @@ def _transform_bands(values: np.ndarray, p: int, j: int, rows: int, C=0.0) -> np
     return bands
 
 
-def reconstruct_transform(table: GammaTable, j: int, C=0.0, rows: int = None) -> BandedHessenberg:
+def reconstruct_transform(table: GammaTable, j: int, C=0.0, rows: int = None) -> Banded:
     """Assemble J^(j) of a given size from a gamma table.
 
     Every entry is the closed form of backlund_entry, evaluated for all
@@ -503,7 +502,7 @@ def reconstruct_transform(table: GammaTable, j: int, C=0.0, rows: int = None) ->
 
 
 def theorem1_diagram(
-    J0: BandedHessenberg,
+    J0: Banded,
     C=0.0,
     params=None,
     rng=None,

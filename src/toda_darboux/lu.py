@@ -26,15 +26,11 @@ tolerance reports which minor failed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .banded import BandedHessenberg, Bidiagonal, UnitLowerBanded
+from .banded import Banded
 
 __all__ = [
-    "PolySequence",
-    "ShiftedProblem",
     "SingularLeadingMinor",
     "char_poly",
     "lu_factorize",
@@ -53,43 +49,15 @@ class SingularLeadingMinor(ArithmeticError):
         )
 
 
-@dataclass(frozen=True, eq=False)
-class ShiftedProblem:
-    """A banded Hessenberg matrix together with the shift to factor at."""
-
-    J: BandedHessenberg
-    C: complex = 0.0
-
-    def factor(self, tol_pivot: float = None):
-        return lu_factorize(self.J, self.C, tol_pivot)
-
-
-@dataclass(frozen=True, eq=False)
-class PolySequence:
-    """Values P_0(z) .. P_m(z) of the characteristic recurrence at one point."""
-
-    z: complex
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.complex128)
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
-
-    def __len__(self):
-        return len(self.values)
-
-    def __getitem__(self, k):
-        return complex(self.values[k])
-
-
-def _default_pivot_tol(J: BandedHessenberg, C) -> float:
+def _default_pivot_tol(J: Banded, C) -> float:
     scale = max(float(np.max(np.abs(b))) for b in J.bands)
     scale = max(scale, abs(C), 1.0)
     return 1e-12 * scale
 
-def lu_factorize(J: BandedHessenberg, C=0.0, tol_pivot: float = None):
-    """Factor J - C I into (UnitLowerBanded, upper Bidiagonal).
+
+def lu_factorize(J: Banded, C=0.0, tol_pivot: float = None):
+    """Factor J - C I into L (p subdiagonals, unit diagonal) and U (upper
+    bidiagonal, unit superdiagonal).
 
     One forward sweep over the rows: within row i the subdiagonal entries
     of L are filled left to right, each consuming the pivot of its column
@@ -99,7 +67,7 @@ def lu_factorize(J: BandedHessenberg, C=0.0, tol_pivot: float = None):
     """
     if tol_pivot is None:
         tol_pivot = _default_pivot_tol(J, C)
-    n, p = J.n, J.p
+    n, p, bands = J.n, J.p, J.bands
     lbands = [np.zeros(n, dtype=np.complex128) for _ in range(p)]
     u = np.zeros(n, dtype=np.complex128)
 
@@ -111,16 +79,16 @@ def lu_factorize(J: BandedHessenberg, C=0.0, tol_pivot: float = None):
 
     for i in range(n):
         for j in range(max(0, i - p), i):
-            a = J.band(i - j)[i] - (C if i == j else 0.0)
+            a = bands[i - j][i] - (C if i == j else 0.0)
             lbands[i - j - 1][i] = (a - lentry(i, j - 1)) / u[j]
-        u[i] = J.band(0)[i] - C - lentry(i, i - 1)
+        u[i] = bands[0][i] - C - lentry(i, i - 1)
         if abs(u[i]) < tol_pivot:
             raise SingularLeadingMinor(i, abs(u[i]))
-    return UnitLowerBanded(p, n, tuple(lbands)), Bidiagonal("upper", n, u)
+    return Banded(p, 0, np.vstack([np.ones(n), *lbands])), Banded(0, 1, np.vstack([np.ones(n), u]))
 
 
-def char_poly(J: BandedHessenberg, z, m: int) -> PolySequence:
-    """Evaluate P_0 .. P_m at the point z via the band recurrence.
+def char_poly(J: Banded, z, m: int) -> np.ndarray:
+    """Values P_0(z) .. P_m(z) of the characteristic recurrence.
 
     P_{k+1} consumes row k of J, so m may not exceed the truncation size.
     """
@@ -133,10 +101,10 @@ def char_poly(J: BandedHessenberg, z, m: int) -> PolySequence:
         for i in range(max(0, k - J.p), k):
             acc += J.band(k - i)[k] * vals[i]
         vals[k + 1] = -acc
-    return PolySequence(complex(z), vals)
+    return vals
 
 
-def pivot_gammas(J: BandedHessenberg, C, m: int, tol: float = 1e-12) -> np.ndarray:
+def pivot_gammas(J: Banded, C, m: int, tol: float = 1e-12) -> np.ndarray:
     """First m pivots at shift C as ratios of characteristic values.
 
     Entry k is -P_{k+1}(C) / P_k(C), the gamma value with index
@@ -146,8 +114,7 @@ def pivot_gammas(J: BandedHessenberg, C, m: int, tol: float = 1e-12) -> np.ndarr
     """
     if m < 0 or m > J.n:
         raise ValueError(f"count {m} outside 0..{J.n}")
-    seq = char_poly(J, C, m)
-    vals = seq.values
+    vals = char_poly(J, C, m)
     out = np.zeros(m, dtype=np.complex128)
     for k in range(m):
         scale = max(1.0, abs(vals[k - 1]) if k > 0 else 0.0, abs(vals[k + 1]))

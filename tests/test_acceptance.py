@@ -24,7 +24,6 @@ from toda_darboux.darboux import (
     darboux_factorization,
     darboux_factorize,
     factors_to_table,
-    identity_parameters,
 )
 from toda_darboux.lattice import (
     check_delta_derivative,
@@ -85,7 +84,7 @@ def det_pp(A):
 
 def small_params(p, seed, scale):
     if p == 1:
-        return identity_parameters(1)
+        return ParameterSet(())
     rng = np.random.default_rng(seed)
     rows = []
     for s in range(p - 1):
@@ -148,7 +147,7 @@ def test_criterion_darboux_round_trip(gate):
             J = random_hessenberg(p, 12, seed=100 + k)
             L, _ = lu_factorize(J, 0.0)
             out = darboux_factorize(L, rng=np.random.default_rng(k))
-            prod, w = multiply_chain(list(out.factors))
+            prod, w = multiply_chain(list(out))
             r = residual(prod, L, w)
             assert r <= 1e-10, f"instance {k}: residual {r:.3e}"
             worst = max(worst, r)
@@ -270,7 +269,7 @@ def test_criterion_sampling_robustness(gate):
                 L, rng=np.random.default_rng(5000 + k),
                 tol_margin=1e-9, max_retries=64,
             )
-            assert len(out.factors) == p
+            assert len(out) == p
             done += 1
         return f"{done}/200 instances sampled and peeled without breakdown"
 

@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 from toda_darboux.banded import (
+    Banded,
     BandedHessenberg,
-    Bidiagonal,
     ShapeError,
-    UnitLowerBanded,
     ValidWindow,
     from_json_dict,
     full_window,
@@ -36,18 +35,25 @@ def dense_product(A, B):
     return out
 
 
+def signed(n, rng):
+    return rng.uniform(1.0, 2.0, n) * (rng.integers(0, 2, n) * 2 - 1)
+
+
+def random_banded(p, hi, n, rng):
+    # free bands of moduli in [1, 2] at every offset
+    return Banded(p, hi, [signed(n, rng) for _ in range(p + hi + 1)])
+
+
 def random_unit_lower(p, n, rng):
-    bands = tuple(rng.uniform(1.0, 2.0, n) * (rng.integers(0, 2, n) * 2 - 1)
-                  for _ in range(p))
-    return UnitLowerBanded(p, n, bands)
+    return Banded(p, 0, [np.ones(n)] + [signed(n, rng) for _ in range(p)])
 
 
 def random_upper(n, rng):
-    return Bidiagonal("upper", n, rng.uniform(1.0, 2.0, n) * (rng.integers(0, 2, n) * 2 - 1))
+    return Banded(0, 1, [np.ones(n), signed(n, rng)])
 
 
 def random_lower_bidiagonal(n, rng):
-    return Bidiagonal("lower", n, rng.uniform(1.0, 2.0, n) * (rng.integers(0, 2, n) * 2 - 1))
+    return Banded(1, 0, [np.ones(n), signed(n, rng)])
 
 
 # ---------------------------------------------------------------------------
@@ -55,7 +61,7 @@ def random_lower_bidiagonal(n, rng):
 
 
 def test_truncate_identity_block():
-    eye4 = UnitLowerBanded(1, 4, (np.zeros(4),))
+    eye4 = Banded(1, 0, [np.ones(4), np.zeros(4)])
     out = truncate(eye4, 2)
     assert out.n == 2
     assert np.array_equal(out.to_dense(), np.eye(2))
@@ -92,7 +98,7 @@ def test_truncate_size_errors():
 
 def test_multiply_identity_keeps_window():
     B = random_hessenberg(2, 6, seed=2)
-    eye = UnitLowerBanded(1, 6, (np.zeros(6),))
+    eye = Banded(1, 0, [np.ones(6), np.zeros(6)])
     out, w = multiply(eye, B, full_window(eye), ValidWindow(4))
     assert w.rows == 4
     assert np.allclose(out.to_dense(), B.to_dense(), atol=0, rtol=0)
@@ -100,8 +106,8 @@ def test_multiply_identity_keeps_window():
 
 def test_multiply_bidiagonal_2x2_closed_form():
     beta, u0, u1 = 0.7, 2.0, 3.0
-    low = Bidiagonal("lower", 2, np.array([0.0, beta]))
-    up = Bidiagonal("upper", 2, np.array([u0, u1]))
+    low = Banded(1, 0, [[1.0, 1.0], [0.0, beta]])
+    up = Banded(0, 1, [[1.0, 1.0], [u0, u1]])
     out, w = multiply(low, up)
     expect = np.array([[u0, 1.0], [beta * u0, beta + u1]])
     assert np.array_equal(out.to_dense(), expect)
@@ -115,8 +121,7 @@ def test_band_closure_unit_lower_times_upper(p, n, seed):
     L = random_unit_lower(p, n, rng)
     U = random_upper(n, rng)
     out, w = multiply(L, U)
-    assert isinstance(out, BandedHessenberg)
-    assert out.p == p
+    assert (out.p, out.hi) == (p, 1)
     assert np.array_equal(out.band(-1)[: n - 1], np.ones(n - 1))
     oracle = dense_product(L.to_dense(), U.to_dense())
     assert np.abs(out.to_dense() - oracle).max() <= 1e-13 * np.abs(oracle).max()
@@ -131,18 +136,38 @@ def test_mixed_products_match_dense(seed):
     out, _ = multiply(D, J)
     assert np.abs(out.to_dense() - dense_product(D.to_dense(), J.to_dense())).max() <= 1e-13
     out2, _ = multiply(D, random_unit_lower(3, n, rng))
-    assert isinstance(out2, UnitLowerBanded)
+    assert (out2.p, out2.hi) == (4, 0)
+    assert np.array_equal(out2.band(0), np.ones(n))
 
 
-def test_multiply_rejects_two_upper_reaches():
-    up = Bidiagonal("upper", 4, np.ones(4))
-    with pytest.raises(ShapeError):
-        multiply(up, up)
+@pytest.mark.parametrize("shape_a,shape_b", [
+    ((0, 1), (0, 1)),  # two upper reaches: hi = 2
+    ((2, 1), (1, 1)),  # hi = 2 with subdiagonals on both sides
+    ((1, 0), (2, 1)),
+    ((0, 1), (3, 0)),
+    ((3, 0), (4, 0)),  # p clipped at n - 1
+    ((1, 2), (1, 1)),  # a left factor with hi = 2 costs two rows
+], ids=["upper-upper", "hessenberg-hessenberg", "lower-hessenberg", "upper-lower", "clipped", "hi2-left"])
+def test_general_product_matches_dense_on_its_window(shape_a, shape_b):
+    # the product of two truncations is the dense product of the truncations;
+    # inside the window it is also the padded (semi-infinite) product
+    rng = np.random.default_rng(80)
+    n, pad = 6, 4
+    big_a, big_b = random_banded(*shape_a, n + pad, rng), random_banded(*shape_b, n + pad, rng)
+    a, b = truncate(big_a, n), truncate(big_b, n)
+    out, w = multiply(a, b)
+    assert (out.p, out.hi) == (min(a.p + b.p, n - 1), a.hi + b.hi)
+    assert w.rows == n - a.hi
+    dense = dense_product(a.to_dense(), b.to_dense())
+    assert np.abs(out.to_dense() - dense).max() <= 1e-13 * np.abs(dense).max()
+    truth = dense_product(big_a.to_dense(), big_b.to_dense())[:n, :n]
+    k = w.rows
+    assert np.abs(out.to_dense()[:k, :k] - truth[:k, :k]).max() <= 1e-13 * np.abs(truth).max()
 
 
 def test_multiply_rejects_size_mismatch():
-    a = Bidiagonal("upper", 4, np.ones(4))
-    b = Bidiagonal("lower", 5, np.ones(5))
+    a = random_upper(4, np.random.default_rng(0))
+    b = random_lower_bidiagonal(5, np.random.default_rng(0))
     with pytest.raises(ShapeError):
         multiply(a, b)
 
@@ -164,10 +189,10 @@ def test_window_soundness_vs_padded_truth(seed):
              for _ in range(p + 3)]
     # one upward-reaching factor at most per chain; vary its position
     builders = [
-        lambda m: UnitLowerBanded(p, m, tuple(f[:m] for f in fixed[:p])),
-        lambda m: Bidiagonal("lower", m, fixed[p][:m]),
-        lambda m: Bidiagonal("upper", m, fixed[p + 1][:m]),
-        lambda m: Bidiagonal("lower", m, fixed[p + 2][:m]),
+        lambda m: Banded(p, 0, [np.ones(m)] + [f[:m] for f in fixed[:p]]),
+        lambda m: Banded(1, 0, [np.ones(m), fixed[p][:m]]),
+        lambda m: Banded(0, 1, [np.ones(m), fixed[p + 1][:m]]),
+        lambda m: Banded(1, 0, [np.ones(m), fixed[p + 2][:m]]),
     ]
     small, big = _padded_chain(builders, n, pad)
     got, w = multiply_chain(small)
@@ -277,6 +302,27 @@ def test_json_round_trip(make):
     assert json.dumps(payload, sort_keys=True) == json.dumps(to_json_dict(again), sort_keys=True)
 
 
+# (0, 1) is U, (1, 0) a lower factor, (q, 0) the LU factor L and the peel
+# stages, (p, 1) J and its transforms; (1, 2) is a product of two upper
+# reaches, which the pipeline never forms
+PIPELINE_SHAPES = [(0, 1)] + [(q, 0) for q in range(1, 5)] + [(p, 1) for p in range(1, 5)]
+
+
+@pytest.mark.parametrize("p,hi", PIPELINE_SHAPES + [(1, 2)])
+@pytest.mark.parametrize("mode", ["real", "complex"])
+def test_json_round_trip_of_every_pipeline_shape(p, hi, mode):
+    rng = np.random.default_rng(70)
+    data = [signed(7, rng) * (np.exp(1j * rng.uniform(0, 6, 7)) if mode == "complex" else 1)
+            for _ in range(p + hi + 1)]
+    data[0] = np.ones(7)  # the structural unit band
+    m = Banded(p, hi, data)
+    payload = to_json_dict(m)
+    assert sorted(map(int, payload["bands"])) == list(range(-hi, p + 1))
+    again = from_json_dict(json.loads(json.dumps(payload)))
+    assert (again.p, again.hi) == (p, hi)
+    assert again.data.tobytes() == m.data.tobytes()
+
+
 def test_json_band_keys_are_signed_offsets():
     J = random_hessenberg(1, 3, seed=8)
     payload = to_json_dict(J)
@@ -308,7 +354,11 @@ def test_constructor_shape_errors():
     with pytest.raises(ShapeError):
         BandedHessenberg(1, 4, (np.zeros(4), np.zeros(2)))
     with pytest.raises(ShapeError):
-        Bidiagonal("sideways", 4, np.zeros(4))
+        Banded(1, 0, np.zeros((3, 4)))  # p + hi + 1 rows needed
+    with pytest.raises(ShapeError):
+        Banded(0, -1, np.zeros((0, 4)))
+    with pytest.raises(ShapeError):
+        Banded(1, 1, np.zeros((3, 0)))
 
 
 def test_regular_flag_tracks_deepest_band():

@@ -141,6 +141,38 @@ def test_corrupt_factors_file(tmp_path, capsys):
     assert payload["error"] == "JSONDecodeError"
 
 
+@pytest.mark.parametrize("corrupt,error", [
+    (lambda f: f.update(factors=5), "ValueError"),
+    (lambda f: f["factors"][0].update(bands=list(f["factors"][0]["bands"].values())), "ShapeError"),
+    (lambda f: f.update(U=None), "ValueError"),
+], ids=["factors-not-a-list", "bands-a-list", "U-null"])
+def test_malformed_factor_payloads_produce_error_json(corrupt, error, tmp_path, capsys):
+    fpath = tmp_path / "factors.json"
+    assert main(["factorize", "--p", "2", "--n", "6", "--out", str(fpath)]) == 0
+    capsys.readouterr()
+    payload = json.loads(fpath.read_text())
+    corrupt(payload["factors"])
+    fpath.write_text(json.dumps(payload))
+    code, out = run_json(["transform", "--factors", str(fpath), "--i", "1"], capsys)
+    assert code == 1
+    assert set(out) == {"error", "message"} and out["error"] == error
+
+
+@pytest.mark.parametrize("argv,option", [
+    (["verify", "--dt", "nan"], "dt"),
+    (["verify", "--dt", "inf"], "dt"),
+    (["factorize", "--scale", "nan"], "scale"),
+    (["factorize", "--scale", "inf"], "scale"),
+    (["factorize", "--C-re", "nan"], "C"),
+    (["factorize", "--C-im", "inf"], "C"),
+], ids=["dt-nan", "dt-inf", "scale-nan", "scale-inf", "C-re-nan", "C-im-inf"])
+def test_non_finite_options_are_rejected(argv, option, capsys):
+    code, payload = run_json(argv, capsys)
+    assert code == 1
+    assert payload["error"] == "ValueError"
+    assert payload["message"].startswith(f"{option} must be finite")
+
+
 def test_evolve_csv_and_manifest(tmp_path, capsys):
     out = tmp_path / "traj.csv"
     code = main([

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from toda_darboux.banded import (
-    Bidiagonal,
-    UnitLowerBanded,
+    Banded,
+    ShapeError,
     multiply,
     multiply_chain,
     random_hessenberg,
@@ -31,7 +31,6 @@ from toda_darboux.darboux import (
     factors_to_table,
     hyperplane_determinant,
     hyperplane_point_from_alphas,
-    identity_parameters,
     peel,
     sample_parameters,
     table_fill,
@@ -222,7 +221,7 @@ def test_peel_hand_case_dense():
     # q = 2, n = 4: one free alpha, remaining rows forced by the band
     vals1 = np.array([0.0, 0.8, -1.1, 0.6])
     vals2 = np.array([0.0, 0.0, 1.3, -0.7])
-    T = UnitLowerBanded(2, 4, (vals1, vals2))
+    T = Banded(2, 0, [np.ones(4), vals1, vals2])
     alpha = np.array([0.5 + 0j])
     D, A = peel(T, alpha)
     assert A.p == 1
@@ -246,7 +245,7 @@ def test_peel_breakdown_on_vanishing_denominator():
     alpha = 0.9
     vals1 = np.array([0.0, alpha, 0.5, 0.4])  # row 1 equals alpha: delta dies
     vals2 = np.array([0.0, 0.0, 1.2, 0.8])
-    T = UnitLowerBanded(2, 4, (vals1, vals2))
+    T = Banded(2, 0, [np.ones(4), vals1, vals2])
     with pytest.raises(PeelBreakdown) as err:
         peel(T, np.array([alpha + 0j]))
     assert err.value.row == 2
@@ -259,9 +258,8 @@ def test_peel_breakdown_on_vanishing_denominator():
 def test_darboux_factorize_p1_is_the_matrix_itself():
     L = random_unit_lower(1, 8, seed=6)
     out = darboux_factorize(L)
-    assert len(out.factors) == 1
-    assert np.array_equal(out.factors[0].band(1), L.band(1))
-    assert out.U is None
+    assert len(out) == 1
+    assert np.array_equal(out[0].data, L.data)
 
 
 @pytest.mark.parametrize("p,seed,mode", [(2, 0, "real"), (3, 1, "real"), (4, 2, "complex")])
@@ -269,8 +267,8 @@ def test_darboux_factorize_round_trip(p, seed, mode):
     J = random_hessenberg(p, 12, seed=40 + seed, mode=mode)
     L, _ = lu_factorize(J, 0.0)
     out = darboux_factorize(L, rng=np.random.default_rng(seed))
-    assert len(out.factors) == p
-    prod, w = multiply_chain(list(out.factors))
+    assert len(out) == p
+    prod, w = multiply_chain(list(out))
     assert w.rows == 12
     assert residual(prod, L, w) <= 1e-10
 
@@ -294,16 +292,15 @@ def test_darboux_factorize_deterministic_for_fixed_params():
     params = ParameterSet((np.array([0.7 + 0j, -1.2 + 0j]), np.array([0.9 + 0j])))
     a = darboux_factorize(L, params=params)
     b = darboux_factorize(L, params=params)
-    for fa, fb in zip(a.factors, b.factors):
+    for fa, fb in zip(a, b):
         assert np.array_equal(fa.band(1), fb.band(1))
 
 
 def test_factor_heads_carry_the_given_parameters():
     # stage s keeps its alphas as the first p-s-1 subdiagonal entries
-    L = random_unit_lower(3, 9, seed=10)
+    L, U = lu_factorize(random_hessenberg(3, 9, seed=10), 0.0)
     params = ParameterSet((np.array([0.7 + 0j, -1.2 + 0j]), np.array([0.9 + 0j])))
-    out = darboux_factorize(L, params=params)
-    got = out.parameters()
+    got = DarbouxFactors(U, darboux_factorize(L, params=params)).parameters()
     for s, row in enumerate(params.alphas):
         assert np.allclose(got.alphas[s], row, atol=0, rtol=0)
 
@@ -394,7 +391,7 @@ def test_parameter_set_validation():
     again = ParameterSet.from_json_dict(ps.to_json_dict())
     for a, b in zip(again.alphas, ps.alphas):
         assert np.array_equal(a, b)
-    assert identity_parameters(1).p == 1
+    assert ParameterSet(()).p == 1
 
 
 def test_darboux_factors_json_round_trip():
@@ -406,11 +403,50 @@ def test_darboux_factors_json_round_trip():
         assert np.array_equal(a.band(1), b.band(1))
 
 
-def test_factors_to_table_requires_U():
-    L = random_unit_lower(2, 6, seed=15)
-    out = darboux_factorize(L, rng=np.random.default_rng(1))
+def test_factor_payload_without_U_is_rejected():
+    _, factors, _ = pipeline(2, 6, seed=15)
+    payload = factors.to_json_dict()
+    payload["U"] = None
     with pytest.raises(ValueError):
-        factors_to_table(out)
+        DarbouxFactors.from_json_dict(payload)
+
+
+def test_darboux_factors_reject_wrong_shapes():
+    _, factors, _ = pipeline(2, 6, seed=15)
+    U, (L1, L2) = factors.U, factors.factors
+    lower_as_U = Banded(1, 0, U.data)
+    upper_as_factor = Banded(0, 1, L1.data)
+    wide = Banded(2, 0, np.vstack([L1.data, L2.data[1:]]))
+    hessenberg_as_U = Banded(1, 1, np.vstack([U.data, L1.data[1:]]))
+    for bad_U, bad_factors in [
+        (lower_as_U, (L1, L2)),
+        (hessenberg_as_U, (L1, L2)),
+        (U, (L1, upper_as_factor)),
+        (U, (wide, L2)),
+        (U, (L1, Banded(1, 0, L2.data[:, :5]))),
+        (None, (L1, L2)),
+    ]:
+        with pytest.raises(ShapeError):
+            DarbouxFactors(bad_U, bad_factors)
+    with pytest.raises(ShapeError):
+        DarbouxFactors(U, ())
+
+
+def test_darboux_factors_reject_structural_bands_that_are_not_unit():
+    _, factors, _ = pipeline(2, 6, seed=15)
+    U, (L1, L2) = factors.U, factors.factors
+
+    def bend(m):
+        # row 0 holds U's superdiagonal and a lower factor's diagonal
+        data = m.data.copy()
+        data[0, 2] = 1.5
+        return Banded(m.p, m.hi, data)
+
+    with pytest.raises(ShapeError):
+        DarbouxFactors(bend(U), (L1, L2))
+    with pytest.raises(ShapeError):
+        DarbouxFactors(U, (bend(L1), L2))
+    assert DarbouxFactors(U, (L1, L2)).p == 2
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from toda_darboux.banded import (
+    Banded,
     BandedHessenberg,
     ValidWindow,
     graded_scale,
@@ -14,7 +15,6 @@ from toda_darboux.darboux import (
     ParameterSet,
     backlund_entry,
     darboux_factorization,
-    identity_parameters,
 )
 from toda_darboux import lattice
 from toda_darboux.lattice import (
@@ -56,7 +56,7 @@ def dense_toda_rhs(J):
 
 def small_params(p, seed, scale):
     if p == 1:
-        return identity_parameters(1)
+        return ParameterSet(())
     rng = np.random.default_rng(seed)
     rows = []
     for s in range(p - 1):
@@ -449,7 +449,7 @@ def test_nan_entry_fails_verify_kdv(block, monkeypatch):
 
 def test_trajectory_states_are_read_only_and_built_per_access():
     J, table = flow_instances(2, "complex")
-    for traj, cls in ((evolve_toda(J, steps=3), BandedHessenberg), (evolve_kdv(table, steps=3), GammaTable)):
+    for traj, cls in ((evolve_toda(J, steps=3), Banded), (evolve_kdv(table, steps=3), GammaTable)):
         states = traj.states
         assert len(states) == len(traj) == 4
         assert all(isinstance(s, cls) for s in states)
@@ -664,7 +664,7 @@ def test_commuting_diagram_equals_per_state_scalar_route(p):
 
 def test_commuting_diagram_single_step_is_path_only():
     J = graded_scale(random_hessenberg(1, 8, seed=101), 0.15)
-    out = theorem1_diagram(J, params=identity_parameters(1), dt=1e-3, steps=1)
+    out = theorem1_diagram(J, params=ParameterSet(()), dt=1e-3, steps=1)
     assert set(out) == {"path"}
     assert out["path"].passed
 

@@ -5,8 +5,6 @@ import pytest
 
 from toda_darboux.banded import BandedHessenberg, multiply, random_hessenberg, residual
 from toda_darboux.lu import (
-    PolySequence,
-    ShiftedProblem,
     SingularLeadingMinor,
     char_poly,
     lu_factorize,
@@ -111,15 +109,6 @@ def test_singular_second_minor_reports_index_one():
     assert err.value.index == 1
 
 
-def test_shifted_problem_wrapper_factors_identically():
-    J = random_hessenberg(2, 7, seed=7, mode="complex")
-    C = 0.2 + 0.1j
-    L1, U1 = ShiftedProblem(J, C).factor()
-    L2, U2 = lu_factorize(J, C)
-    assert np.array_equal(L1.to_dense(), L2.to_dense())
-    assert np.array_equal(U1.to_dense(), U2.to_dense())
-
-
 # ---------------------------------------------------------------------------
 # characteristic polynomial values
 
@@ -200,9 +189,3 @@ def test_pivot_gammas_raises_on_vanishing_polynomial():
         pivot_gammas(J, C, 4)
     assert err.value.index == 1
 
-
-def test_poly_sequence_container():
-    seq = PolySequence(0.5, np.array([1.0, -2.0, 3.0], dtype=np.complex128))
-    assert len(seq) == 3
-    assert seq[2] == 3.0
-    assert seq.z == 0.5
