@@ -35,7 +35,6 @@ from .darboux import (
     enumerate_indices_tilde,
     factors_to_table,
     hyperplane_determinant,
-    hyperplane_point_from_alphas,
     peel,
     sample_parameters,
     table_fill,

@@ -67,6 +67,11 @@ _MODULE_ERRORS = (
 )
 
 
+def _check_tolerance(name: str, value: float) -> None:
+    if not (np.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     p: int
@@ -93,9 +98,8 @@ class RunConfig:
         if self.dt <= 0 or self.steps < 0:
             raise ValueError("dt must be positive and steps nonnegative")
         for name in ("tol_pivot", "tol_margin", "tol_verify"):
-            v = getattr(self, name)
-            if v is not None and not v > 0:
-                raise ValueError(f"{name} must be positive, got {v}")
+            if getattr(self, name) is not None:
+                _check_tolerance(name, getattr(self, name))
 
     def as_dict(self) -> dict:
         return {
@@ -258,6 +262,7 @@ def cmd_evolve(cfg: RunConfig, args) -> int:
 
 
 def cmd_verify(cfg: RunConfig, args) -> int:
+    _check_tolerance("tol_path", args.tol_path)
     J = _instance(cfg)
     reports_map = theorem1_diagram(
         J,
@@ -289,7 +294,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--tol-pivot", type=float, default=None,
                         help="pivot breakdown threshold (default: scale-aware)")
     common.add_argument("--tol-margin", type=float, default=1e-9,
-                        help="hyperplane margin for parameter sampling")
+                        help="smallest accepted row cancellation ratio of a sampled peel")
     common.add_argument("--tol-verify", type=float, default=1e-5,
                         help="tolerance for residual reports")
     common.add_argument("--out", default=None, help="output path (JSON, or CSV for evolve)")

@@ -19,11 +19,11 @@ machinery here makes that parameter count concrete:
 * ``peel`` splits one bidiagonal factor off a unit lower banded matrix,
   narrowing its bandwidth by one; the free entries of the split factor
   are exactly the parameters of that stage.
-* ``sample_parameters`` draws stage parameters at random while avoiding
-  the finitely many hyperplanes on which a later peel would divide by
-  zero.  The hyperplane coefficients are minors of the matrix being
-  peeled, and the draw is rejected until every one of the requested
-  margin conditions holds.
+* ``sample_parameters`` draws stage parameters scaled to the stage and
+  peels each draw; its margin, the smallest row cancellation ratio of
+  the peel, vanishes exactly where a later peel would divide by zero.
+  The best of four draws is kept once it clears the margin.  The dense
+  minors of ``hyperplane_determinant`` bound the same set, as an oracle.
 * ``table_fill`` recovers the whole gamma table from the pivots, the
   free parameters and the matrix entries alone, one anti-diagonal at a
   time, without forming any factor.  Together with the peeling route
@@ -72,14 +72,14 @@ __all__ = [
 
 
 class SamplingFailed(RuntimeError):
-    """No parameter draw cleared the margin within the retry budget."""
+    """No draw cleared the margin in the retry budget; ``margin`` is the best draw's."""
 
     def __init__(self, retries: int, margin: float):
         self.retries = retries
         self.margin = margin
         super().__init__(
             f"no admissible parameters within {retries} retries "
-            f"(tightest margin {margin:.3e})"
+            f"(best margin {margin:.3e})"
         )
 
 
@@ -115,8 +115,12 @@ def _pair(z) -> list:
 
 
 def _from_pair(pair) -> complex:
-    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-        raise ValueError(f"{pair!r} is not an [re, im] pair")
+    # JSON numbers only: bool is an int subclass, and None or a string is no number
+    numbers = isinstance(pair, (list, tuple)) and all(
+        isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair
+    )
+    if not numbers or len(pair) != 2:
+        raise ValueError(f"{pair!r} is not an [re, im] pair of numbers")
     return complex(float(pair[0]), float(pair[1]))
 
 
@@ -339,7 +343,8 @@ def hyperplane_determinant(T: Banded, s: int, r: int, k: int) -> complex:
     Rows are the single row q - r - 1 followed by rows q .. q + k - 2
     (q is the subdiagonal count of T), columns 0 .. k - 1.  These minors
     are the coefficients of the hyperplanes that stage-s parameters must
-    avoid so that every later peel denominator stays nonzero.
+    avoid so that every later peel denominator stays nonzero (an oracle;
+    the sampler checks its peels instead).
     """
     q = T.p
     if k < 1:
@@ -353,73 +358,68 @@ def hyperplane_determinant(T: Banded, s: int, r: int, k: int) -> complex:
     return complex(np.linalg.det(m))
 
 
+def _peel_margin(T: Banded, D: Banded, A: Banded) -> float:
+    """Smallest cancellation ratio of A's deepest band over rows q-1 ..
+
+    Row i computes A_{q-1}[i] = T_{q-1}[i] - d_i A_{q-2}[i-1] (A_0 is the
+    unit diagonal), and the ratio |A_{q-1}[i]| / (|T_{q-1}[i]| +
+    |d_i A_{q-2}[i-1]|) lies in [0, 1]; it is 0 when the entry cancels
+    exactly, and such an entry is the next row's peel denominator.  The
+    ratio is invariant under graded scaling.
+    """
+    q = T.p
+    num = np.abs(A.band(q - 1)[q - 1 :])
+    den = np.abs(T.band(q - 1)[q - 1 :]) + np.abs(D.band(1)[q - 1 :] * A.band(q - 2)[q - 2 : -1])
+    ratio = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+    worst = float(ratio.min(initial=1.0))
+    return worst if worst > 0 else 0.0
+
+
 def sample_parameters(
     T: Banded,
-    s: int,
-    depth: int,
     rng,
     tol: float = 1e-9,
     mode: str = "real",
     max_retries: int = 64,
-) -> np.ndarray:
-    """Draw admissible stage-s parameters by rejection.
+) -> tuple:
+    """Draw stage parameters, peel each draw, and return the best split (D, A).
 
-    The draw happens in the hyperplane coordinates x_1 .. x_{q-1}
-    (q = subdiagonal count of T): components get modulus uniform in
-    [1, 2] with a random sign (real mode) or phase (complex mode), the
-    margin |R_k^(s,0) - sum_j x_j R_k^(s,j)| > tol is required for every
-    feasible k up to the requested depth, and the accepted point is then
-    mapped back to the parameters alpha_1 .. alpha_{q-1}.
-
-    The depth is capped at n - q + 1, the largest order whose minor fits
-    in the truncation; that order already certifies every peel
-    denominator of the truncated stage.
+    Each of the q - 1 parameters (q = subdiagonal count of T) gets
+    modulus uniform in [1, 2] times the median modulus of T's first
+    subdiagonal, and a random sign (real mode) or phase (complex mode).
+    A draw is peeled without an absolute guard, and its margin is the
+    smallest row cancellation ratio of the peel (``_peel_margin``); a
+    draw whose peel divides by an exact zero has margin 0.  Of the first
+    four draws the one with the largest margin is kept, and it is
+    accepted when that margin exceeds ``tol``; further draws, up to
+    ``max_retries`` in all, are made only while no draw has cleared it.
     """
-    q = T.p
-    d = q - 1
-    if d == 0:
-        return np.zeros(0, dtype=np.complex128)
+    if mode not in ("real", "complex"):
+        raise ValueError(f"mode must be 'real' or 'complex', got {mode!r}")
+    d = T.p - 1
     rng = np.random.default_rng(rng)
-    kmax = max(1, min(depth, T.n - q + 1))
-    coeff = np.array(
-        [[hyperplane_determinant(T, s, r, k) for r in range(d + 1)] for k in range(1, kmax + 1)]
-    )
-
-    tightest = np.inf
-    for _ in range(max_retries):
-        mod = rng.uniform(1.0, 2.0, d)
+    # the median by sorting: np.median loads numpy.ma, about 1 MB, on first use
+    sub = np.sort(np.abs(T.band(1)[1:]))
+    scale = float(sub[(len(sub) - 1) // 2] + sub[len(sub) // 2]) / 2 or 1.0
+    best, split = 0.0, None
+    for k in range(max_retries):
+        if k >= 4 and best > tol:
+            break
+        mod = scale * rng.uniform(1.0, 2.0, d)
         if mode == "real":
-            x = mod * (rng.integers(0, 2, d) * 2.0 - 1.0)
-        elif mode == "complex":
-            x = mod * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, d))
+            alphas = mod * (rng.integers(0, 2, d) * 2.0 - 1.0)
         else:
-            raise ValueError(f"mode must be 'real' or 'complex', got {mode!r}")
-        margins = np.abs(coeff[:, 0] - coeff[:, 1:] @ x)
-        worst = float(np.min(margins))
-        if worst > tol:
-            return _alphas_from_hyperplane_point(x)
-        tightest = min(tightest, worst)
-    raise SamplingFailed(max_retries, tightest)
-
-
-def _alphas_from_hyperplane_point(x: np.ndarray) -> np.ndarray:
-    """Invert the coordinate map: x_j = (-1)^(j+1) alpha_{d-j+1} .. alpha_d."""
-    d = len(x)
-    alphas = np.zeros(d, dtype=np.complex128)
-    alphas[d - 1] = x[0]
-    for j in range(2, d + 1):
-        alphas[d - j] = (-1) ** (j + 1) * x[j - 1] / np.prod(alphas[d - j + 1 :])
-    return alphas
-
-
-def hyperplane_point_from_alphas(alphas: np.ndarray) -> np.ndarray:
-    """Forward coordinate map, the inverse of the sampling map."""
-    alphas = np.asarray(alphas, dtype=np.complex128)
-    d = len(alphas)
-    x = np.zeros(d, dtype=np.complex128)
-    for j in range(1, d + 1):
-        x[j - 1] = (-1) ** (j + 1) * np.prod(alphas[d - j :])
-    return x
+            alphas = mod * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, d))
+        try:
+            D, A = peel(T, alphas, tol=0.0)
+        except PeelBreakdown:
+            continue
+        margin = _peel_margin(T, D, A)
+        if margin > best:
+            best, split = margin, (D, A)
+    if best > tol:
+        return split
+    raise SamplingFailed(max_retries, best)
 
 
 # ---------------------------------------------------------------------------
@@ -450,31 +450,25 @@ def peel(T: Banded, alphas, tol: float = None):
     if tol is None:
         tol = 1e-12 * _band_scale(T)
     n = T.n
-    d = np.zeros(n, dtype=np.complex128)
-    abands = [np.zeros(n, dtype=np.complex128) for _ in range(q - 1)]
-
-    def aentry(i, j):
-        dd = i - j
-        if dd == 0:
-            return 1.0 + 0j
-        if 1 <= dd <= q - 1 and j >= 0:
-            return abands[dd - 1][i]
-        return 0j
-
-    tbands = T.bands
+    # lists of numpy scalars: the same scalar arithmetic as on arrays,
+    # without the cost of array item access
+    tbands = [list(b) for b in T.bands]
+    zero, one = np.complex128(0), 1.0 + 0j
+    d = [zero] * n
+    abands = [[zero] * n for _ in range(q - 1)]
     for i in range(1, n):
         if i <= q - 1:
-            d[i] = alphas[i - 1]
+            di = alphas[i - 1]
         else:
-            denom = aentry(i - 1, i - q)
-            if abs(denom) < tol:
+            denom = abands[q - 2][i - 1]
+            if abs(denom) <= tol:
                 raise PeelBreakdown(i, abs(denom))
-            d[i] = tbands[q][i] / denom
-        for dd in range(1, q):
-            j = i - dd
-            if j < 0:
-                continue
-            abands[dd - 1][i] = tbands[dd][i] - d[i] * aentry(i - 1, j)
+            di = tbands[q][i] / denom
+        d[i] = di
+        # A[i, i - dd] = T[i, i - dd] - d_i A[i - 1, i - dd], with A's unit diagonal
+        abands[0][i] = tbands[1][i] - di * one
+        for dd in range(2, q if i >= q else i + 1):
+            abands[dd - 1][i] = tbands[dd][i] - di * abands[dd - 2][i - 1]
     return Banded(1, 0, np.vstack([np.ones(n), d])), Banded(q - 1, 0, np.vstack([np.ones(n), *abands]))
 
 
@@ -482,7 +476,6 @@ def darboux_factorize(
     L: Banded,
     params=None,
     rng=None,
-    depth: int = None,
     tol_margin: float = 1e-9,
     tol_peel: float = None,
     mode: str = "real",
@@ -490,32 +483,28 @@ def darboux_factorize(
 ) -> tuple:
     """Split a unit lower banded matrix into p lower bidiagonal factors.
 
-    Parameters come either from an explicit ParameterSet or, when a seed
-    or generator is passed instead, from rejection sampling stage by
-    stage.  Stage s peels L^(s+1) off the current matrix; what remains
-    after p - 1 stages is L^(p) itself.  Returns the factors L^(1) ..
-    L^(p); DarbouxFactors joins them with the U of the LU factorization.
+    Parameters come either from an explicit ParameterSet, peeled with
+    the guard ``tol_peel``, or, when a seed or generator is passed
+    instead, from ``sample_parameters``, which returns its accepted split.
+    Stage s peels L^(s+1) off the current matrix; what remains after
+    p - 1 stages is L^(p) itself.  Returns the factors L^(1) .. L^(p);
+    DarbouxFactors joins them with the U of the LU factorization.
     """
-    p, n = L.p, L.n
+    p = L.p
     if params is not None and rng is not None:
         raise ValueError("pass either explicit parameters or a sampling seed, not both")
     if params is not None and params.p != p:
         raise ValueError(f"parameter set is for p={params.p}, matrix has p={p}")
     if params is None:
         rng = np.random.default_rng(rng)
-    if depth is None:
-        depth = n
 
     factors = []
     current = L
     for s in range(p - 1):
         if params is not None:
-            alphas = params.alphas[s]
+            d, current = peel(current, params.alphas[s], tol_peel)
         else:
-            alphas = sample_parameters(
-                current, s, depth, rng, tol_margin, mode=mode, max_retries=max_retries
-            )
-        d, current = peel(current, alphas, tol_peel)
+            d, current = sample_parameters(current, rng, tol_margin, mode, max_retries)
         factors.append(d)
     factors.append(current)
     return tuple(factors)

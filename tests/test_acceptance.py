@@ -5,6 +5,7 @@ bypassing capture, then asserts both the property and its runtime
 budget.
 """
 
+import itertools
 import time
 
 import numpy as np
@@ -18,6 +19,7 @@ from toda_darboux.banded import (
     residual,
 )
 from toda_darboux.darboux import (
+    DarbouxFactors,
     ParameterSet,
     assemble_transform,
     backlund_entry,
@@ -271,6 +273,23 @@ def test_criterion_sampling_robustness(gate):
             )
             assert len(out) == p
             done += 1
-        return f"{done}/200 instances sampled and peeled without breakdown"
+        # graded and long instances: the round trip, graded back to the
+        # original units, must hold to 1e-10
+        worst, graded = 0.0, 0
+        grid = itertools.product((2, 3, 4), (128, 1024), (0.5, 0.15, 0.05), (1, 2, 3))
+        for p, n, scale, seed in grid:
+            J = random_hessenberg(p, n, seed=seed)
+            L, U = lu_factorize(graded_scale(J, scale), 0.0)
+            out = darboux_factorize(L, rng=np.random.default_rng(seed))
+            prod, window = assemble_transform(DarbouxFactors(U, out), 0)
+            assert window.rows == n
+            err = float(np.abs(graded_scale(prod, 1 / scale).data - J.data).max())
+            assert err <= 1e-10, (p, n, scale, seed, err)
+            worst = max(worst, err)
+            graded += 1
+        return (
+            f"{done}/200 instances sampled and peeled without breakdown; "
+            f"{graded}/54 graded at n=128, 1024 with round trip {worst:.1e} <= 1e-10"
+        )
 
     gate("sampling-robustness", 5.0, check)

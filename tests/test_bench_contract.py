@@ -2,8 +2,10 @@
 
 For every workload in BENCHMARK.json, ``bench/run.py`` must exit 0 and
 end its standard output with one JSON result line: correct, no failed
-call, and every declared end-to-end metric present, finite and in its
-declared unit.
+call, and every declared metric present, finite and in its declared
+unit.  The end-to-end metrics come from a timed run, the per-layer
+metrics from a traced one; a traced function that the library no longer
+defines drops its metrics from the traced result line.
 """
 
 import json
@@ -22,10 +24,9 @@ def _reject_constant(name):
     raise ValueError(f"non-finite JSON constant {name}")
 
 
-@pytest.mark.parametrize("workload", [w["name"] for w in SPEC["workloads"]])
-def test_bench_run_ends_with_a_complete_result_line(workload):
+def _result_line(workload, *options):
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "bench" / "run.py"), "--workload", workload, "--seconds", "1"],
+        [sys.executable, str(ROOT / "bench" / "run.py"), "--workload", workload, *options],
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
@@ -33,7 +34,23 @@ def test_bench_run_ends_with_a_complete_result_line(workload):
     assert lines, proc.stderr[-2000:]
     result = json.loads(lines[-1], parse_constant=_reject_constant)
     assert result["correct"] is True and result["failed"] == 0, proc.stderr[-2000:]
-    for metric in SPEC["end_to_end"]:
+    return result
+
+
+def _assert_declared(result, declared):
+    missing = [m["name"] for m in declared if m["name"] not in result["metrics"]]
+    assert not missing, missing
+    for metric in declared:
         got = result["metrics"][metric["name"]]
         assert math.isfinite(got["value"]), (metric["name"], got)
         assert got["unit"] == metric["unit"], (metric["name"], got)
+
+
+@pytest.mark.parametrize("workload", [w["name"] for w in SPEC["workloads"]])
+def test_bench_run_ends_with_a_complete_result_line(workload):
+    _assert_declared(_result_line(workload, "--seconds", "1"), SPEC["end_to_end"])
+
+
+@pytest.mark.parametrize("workload", [w["name"] for w in SPEC["workloads"]])
+def test_traced_bench_run_carries_every_per_layer_metric(workload):
+    _assert_declared(_result_line(workload, "--trace", "1"), SPEC["per_layer"])

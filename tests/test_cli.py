@@ -165,10 +165,16 @@ def test_malformed_factor_payloads_produce_error_json(corrupt, error, tmp_path, 
     (["factorize", "--scale", "inf"], "scale"),
     (["factorize", "--C-re", "nan"], "C"),
     (["factorize", "--C-im", "inf"], "C"),
-], ids=["dt-nan", "dt-inf", "scale-nan", "scale-inf", "C-re-nan", "C-im-inf"])
+    (["factorize", "--tol-pivot", "inf"], "tol_pivot"),
+    (["factorize", "--tol-margin", "inf"], "tol_margin"),
+    (["verify", "--p", "2", "--n", "8", "--tol-verify", "inf"], "tol_verify"),
+    (["verify", "--tol-path", "inf"], "tol_path"),
+], ids=["dt-nan", "dt-inf", "scale-nan", "scale-inf", "C-re-nan", "C-im-inf",
+        "tol-pivot-inf", "tol-margin-inf", "tol-verify-inf", "tol-path-inf"])
 def test_non_finite_options_are_rejected(argv, option, capsys):
     code, payload = run_json(argv, capsys)
     assert code == 1
+    assert set(payload) == {"error", "message"}
     assert payload["error"] == "ValueError"
     assert payload["message"].startswith(f"{option} must be finite")
 
@@ -256,6 +262,15 @@ def test_verify_default_configuration_passes(capsys):
     reports = payload["reports"]
     assert {"path", "kdv", "toda[0]", "toda[1]"} <= set(reports)
     assert all(r["passed"] for r in reports.values())
+
+
+@pytest.mark.parametrize("n", [16, 64])
+def test_verify_samples_parameters_for_longer_matrices(n, capsys):
+    # the sampled split holds; the central-difference verdicts of p = 2
+    # at dt = 1e-3 may still fail, so only the path report must pass
+    code, payload = run_json(["verify", "--p", "2", "--n", str(n)], capsys)
+    assert "error" not in payload
+    assert payload["reports"]["path"]["passed"]
 
 
 def test_verify_complex_shift(capsys):

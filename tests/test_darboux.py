@@ -10,6 +10,7 @@ import pytest
 from toda_darboux.banded import (
     Banded,
     ShapeError,
+    graded_scale,
     multiply,
     multiply_chain,
     random_hessenberg,
@@ -30,7 +31,6 @@ from toda_darboux.darboux import (
     enumerate_indices_tilde,
     factors_to_table,
     hyperplane_determinant,
-    hyperplane_point_from_alphas,
     peel,
     sample_parameters,
     table_fill,
@@ -165,52 +165,120 @@ def test_hyperplane_determinant_equals_det_of_entrywise_submatrix(q):
 
 
 def test_sample_parameters_none_to_sample():
+    # one subdiagonal leaves no parameter to draw and nothing to peel
     T = random_unit_lower(1, 6, seed=2)
-    out = sample_parameters(T, 0, 6, np.random.default_rng(0))
-    assert len(out) == 0
+    with pytest.raises(ValueError):
+        sample_parameters(T, np.random.default_rng(0))
+
+
+def dense_margin(T, D, A):
+    """The sampler's margin recomputed entry by entry from dense matrices."""
+    q = T.p
+    Td, Dd, Ad = T.to_dense(), D.to_dense(), A.to_dense()
+    ratios = []
+    for i in range(q - 1, T.n):
+        j = i - q + 1
+        den = abs(Td[i, j]) + abs(Dd[i, i - 1] * Ad[i - 1, j])
+        ratios.append(abs(Ad[i, j]) / den if den > 0 else 0.0)
+    return min(ratios)
+
+
+def replay_draws(T, seed, count):
+    """The sampler's first ``count`` real draws, peeled: [(margin, D, A)]."""
+    rng = np.random.default_rng(seed)
+    d = T.p - 1
+    scale = float(np.median(np.abs(T.band(1)[1:])))
+    out = []
+    for _ in range(count):
+        alphas = scale * rng.uniform(1.0, 2.0, d) * (rng.integers(0, 2, d) * 2.0 - 1.0)
+        try:
+            D, A = peel(T, alphas, tol=0.0)
+        except PeelBreakdown:
+            out.append((0.0, None, None))
+            continue
+        out.append((dense_margin(T, D, A), D, A))
+    return out
 
 
 def test_sample_parameters_deterministic_and_margin_certified():
     T = random_unit_lower(3, 10, seed=3)
     tol = 1e-9
-    a1 = sample_parameters(T, 0, 10, np.random.default_rng(5), tol)
-    a2 = sample_parameters(T, 0, 10, np.random.default_rng(5), tol)
-    assert np.array_equal(a1, a2)
-    # re-check the accepted margins through the public pieces
-    x = hyperplane_point_from_alphas(a1)
-    q = T.p
-    for k in range(1, T.n - q + 2):
-        coeffs = [hyperplane_determinant(T, 0, r, k) for r in range(q)]
-        margin = abs(coeffs[0] - sum(x[r - 1] * coeffs[r] for r in range(1, q)))
-        assert margin > tol
+    D1, A1 = sample_parameters(T, np.random.default_rng(5), tol)
+    D2, A2 = sample_parameters(T, np.random.default_rng(5), tol)
+    assert np.array_equal(D1.data, D2.data) and np.array_equal(A1.data, A2.data)
+    assert A1.p == T.p - 1
+    Td = T.to_dense()
+    assert np.abs(D1.to_dense() @ A1.to_dense() - Td).max() <= 1e-12 * np.abs(Td).max()
+    assert dense_margin(T, D1, A1) > tol
+    # parameters: modulus in [1, 2] times the median first-subdiagonal modulus
+    ratio = np.abs(D1.band(1)[1 : T.p]) / np.median(np.abs(T.band(1)[1:]))
+    assert np.all((ratio >= 1.0) & (ratio <= 2.0))
 
 
 def test_sample_parameters_complex_mode():
-    T = random_unit_lower(2, 8, seed=4)
-    a = sample_parameters(T, 0, 8, np.random.default_rng(6), mode="complex")
-    assert np.abs(a.imag).max() > 0
+    T = random_unit_lower(3, 8, seed=4)
+    D, A = sample_parameters(T, np.random.default_rng(6), mode="complex")
+    assert np.abs(D.band(1)[1:3].imag).max() > 0
+    assert dense_margin(T, D, A) > 1e-9
     with pytest.raises(ValueError):
-        sample_parameters(T, 0, 8, np.random.default_rng(6), mode="rational")
+        sample_parameters(T, np.random.default_rng(6), mode="rational")
 
 
 def test_sampling_failure_carries_retry_count_and_margin():
+    # every cancellation ratio is at most 1, so a margin of 1 cannot be cleared
     T = random_unit_lower(2, 8, seed=5)
     with pytest.raises(SamplingFailed) as err:
-        sample_parameters(T, 0, 8, np.random.default_rng(7), tol=1e12, max_retries=9)
+        sample_parameters(T, np.random.default_rng(7), tol=1.0, max_retries=9)
     assert err.value.retries == 9
-    assert np.isfinite(err.value.margin)
+    best = max(m for m, _, _ in replay_draws(T, 7, 9))
+    assert 0 < err.value.margin <= 1.0
+    assert err.value.margin == pytest.approx(best, rel=1e-12)
 
 
-@pytest.mark.parametrize("p", [2, 3, 4, 5])
-def test_hyperplane_map_round_trip(p):
-    rng = np.random.default_rng(80 + p)
-    alphas = rng.uniform(0.5, 1.5, p - 1) * (rng.integers(0, 2, p - 1) * 2 - 1)
-    x = hyperplane_point_from_alphas(alphas)
-    # the map is triangular: invert it numerically through the sampler's
-    # own inverse and compare
-    from toda_darboux.darboux import _alphas_from_hyperplane_point
-    back = _alphas_from_hyperplane_point(x)
-    assert np.allclose(back, alphas, atol=1e-13, rtol=0)
+@pytest.mark.parametrize("p,scale", [(2, 0.5), (3, 0.15), (4, 0.05)])
+def test_sampler_is_equivariant_under_grading(p, scale):
+    J = random_hessenberg(p, 24, seed=60 + p)
+    T = lu_factorize(J, 0.0)[0]
+    Tg = lu_factorize(graded_scale(J, scale), 0.0)[0]
+    D, A = sample_parameters(T, np.random.default_rng(p))
+    Dg, Ag = sample_parameters(Tg, np.random.default_rng(p))
+    # the draws scale with the first subdiagonal, so the same draw is kept
+    head = slice(1, p)
+    assert np.allclose(Dg.band(1)[head], scale * D.band(1)[head], rtol=1e-12, atol=0)
+    assert dense_margin(Tg, Dg, Ag) == pytest.approx(dense_margin(T, D, A), rel=1e-9)
+
+
+@pytest.mark.parametrize("row", ["first", "last"])
+def test_sampler_rejects_a_draw_that_cancels_exactly(row):
+    # q = 2, n = 8; the first-subdiagonal median is 1 whatever rows 1 and 7 hold
+    seed, n = 11, 8
+    sub = np.array([0.0, 1.5, 1.0, -1.0, 0.5, 1.0, -0.5, 1.0])
+    deep = np.array([0.0, 0.0, 0.7, -1.3, 0.9, 1.1, -0.8, 0.6])
+    T = Banded(2, 0, [np.ones(n), sub, deep])
+    (_, D0, _), = replay_draws(T, seed, 1)
+    if row == "first":
+        sub[1] = D0.band(1)[1].real  # A[1, 0] = T[1, 0] - alpha = 0: row 2 divides by zero
+    else:
+        sub[n - 1] = D0.band(1)[n - 1].real  # A[n-1, n-2] = 0, on the last row
+    T = Banded(2, 0, [np.ones(n), sub, deep])
+    first = replay_draws(T, seed, 4)
+    assert first[0][0] == 0.0
+    D, A = sample_parameters(T, np.random.default_rng(seed))
+    assert D.band(1)[1] != D0.band(1)[1]
+    assert dense_margin(T, D, A) == max(m for m, _, _ in first) > 1e-9
+
+
+def test_sampler_keeps_the_best_of_the_first_four_draws():
+    T = random_unit_lower(3, 16, seed=12)
+    seed = 4
+    draws = replay_draws(T, seed, 4)
+    margins = [m for m, _, _ in draws]
+    best = int(np.argmax(margins))
+    # every draw clears the margin, and the first is not the best
+    assert min(margins) > 1e-9 and best != 0
+    D, A = sample_parameters(T, np.random.default_rng(seed))
+    assert np.array_equal(D.data, draws[best][1].data)
+    assert np.array_equal(A.data, draws[best][2].data)
 
 
 # ---------------------------------------------------------------------------
@@ -233,8 +301,7 @@ def test_peel_hand_case_dense():
 @pytest.mark.parametrize("p,seed", [(2, 0), (3, 1), (4, 2)])
 def test_peel_reconstructs_randomly_sampled_stage(p, seed):
     T = random_unit_lower(p, 12, seed=30 + seed)
-    alphas = sample_parameters(T, 0, 12, np.random.default_rng(seed))
-    D, A = peel(T, alphas)
+    D, A = sample_parameters(T, np.random.default_rng(seed))
     assert A.p == p - 1
     prod, w = multiply(D, A)
     assert w.rows == 12
@@ -379,6 +446,22 @@ def test_gamma_table_json_round_trip():
     again = GammaTable.from_json_dict(t.to_json_dict())
     assert again.p == 2 and again.columns == 3
     assert np.array_equal(again.values, t.values)
+
+
+@pytest.mark.parametrize("bad", [[None, 1], ["1", 0], [True, 0], [1], [1, 2, 3], 5, {"re": 1}],
+                         ids=["null", "string", "bool", "short", "long", "scalar", "object"])
+def test_decoders_reject_a_pair_that_is_not_two_numbers(bad):
+    with pytest.raises(ValueError):
+        GammaTable.from_json_dict({"p": 1, "columns": 1, "gamma": [bad, [1, 1]]})
+    with pytest.raises(ValueError):
+        ParameterSet.from_json_dict([[bad]])
+
+
+def test_decoders_accept_integer_and_float_pairs():
+    t = GammaTable.from_json_dict({"p": 1, "columns": 1, "gamma": [[1, 0], [0.5, -2]]})
+    assert np.array_equal(t.values, np.array([1, 0.5 - 2j]))
+    ps = ParameterSet.from_json_dict([[[2, 0.25]]])
+    assert ps.p == 2 and ps.alphas[0][0] == 2 + 0.25j
 
 
 def test_parameter_set_validation():
