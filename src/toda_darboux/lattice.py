@@ -181,18 +181,20 @@ def _toda_kernel(shape: tuple, dtype, p: int):
 def _kdv_kernel(shape: tuple, dtype, p: int):
     """rhs(g, out) writes the KdV derivative of flat gamma arrays g of shape (..., size) to out."""
     size = shape[-1]
-    # cs[k + p] is the sum of gamma_1 .. gamma_k: p zeros lead for the lower
-    # boundary, p copies of the full sum trail for the truncation
-    cs = np.zeros((*shape[:-1], size + 1 + 2 * p), dtype)
-    lower = np.empty(shape, dtype)
+    # buf is p zeros, the table, p zeros: gamma_{n<=0} reads the boundary, gamma_{n>size}
+    # the truncation.  win[k] = buf[k] + .. + buf[k+p-1], summed left to right, so every
+    # entry sums p terms and its round-off does not grow with the table's length.
+    buf = np.zeros((*shape[:-1], size + 2 * p), dtype)
+    win = np.empty((*shape[:-1], size + p + 1), dtype)
 
     def rhs(g, out):
-        np.cumsum(g, axis=-1, out=cs[..., p + 1 : p + 1 + size])
-        cs[..., p + 1 + size :] = cs[..., p + size, None]
-        np.subtract(cs[..., 2 * p + 1 :], cs[..., p + 1 : p + 1 + size], out=out)
-        np.subtract(out, np.subtract(cs[..., p : p + size], cs[..., :size], out=lower), out=out)
-        np.multiply(g, out, out=out)
-        return out
+        buf[..., p : p + size] = g
+        np.copyto(win, buf[..., : size + p + 1])
+        for i in range(1, p):
+            np.add(win, buf[..., i : i + size + p + 1], out=win)
+        # upper minus lower window, then g * out: complex multiply is not bitwise commutative
+        np.subtract(win[..., p + 1 :], win[..., :size], out=out)
+        return np.multiply(g, out, out=out)
 
     return rhs
 

@@ -10,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 
+from toda_darboux import cli
 from toda_darboux.banded import graded_scale, random_hessenberg
 from toda_darboux.cli import main
 from toda_darboux.darboux import (
@@ -50,6 +51,20 @@ def test_factorize_gamma_row_count(capsys):
     labels = {r["label"] for r in payload["reports"]}
     assert "factorization round trip" in labels
     assert "table cross-construction" in labels
+
+
+def test_factorize_cross_construction_is_relative_to_the_largest_gamma(capsys):
+    # the gammas reach about 3e5 here, so the absolute gap (about 2e-4) would
+    # exceed the default 1e-5 although the tables agree to 7e-10 of their scale
+    code, payload = run_json(["factorize", "--p", "3", "--n", "1024", "--seed", "1"], capsys)
+    assert code == 0
+    table = GammaTable.from_json_dict(payload["table"])
+    cross = factors_to_table(DarbouxFactors.from_json_dict(payload["factors"]))
+    gap = np.abs(cross.values - table.values).max()
+    assert gap > 1e-5
+    (report,) = [r for r in payload["reports"] if r["label"] == "table cross-construction"]
+    assert report["max_residual"] == gap / np.abs(cross.values).max() <= 1e-9
+    assert report["passed"]
 
 
 def test_factorize_writes_file(tmp_path, capsys):
@@ -296,6 +311,17 @@ def test_logging_env_routes_to_stderr():
     assert proc.returncode == 0
     json.loads(proc.stdout)  # stdout stays pure JSON
     assert "INFO" in proc.stderr
+
+
+def test_parser_is_built_once_and_bad_argv_still_exits_2(capsys):
+    assert cli._build_parser() is cli._build_parser()
+    _, before = run_json(["factorize", "--p", "2", "--seed", "9"], capsys)
+    with pytest.raises(SystemExit) as err:
+        main(["factorize", "--p", "two"])
+    assert err.value.code == 2
+    capsys.readouterr()
+    _, after = run_json(["factorize", "--p", "2", "--seed", "9"], capsys)
+    assert strip_timestamp(after) == strip_timestamp(before)
 
 
 def test_unknown_subcommand_exits_2():

@@ -1,5 +1,7 @@
 """Flows, residual checks, and the commuting-diagram verification."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -127,6 +129,71 @@ def test_kdv_rhs_window_sums_p2():
         assert abs(der[n] - vals[n] * (up - dn)) <= 1e-14
 
 
+def kdv_table(p, size, mode, seed):
+    rng = np.random.default_rng(seed)
+    g = rng.uniform(0.5, 1.5, size)
+    return g + 1j * rng.uniform(-0.5, 0.5, size) if mode == "complex" else g
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+@pytest.mark.parametrize("mode", ["real", "complex"])
+def test_kdv_rhs_equals_scalar_window_sums_at_both_ends(p, mode):
+    size = (p + 1) * 3
+    g = kdv_table(p, size, mode, seed=p)
+
+    def at(n):
+        return g[n].item() if 0 <= n < size else 0.0
+
+    # Python scalars summed left to right, as the kernel's windows are:
+    # gamma_{n+1} + .. + gamma_{n+p} minus gamma_{n-p} + .. + gamma_{n-1}
+    diffs = [sum(at(n + i) for i in range(1, p + 1)) - sum(at(n - i) for i in range(p, 0, -1))
+             for n in range(size)]
+    # the last product is numpy's, whose complex multiply Python's need not match
+    want = g * np.array(diffs, dtype=g.dtype)
+    got = lattice._kdv_rhs(g, p)
+    # size >= 2p, so the first p entries read the boundary and the last p the truncation
+    assert got.dtype == g.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("mode", ["real", "complex"])
+def test_kdv_rhs_of_a_block_equals_its_rows(mode):
+    p, size = 3, 40
+    block = np.stack([kdv_table(p, size, mode, seed=s) for s in range(5)])
+    got = lattice._kdv_rhs(block, p)
+    for row, want in zip(got, block):
+        assert row.tobytes() == lattice._kdv_rhs(want, p).tobytes()
+
+
+def test_kdv_rhs_round_off_does_not_grow_with_table_length():
+    # flow-large's size: p = 3, 1023 columns of a positive table in [0.05, 0.15]
+    p, size = 3, 4 * 1023
+    g = np.random.default_rng(1).uniform(0.05, 0.15, size)
+    ref = np.concatenate([np.zeros(p), g, np.zeros(p)]).astype(np.longdouble)
+    up = sum(ref[p + i : p + i + size] for i in range(1, p + 1))
+    down = sum(ref[p - i : p - i + size] for i in range(1, p + 1))
+    want = ref[p : p + size] * (up - down)
+    err = np.abs(lattice._kdv_rhs(g, p) - want).max()
+    assert err <= 4 * np.finfo(float).eps * np.abs(want).max()
+
+
+def test_built_kdv_rhs_allocates_no_array_per_call():
+    p, size = 3, 4 * 1023
+    g = np.random.default_rng(2).uniform(0.05, 0.15, size)
+    out = np.empty_like(g)
+    rhs = lattice._kdv_kernel(g.shape, g.dtype, p)
+    rhs(g, out)
+    tracemalloc.start()
+    try:
+        for _ in range(100):
+            rhs(g, out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a single temporary of the table is 32 KB
+    assert peak < 4096
+
+
 # ---------------------------------------------------------------------------
 # integration
 
@@ -209,11 +276,17 @@ def per_state_kdv_rhs(table):
     g = table.values
     p = table.p
     size = len(g)
-    cs = np.concatenate([[0j], np.cumsum(g)])
-    idx = np.arange(size)
-    upper = cs[np.minimum(idx + 1 + p, size)] - cs[np.minimum(idx + 1, size)]
-    lower = cs[idx] - cs[np.maximum(idx - p, 0)]
-    return g * (upper - lower)
+    zeros = np.zeros(p, dtype=np.complex128)
+    padded = np.concatenate([zeros, g, zeros])
+
+    def window(lo):
+        # padded[lo + n] + ... + padded[lo + n + p - 1] for every n, left to right
+        acc = padded[lo : lo + size]
+        for i in range(1, p):
+            acc = acc + padded[lo + i : lo + i + size]
+        return acc
+
+    return g * (window(p + 1) - window(0))
 
 
 def per_state_rk4(state, dt, steps):
