@@ -6,7 +6,6 @@ from .banded import (
     BandedHessenberg,
     ShapeError,
     ValidWindow,
-    full_window,
     graded_scale,
     multiply,
     multiply_chain,
@@ -14,12 +13,7 @@ from .banded import (
     residual,
     truncate,
 )
-from .lu import (
-    SingularLeadingMinor,
-    char_poly,
-    lu_factorize,
-    pivot_gammas,
-)
+from .lu import SingularLeadingMinor, lu_factorize
 from .darboux import (
     DarbouxFactors,
     GammaTable,
@@ -44,15 +38,12 @@ from .lattice import (
     InsufficientSamples,
     ResidualReport,
     Trajectory,
-    check_delta_derivative,
-    check_poly_derivative,
     evolve_kdv,
     evolve_toda,
     kdv_rhs,
     reconstruct_transform,
     theorem1_diagram,
     toda_rhs,
-    trajectory_rows,
     verify_kdv,
     verify_toda,
 )

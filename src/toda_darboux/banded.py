@@ -36,7 +36,6 @@ __all__ = [
     "ShapeError",
     "ValidWindow",
     "from_json_dict",
-    "full_window",
     "graded_scale",
     "multiply",
     "multiply_chain",
@@ -105,12 +104,6 @@ class Banded:
     def entry(self, i: int, j: int) -> complex:
         return complex(self.band(i - j)[i])
 
-    @property
-    def regular(self) -> bool:
-        """True when every represented entry of the deepest band is nonzero."""
-        tail = self.data[-1][self.p :]
-        return bool(tail.size == 0 or np.all(np.abs(tail) > 0))
-
     def to_dense(self) -> np.ndarray:
         n = self.n
         out = np.zeros((n, n), dtype=np.complex128)
@@ -148,10 +141,6 @@ def BandedHessenberg(p: int, n: int, bands) -> Banded:
         else:
             raise ShapeError(f"band {d} needs {k} or {n} entries, got shape {v.shape}")
     return Banded(p, 1, data)
-
-
-def full_window(m: Banded) -> ValidWindow:
-    return ValidWindow(m.n)
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +191,7 @@ def multiply(a: Banded, b: Banded, window_a: ValidWindow = None, window_b: Valid
     return Banded(p, hi, out), window
 
 
-def multiply_chain(factors: Sequence[Banded], windows: Sequence[ValidWindow] = None):
+def multiply_chain(factors: Sequence[Banded]):
     """Product of a list of factors, folded right to left.
 
     Folding from the right keeps unit lower factors on the left of every
@@ -211,12 +200,9 @@ def multiply_chain(factors: Sequence[Banded], windows: Sequence[ValidWindow] = N
     """
     if not factors:
         raise ShapeError("empty factor chain")
-    if windows is None:
-        windows = [full_window(f) for f in factors]
-    acc = factors[-1]
-    acc_w = windows[-1]
-    for f, w in zip(reversed(factors[:-1]), reversed(list(windows[:-1]))):
-        acc, acc_w = multiply(f, acc, w, acc_w)
+    acc, acc_w = factors[-1], ValidWindow(factors[-1].n)
+    for f in reversed(factors[:-1]):
+        acc, acc_w = multiply(f, acc, window_b=acc_w)
     return acc, acc_w
 
 
@@ -269,9 +255,22 @@ def graded_scale(m: Banded, factor) -> Banded:
 # JSON encoding: {"p": int, "n": int, "bands": {offset: [[re, im], ...]}}
 
 
+def _pair(z) -> list:
+    return [float(z.real), float(z.imag)]
+
+
+def _from_pair(pair) -> complex:
+    # JSON numbers only: bool is an int subclass, and None or a string is no number
+    numbers = isinstance(pair, (list, tuple)) and all(
+        isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair
+    )
+    if not numbers or len(pair) != 2:
+        raise ValueError(f"{pair!r} is not an [re, im] pair of numbers")
+    return complex(float(pair[0]), float(pair[1]))
+
+
 def _encode_band(arr: np.ndarray, n: int, d: int) -> list:
-    vals = arr[d:] if d >= 0 else arr[: n + d]
-    return [[float(z.real), float(z.imag)] for z in vals]
+    return [_pair(z) for z in (arr[d:] if d >= 0 else arr[: n + d])]
 
 
 def to_json_dict(m: Banded) -> dict:
@@ -286,12 +285,10 @@ def _decode_band(values, n: int, d: int) -> np.ndarray:
         raise ShapeError(f"band {d} needs {k} [re, im] pairs")
     out = np.zeros(k, dtype=np.complex128)
     for idx, pair in enumerate(values):
-        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-            raise ShapeError(f"band {d} entry {idx} is not an [re, im] pair")
         try:
-            out[idx] = complex(float(pair[0]), float(pair[1]))
-        except TypeError:
-            raise ShapeError(f"band {d} entry {idx} holds a non-number") from None
+            out[idx] = _from_pair(pair)
+        except ValueError as exc:
+            raise ShapeError(f"band {d} entry {idx}: {exc}") from None
     return out
 
 

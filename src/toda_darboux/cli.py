@@ -1,8 +1,9 @@
 """Command line front end for batch experiments and reproducible fixtures.
 
-Every run is driven by one seed; outputs are JSON (sorted keys, so
-identical configs produce byte-identical files apart from the timestamp
-field) and CSV for trajectories.  Exit code 0 means every residual
+Every run is driven by one seed; outputs are strict JSON (sorted keys,
+so identical configs produce byte-identical files apart from the
+timestamp field; a NaN or infinite value fails the run with a
+ValueError) and CSV for trajectories.  Exit code 0 means every residual
 report in the run passed its tolerance.  Module errors surface as a
 one-line machine-readable JSON object on stdout and a nonzero exit.
 
@@ -19,17 +20,11 @@ import logging
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .banded import (
-    ShapeError,
-    graded_scale,
-    random_hessenberg,
-    residual,
-    to_json_dict,
-)
+from .banded import graded_scale, random_hessenberg, residual, to_json_dict
 from .darboux import (
     DarbouxFactors,
     PeelBreakdown,
@@ -41,9 +36,8 @@ from .darboux import (
 )
 from .lattice import (
     BlowUp,
-    InsufficientSamples,
-    ResidualReport,
     _entry_table,
+    _report,
     evolve_kdv,
     evolve_toda,
     reconstruct_transform,
@@ -53,18 +47,16 @@ from .lu import SingularLeadingMinor
 
 log = logging.getLogger("toda_darboux.cli")
 
+# ValueError covers ShapeError, InsufficientSamples and json.JSONDecodeError
 _MODULE_ERRORS = (
-    ShapeError,
     SingularLeadingMinor,
     SamplingFailed,
     PeelBreakdown,
     TableBreakdown,
     BlowUp,
-    InsufficientSamples,
     ValueError,
     KeyError,
     OSError,
-    json.JSONDecodeError,
 )
 
 
@@ -103,19 +95,10 @@ class RunConfig:
                 _check_tolerance(name, getattr(self, name))
 
     def as_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "n": self.n,
-            "C": [self.C.real, self.C.imag],
-            "seed": self.seed,
-            "dt": self.dt,
-            "steps": self.steps,
-            "mode": self.mode,
-            "tol_pivot": self.tol_pivot,
-            "tol_margin": self.tol_margin,
-            "tol_verify": self.tol_verify,
-            "scale": self.scale,
-        }
+        """Every field but the output path, with C as [re, im]."""
+        config = asdict(self)
+        del config["out"]
+        return {**config, "C": [self.C.real, self.C.imag]}
 
 
 def _instance(cfg: RunConfig):
@@ -125,19 +108,9 @@ def _instance(cfg: RunConfig):
     return J
 
 
-def _report_dict(r: ResidualReport) -> dict:
-    return {
-        "label": r.label,
-        "max_residual": r.max_residual,
-        "argmax": list(r.argmax),
-        "tolerance": r.tolerance,
-        "passed": r.passed,
-    }
-
-
 def _emit(payload: dict, cfg: RunConfig, reports=()) -> int:
     payload["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
     if cfg.out:
         with open(cfg.out, "w") as fh:
             fh.write(text)
@@ -173,8 +146,8 @@ def cmd_factorize(cfg: RunConfig, args) -> int:
     # relative to the largest gamma read off the factors, as the fill's error grows with it
     uniq = float(np.abs(cross.values - table.values).max() / np.abs(cross.values).max())
     reports = [
-        ResidualReport("factorization round trip", rt, ("product vs J", 0), cfg.tol_verify, rt <= cfg.tol_verify),
-        ResidualReport("table cross-construction", uniq, ("gamma table", 0), cfg.tol_verify, uniq <= cfg.tol_verify),
+        _report("factorization round trip", rt, ("product vs J", 0), cfg.tol_verify),
+        _report("table cross-construction", uniq, ("gamma table", 0), cfg.tol_verify),
     ]
     rows = [
         [[v.real, v.imag] for v in table.row(r)] for r in range(cfg.p + 1)
@@ -184,7 +157,7 @@ def cmd_factorize(cfg: RunConfig, args) -> int:
         "factors": factors.to_json_dict(),
         "table": table.to_json_dict(),
         "gamma_rows": rows,
-        "reports": [_report_dict(r) for r in reports],
+        "reports": [asdict(r) for r in reports],
     }
     return _emit(payload, cfg, reports)
 
@@ -211,35 +184,23 @@ def cmd_transform(cfg: RunConfig, args) -> int:
     # differently; max propagates NaN, so a NaN entry fails
     diff = np.stack(Ji.bands)[:, :wcmp] - np.stack(closed.bands)
     worst = float(np.max(np.hypot(diff.real, diff.imag), initial=0.0))
-    reports = [
-        ResidualReport(
-            f"transform {i} product vs closed form",
-            worst,
-            (f"rows 0..{wcmp - 1}", 0),
-            cfg.tol_verify,
-            worst <= cfg.tol_verify,
-        )
-    ]
+    label = f"transform {i} product vs closed form"
+    reports = [_report(label, worst, (f"rows 0..{wcmp - 1}", 0), cfg.tol_verify)]
     payload = {
         "config": cfg.as_dict(),
         "i": i,
         "matrix": to_json_dict(Ji),
         "window": wcmp,
-        "reports": [_report_dict(r) for r in reports],
+        "reports": [asdict(r) for r in reports],
     }
     return _emit(payload, cfg, reports)
 
 
 def cmd_evolve(cfg: RunConfig, args) -> int:
-    J = _instance(cfg)
     if args.lattice == "toda":
-        traj = evolve_toda(J, cfg.C, cfg.dt, cfg.steps)
+        traj = evolve_toda(_instance(cfg), cfg.C, cfg.dt, cfg.steps)
     else:
-        _factors, table = darboux_factorization(
-            J, cfg.C, rng=np.random.default_rng(cfg.seed),
-            tol_pivot=cfg.tol_pivot, tol_margin=cfg.tol_margin, mode=cfg.mode,
-        )
-        traj = evolve_kdv(table, cfg.dt, cfg.steps)
+        traj = evolve_kdv(_factorize(cfg)[2], cfg.dt, cfg.steps)
     ids, samples = _entry_table(traj)
     lines = ["t,entry_id,re,im\n"]
     for t, values in zip(traj.times.tolist(), samples):
@@ -247,14 +208,8 @@ def cmd_evolve(cfg: RunConfig, args) -> int:
         rows = zip(ids, values.real.tolist(), values.imag.tolist())
         lines.append("".join([f"{t},{eid},{re!r},{im!r}\n" for eid, re, im in rows]))
     text = "".join(lines)
-    manifest = {
-        "dt": cfg.dt,
-        "steps": cfg.steps,
-        "p": cfg.p,
-        "n": cfg.n,
-        "C": [cfg.C.real, cfg.C.imag],
-        "seed": cfg.seed,
-    }
+    config = cfg.as_dict()
+    manifest = {k: config[k] for k in ("dt", "steps", "p", "n", "C", "seed")}
     with open(cfg.out, "w") as fh:
         fh.write(text)
     with open(cfg.out + ".manifest.json", "w") as fh:
@@ -278,7 +233,7 @@ def cmd_verify(cfg: RunConfig, args) -> int:
     reports = [reports_map[k] for k in sorted(reports_map)]
     payload = {
         "config": cfg.as_dict(),
-        "reports": {k: _report_dict(r) for k, r in reports_map.items()},
+        "reports": {k: asdict(r) for k, r in reports_map.items()},
     }
     return _emit(payload, cfg, reports)
 
@@ -340,20 +295,8 @@ def main(argv=None) -> int:
     if args.command == "evolve" and not args.out:
         parser.error("evolve requires --out for the CSV path")
     try:
-        cfg = RunConfig(
-            p=args.p,
-            n=args.n,
-            C=complex(args.C_re, args.C_im),
-            seed=args.seed,
-            dt=args.dt,
-            steps=args.steps,
-            mode=args.mode,
-            tol_pivot=args.tol_pivot,
-            tol_margin=args.tol_margin,
-            tol_verify=args.tol_verify,
-            out=args.out,
-            scale=args.scale,
-        )
+        given = {f.name: getattr(args, f.name) for f in fields(RunConfig) if f.name != "C"}
+        cfg = RunConfig(C=complex(args.C_re, args.C_im), **given)
         return args.func(cfg, args)
     except _MODULE_ERRORS as exc:
         log.debug("command failed", exc_info=True)

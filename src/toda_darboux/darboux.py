@@ -42,11 +42,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
-from .banded import Banded, ShapeError, multiply_chain
+from .banded import Banded, ShapeError, _from_pair, _pair, multiply_chain
 from .banded import from_json_dict as matrix_from_json, to_json_dict as matrix_json
 from .lu import lu_factorize
 
@@ -110,20 +110,6 @@ class TableBreakdown(ArithmeticError):
 # data containers
 
 
-def _pair(z) -> list:
-    return [float(z.real), float(z.imag)]
-
-
-def _from_pair(pair) -> complex:
-    # JSON numbers only: bool is an int subclass, and None or a string is no number
-    numbers = isinstance(pair, (list, tuple)) and all(
-        isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair
-    )
-    if not numbers or len(pair) != 2:
-        raise ValueError(f"{pair!r} is not an [re, im] pair of numbers")
-    return complex(float(pair[0]), float(pair[1]))
-
-
 @dataclass(frozen=True, eq=False, repr=False)
 class GammaTable:
     """Factor entries gamma_1 .. gamma_{(p+1) columns} as one flat array.
@@ -159,11 +145,6 @@ class GammaTable:
         if n > self.size:
             raise IndexError(f"gamma index {n} beyond table of size {self.size}")
         return complex(self.values[n - 1])
-
-    def at(self, row: int, col: int) -> complex:
-        if not (0 <= row <= self.p and 0 <= col < self.columns):
-            raise IndexError(f"table position ({row}, {col}) out of range")
-        return self.gamma(col * (self.p + 1) + row + 1)
 
     def row(self, row: int) -> np.ndarray:
         if not 0 <= row <= self.p:
@@ -221,15 +202,6 @@ class ParameterSet:
     @property
     def p(self) -> int:
         return len(self.alphas) + 1
-
-    def to_json_dict(self) -> list:
-        return [[_pair(z) for z in row] for row in self.alphas]
-
-    @classmethod
-    def from_json_dict(cls, payload) -> "ParameterSet":
-        if not isinstance(payload, list):
-            raise ValueError("parameter payload must be a list of stages")
-        return cls(tuple(tuple(_from_pair(x) for x in row) for row in payload))
 
     def __repr__(self):
         return f"ParameterSet(p={self.p})"
@@ -477,14 +449,12 @@ def darboux_factorize(
     params=None,
     rng=None,
     tol_margin: float = 1e-9,
-    tol_peel: float = None,
     mode: str = "real",
-    max_retries: int = 64,
 ) -> tuple:
     """Split a unit lower banded matrix into p lower bidiagonal factors.
 
     Parameters come either from an explicit ParameterSet, peeled with
-    the guard ``tol_peel``, or, when a seed or generator is passed
+    ``peel``'s default guard, or, when a seed or generator is passed
     instead, from ``sample_parameters``, which returns its accepted split.
     Stage s peels L^(s+1) off the current matrix; what remains after
     p - 1 stages is L^(p) itself.  Returns the factors L^(1) .. L^(p);
@@ -502,9 +472,9 @@ def darboux_factorize(
     current = L
     for s in range(p - 1):
         if params is not None:
-            d, current = peel(current, params.alphas[s], tol_peel)
+            d, current = peel(current, params.alphas[s])
         else:
-            d, current = sample_parameters(current, rng, tol_margin, mode, max_retries)
+            d, current = sample_parameters(current, rng, tol_margin, mode)
         factors.append(d)
     factors.append(current)
     return tuple(factors)
@@ -516,16 +486,18 @@ def darboux_factorization(
     params=None,
     rng=None,
     tol_pivot: float = None,
-    **kwargs,
+    tol_margin: float = 1e-9,
+    mode: str = "real",
 ):
     """Full pipeline: J, C -> (DarbouxFactors with U, GammaTable).
 
-    LU first, then the bidiagonal splitting of the L factor; the gamma
+    LU first, then the bidiagonal splitting of the L factor, sampled with
+    ``tol_margin`` and ``mode`` unless ``params`` are given; the gamma
     table is rebuilt from pivots, parameters and matrix entries through
     the fill recurrence, which is the reference route for gamma values.
     """
     L, U = lu_factorize(J, C, tol_pivot)
-    factors = DarbouxFactors(U, darboux_factorize(L, params=params, rng=rng, **kwargs), complex(C))
+    factors = DarbouxFactors(U, darboux_factorize(L, params, rng, tol_margin, mode), complex(C))
     table = table_fill(np.asarray(U.band(0)), factors.parameters(), J, C)
     return factors, table
 
@@ -550,13 +522,7 @@ def factors_to_table(factors: DarbouxFactors) -> GammaTable:
 # the table fill recurrence
 
 
-def table_fill(
-    u_diag,
-    params: ParameterSet,
-    J: Banded,
-    C=0.0,
-    tol: float = 1e-12,
-) -> GammaTable:
+def table_fill(u_diag, params: ParameterSet, J: Banded, C=0.0) -> GammaTable:
     """Recover the whole gamma table from pivots, parameters and J.
 
     Works down the anti-diagonals i = 1, 2, ...: at step k the unknown
@@ -565,7 +531,8 @@ def table_fill(
     of the same anti-diagonal, after subtracting the gamma products over
     the truncated index set.  Everything the recurrence reads has been
     determined by earlier steps; reading an unset entry is an internal
-    error, not a breakdown.
+    error, not a breakdown.  A running product below 1e-12 in modulus
+    raises TableBreakdown.
 
     The shift enters only through a consistency guard: the first pivot
     must be a_{0,0} - C, which is the corner case of the pivot identity.
@@ -614,7 +581,7 @@ def table_fill(
                 break
             if k > -1:
                 delta = delta * get((k + i) * p + i)
-            if abs(delta) < tol:
+            if abs(delta) < 1e-12:
                 raise TableBreakdown(i, k, abs(delta))
             total = 0j
             for t in tilde[k]:

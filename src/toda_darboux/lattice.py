@@ -34,29 +34,24 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .banded import Banded, BandedHessenberg, ValidWindow
 from .darboux import GammaTable, darboux_factorization, enumerate_indices
-from .lu import char_poly
 
 __all__ = [
     "BlowUp",
     "InsufficientSamples",
     "ResidualReport",
     "Trajectory",
-    "check_delta_derivative",
-    "check_poly_derivative",
     "evolve_kdv",
     "evolve_toda",
     "kdv_rhs",
     "reconstruct_transform",
     "theorem1_diagram",
     "toda_rhs",
-    "trajectory_rows",
     "verify_kdv",
     "verify_toda",
 ]
@@ -353,81 +348,6 @@ def verify_kdv(traj: Trajectory, tol: float) -> ResidualReport:
     return _report("kdv residual", worst, arg, tol)
 
 
-def check_poly_derivative(J: Banded, Jdot, z, m: int) -> float:
-    """Deviation between three routes to the derivative of P_n(z).
-
-    Route one differentiates the characteristic recurrence entry by entry
-    using the given band derivatives.  Routes two and three are the
-    closed forms: the band sum -sum a_{n,i} P_i and the two-term form
-    (a_{n,n} - z) P_n + P_{n+1}.  When Jdot is the Toda right hand side
-    of J, all three agree identically; the returned value is the largest
-    deviation over degrees up to m, and it reacts to any inconsistency
-    between J and Jdot.
-    """
-    if m < 0 or m > J.n - 1:
-        raise ValueError(f"degree {m} outside 0..{J.n - 1}")
-    p = J.p
-    P = char_poly(J, z, m + 1)
-    Pdot = np.zeros(m + 1, dtype=np.complex128)
-    for k in range(m):
-        acc = Jdot[0][k] * P[k] + (J.band(0)[k] - z) * Pdot[k]
-        for i in range(max(0, k - p), k):
-            acc += Jdot[k - i][k] * P[i] + J.band(k - i)[k] * Pdot[i]
-        Pdot[k + 1] = -acc
-    dev = 0.0
-    for nn in range(m + 1):
-        band_sum = 0j
-        for i in range(max(0, nn - p), nn):
-            band_sum -= J.band(nn - i)[nn] * P[i]
-        two_term = (J.band(0)[nn] - z) * P[nn] + P[nn + 1]
-        dev = max(dev, abs(Pdot[nn] - band_sum), abs(Pdot[nn] - two_term))
-    return float(dev)
-
-
-def check_delta_derivative(table: GammaTable, table_dot) -> float:
-    """Deviation of the product-rule derivative of the delta products.
-
-    delta^(i)_k is the product of the k + 2 gammas with indices
-    (r + i) p + i, r = -1..k.  Its derivative by the product rule, with
-    the given table derivative, must equal delta times the difference of
-    the two sliding gamma sums; that closed form holds identically when
-    the table derivative is the KdV right hand side.  Only pairs (i, k)
-    whose stencils lie fully inside the table are measured.
-    """
-    g = table.values
-    gd = np.asarray(table_dot, dtype=np.complex128)
-    p = table.p
-    size = len(g)
-
-    def at(idx):
-        return g[idx - 1] if idx >= 1 else 0j
-
-    def dot_at(idx):
-        return gd[idx - 1] if idx >= 1 else 0j
-
-    dev = 0.0
-    for i in range(1, size // (p + 1) + 2):
-        for k in range(-1, p - 1):
-            top = (k + i) * p + i
-            if top + p > size:
-                break
-            idxs = [(r + i) * p + i for r in range(-1, k + 1)]
-            vals = [at(ix) for ix in idxs]
-            delta = np.prod(vals)
-            ddelta = 0j
-            for r in range(len(idxs)):
-                term = dot_at(idxs[r])
-                for rr in range(len(idxs)):
-                    if rr != r:
-                        term *= vals[rr]
-                ddelta += term
-            upper = sum(at(top + j) for j in range(p + 1))
-            lower = sum(at((i - 2) * p + i + j) for j in range(p + 1))
-            closed = delta * (upper - lower)
-            dev = max(dev, abs(ddelta - closed))
-    return float(dev)
-
-
 # ---------------------------------------------------------------------------
 # the commuting diagram
 
@@ -512,7 +432,6 @@ def theorem1_diagram(
     steps: int = 100,
     tol_path: float = 1e-4,
     tol_verify: float = 1e-5,
-    path_margin: int = None,
 ) -> dict:
     """Run both routes around the factorization square and compare.
 
@@ -523,10 +442,10 @@ def theorem1_diagram(
     for the whole trajectory in one vectorised pass per transform.
 
     Reports, keyed by name: "path" compares the reassembled J^(0)
-    against the directly evolved J0 inside a window shrunk by
-    path_margin rows (both routes are truncations, and their boundary
-    pollution creeps inward over time; the default margin p + 2 keeps it
-    below tol_path for short horizons at desk scale).  "toda[j]" runs
+    against the directly evolved J0 inside a window shrunk by p + 2 rows
+    (both routes are truncations, and their boundary pollution creeps
+    inward over time; a margin of p + 2 keeps it below tol_path for short
+    horizons at desk scale).  "toda[j]" runs
     the central-difference Toda check on each reassembled trajectory,
     which is pollution-free on its certified rows because the identity
     between the two flows is pointwise algebra.  "kdv" checks the
@@ -535,9 +454,7 @@ def theorem1_diagram(
     """
     factors, table0 = darboux_factorization(J0, C, params=params, rng=rng)
     p, rows = J0.p, table0.columns
-    if path_margin is None:
-        path_margin = p + 2
-    w_path = max(1, rows - path_margin)
+    w_path = max(1, rows - (p + 2))
 
     direct = evolve_toda(J0, C, dt, steps).data
     traj_table = evolve_kdv(table0, dt, steps)
@@ -570,9 +487,3 @@ def _entry_table(traj: Trajectory):
     ids = [f"a[{i},{i - d}]" for d in range(bands) for i in range(d, n)]
     return ids, traj.data[:, ~np.tri(bands, n, -1, dtype=bool)]
 
-
-def trajectory_rows(traj: Trajectory):
-    """Yield (t, entry_id, value) rows, values complex, in a fixed deterministic order."""
-    ids, samples = _entry_table(traj)
-    for t, values in zip(traj.times.tolist(), samples):
-        yield from zip(repeat(t), ids, values.astype(complex).tolist())

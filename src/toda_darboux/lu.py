@@ -32,9 +32,7 @@ from .banded import Banded
 
 __all__ = [
     "SingularLeadingMinor",
-    "char_poly",
     "lu_factorize",
-    "pivot_gammas",
 ]
 
 
@@ -72,53 +70,15 @@ def lu_factorize(J: Banded, C=0.0, tol_pivot: float = None):
     u = np.zeros(n, dtype=np.complex128)
 
     def lentry(i, j):
+        # entry (i, j) strictly below the diagonal
         d = i - j
-        if 1 <= d <= p and 0 <= j:
-            return lbands[d - 1][i]
-        return 1.0 if d == 0 else 0.0
+        return lbands[d - 1][i] if d <= p and j >= 0 else 0.0
 
     for i in range(n):
         for j in range(max(0, i - p), i):
-            a = bands[i - j][i] - (C if i == j else 0.0)
-            lbands[i - j - 1][i] = (a - lentry(i, j - 1)) / u[j]
+            lbands[i - j - 1][i] = (bands[i - j][i] - lentry(i, j - 1)) / u[j]
         u[i] = bands[0][i] - C - lentry(i, i - 1)
         if abs(u[i]) < tol_pivot:
             raise SingularLeadingMinor(i, abs(u[i]))
     return Banded(p, 0, np.vstack([np.ones(n), *lbands])), Banded(0, 1, np.vstack([np.ones(n), u]))
 
-
-def char_poly(J: Banded, z, m: int) -> np.ndarray:
-    """Values P_0(z) .. P_m(z) of the characteristic recurrence.
-
-    P_{k+1} consumes row k of J, so m may not exceed the truncation size.
-    """
-    if m < 0 or m > J.n:
-        raise ValueError(f"degree {m} outside 0..{J.n}")
-    vals = np.zeros(m + 1, dtype=np.complex128)
-    vals[0] = 1.0
-    for k in range(m):
-        acc = (J.band(0)[k] - z) * vals[k]
-        for i in range(max(0, k - J.p), k):
-            acc += J.band(k - i)[k] * vals[i]
-        vals[k + 1] = -acc
-    return vals
-
-
-def pivot_gammas(J: Banded, C, m: int, tol: float = 1e-12) -> np.ndarray:
-    """First m pivots at shift C as ratios of characteristic values.
-
-    Entry k is -P_{k+1}(C) / P_k(C), the gamma value with index
-    k (p + 1) + 1.  A value P_k(C) that is negligible against its
-    neighbors means the leading principal minor k is singular and the
-    ratio route breaks down there.
-    """
-    if m < 0 or m > J.n:
-        raise ValueError(f"count {m} outside 0..{J.n}")
-    vals = char_poly(J, C, m)
-    out = np.zeros(m, dtype=np.complex128)
-    for k in range(m):
-        scale = max(1.0, abs(vals[k - 1]) if k > 0 else 0.0, abs(vals[k + 1]))
-        if abs(vals[k]) <= tol * scale:
-            raise SingularLeadingMinor(k, abs(vals[k]))
-        out[k] = -vals[k + 1] / vals[k]
-    return out

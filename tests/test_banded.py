@@ -11,7 +11,6 @@ from toda_darboux.banded import (
     ShapeError,
     ValidWindow,
     from_json_dict,
-    full_window,
     graded_scale,
     multiply,
     multiply_chain,
@@ -99,7 +98,7 @@ def test_truncate_size_errors():
 def test_multiply_identity_keeps_window():
     B = random_hessenberg(2, 6, seed=2)
     eye = Banded(1, 0, [np.ones(6), np.zeros(6)])
-    out, w = multiply(eye, B, full_window(eye), ValidWindow(4))
+    out, w = multiply(eye, B, ValidWindow(eye.n), ValidWindow(4))
     assert w.rows == 4
     assert np.allclose(out.to_dense(), B.to_dense(), atol=0, rtol=0)
 
@@ -230,13 +229,13 @@ def test_truncate_multiply_commutes_inside_window():
 
 def test_residual_of_equal_matrices_is_zero():
     J = random_hessenberg(2, 5, seed=3)
-    assert residual(J, J, full_window(J)) == 0.0
+    assert residual(J, J, ValidWindow(J.n)) == 0.0
 
 
 def test_residual_unit_difference():
     ones = BandedHessenberg(1, 2, (np.ones(2), np.zeros(2)))
     zeros = BandedHessenberg(1, 2, (np.zeros(2), np.zeros(2)))
-    assert residual(ones, zeros, full_window(ones)) == 1.0
+    assert residual(ones, zeros, ValidWindow(ones.n)) == 1.0
 
 
 def test_residual_ignores_rows_outside_window():
@@ -246,7 +245,7 @@ def test_residual_ignores_rows_outside_window():
     a = BandedHessenberg(1, 5, (diag, np.zeros(5)))
     b = BandedHessenberg(1, 5, (bumped, np.zeros(5)))
     assert residual(a, b, ValidWindow(3)) == 0.0
-    assert residual(a, b, full_window(a)) == 7.0
+    assert residual(a, b, ValidWindow(a.n)) == 7.0
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +266,6 @@ def test_random_hessenberg_moduli_and_regularity(mode):
     for d in range(3):
         vals = np.abs(J.band(d)[d:])
         assert np.all(vals >= 1.0) and np.all(vals <= 2.0)
-    assert J.regular
     if mode == "real":
         assert np.all(J.to_dense().imag == 0)
     else:
@@ -359,14 +357,6 @@ def test_constructor_shape_errors():
         Banded(0, -1, np.zeros((0, 4)))
     with pytest.raises(ShapeError):
         Banded(1, 1, np.zeros((3, 0)))
-
-
-def test_regular_flag_tracks_deepest_band():
-    band1 = np.array([0.0, 1.0, 2.0, 0.0])
-    J = BandedHessenberg(1, 4, (np.ones(4), band1))
-    assert not J.regular
-    J2 = BandedHessenberg(1, 4, (np.ones(4), np.array([0.0, 1.0, 2.0, 3.0])))
-    assert J2.regular
 
 
 def test_entry_reads_outside_band_are_zero_and_superdiagonal_one():

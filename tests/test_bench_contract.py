@@ -5,7 +5,8 @@ end its standard output with one JSON result line: correct, no failed
 call, and every declared metric present, finite and in its declared
 unit.  The end-to-end metrics come from a timed run, the per-layer
 metrics from a traced one; a traced function that the library no longer
-defines drops its metrics from the traced result line.
+defines drops its metrics from the traced result line.  The six runs
+start together and each test waits for its own.
 """
 
 import json
@@ -18,22 +19,39 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
+WORKLOADS = [w["name"] for w in SPEC["workloads"]]
+OPTIONS = {"timed": ("--seconds", "1"), "traced": ("--trace", "1")}
 
 
 def _reject_constant(name):
     raise ValueError(f"non-finite JSON constant {name}")
 
 
-def _result_line(workload, *options):
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "bench" / "run.py"), "--workload", workload, *options],
-        capture_output=True, text=True, timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr[-2000:]
-    lines = proc.stdout.strip().splitlines()
-    assert lines, proc.stderr[-2000:]
+@pytest.fixture(scope="module")
+def runs():
+    """Every workload's timed and traced run, all started at once."""
+    procs = {
+        (workload, kind): subprocess.Popen(
+            [sys.executable, str(ROOT / "bench" / "run.py"), "--workload", workload, *options],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        for workload in WORKLOADS
+        for kind, options in OPTIONS.items()
+    }
+    yield procs
+    for proc in procs.values():
+        if proc.poll() is None:
+            proc.kill()
+        proc.communicate()
+
+
+def _result_line(proc):
+    stdout, stderr = proc.communicate(timeout=300)
+    assert proc.returncode == 0, stderr[-2000:]
+    lines = stdout.strip().splitlines()
+    assert lines, stderr[-2000:]
     result = json.loads(lines[-1], parse_constant=_reject_constant)
-    assert result["correct"] is True and result["failed"] == 0, proc.stderr[-2000:]
+    assert result["correct"] is True and result["failed"] == 0, stderr[-2000:]
     return result
 
 
@@ -46,11 +64,11 @@ def _assert_declared(result, declared):
         assert got["unit"] == metric["unit"], (metric["name"], got)
 
 
-@pytest.mark.parametrize("workload", [w["name"] for w in SPEC["workloads"]])
-def test_bench_run_ends_with_a_complete_result_line(workload):
-    _assert_declared(_result_line(workload, "--seconds", "1"), SPEC["end_to_end"])
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_bench_run_ends_with_a_complete_result_line(workload, runs):
+    _assert_declared(_result_line(runs[workload, "timed"]), SPEC["end_to_end"])
 
 
-@pytest.mark.parametrize("workload", [w["name"] for w in SPEC["workloads"]])
-def test_traced_bench_run_carries_every_per_layer_metric(workload):
-    _assert_declared(_result_line(workload, "--trace", "1"), SPEC["per_layer"])
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_traced_bench_run_carries_every_per_layer_metric(workload, runs):
+    _assert_declared(_result_line(runs[workload, "traced"]), SPEC["per_layer"])

@@ -2,7 +2,6 @@
 
 import csv
 import json
-import math
 import os
 import subprocess
 import sys
@@ -28,6 +27,10 @@ def run_json(argv, capsys):
     code = main(argv)
     out = capsys.readouterr().out
     return code, json.loads(out)
+
+
+def reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
 
 
 def strip_timestamp(payload):
@@ -74,6 +77,21 @@ def test_factorize_writes_file(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out.read_text())
     assert "factors" in payload and "table" in payload
+
+
+CONFIG_KEYS = {"p", "n", "C", "seed", "dt", "steps", "mode", "tol_pivot", "tol_margin",
+               "tol_verify", "scale"}
+
+
+@pytest.mark.parametrize("command", ["factorize", "verify"])
+def test_written_config_holds_the_run_fields_but_the_output_path(command, tmp_path, capsys):
+    out = tmp_path / "run.json"
+    code = main([command, "--C-re", "0.02", "--C-im", "-0.01", "--out", str(out)])
+    capsys.readouterr()
+    assert code == 0
+    config = json.loads(out.read_text())["config"]
+    assert set(config) == CONFIG_KEYS
+    assert config["C"] == [0.02, -0.01]
 
 
 def test_transform_from_fresh_factorization(capsys):
@@ -123,10 +141,11 @@ def test_transform_nan_factor_entry_fails(tmp_path, capsys):
     payload = json.loads(fpath.read_text())
     payload["factors"]["factors"][0]["bands"]["1"][3][0] = float("nan")
     fpath.write_text(json.dumps(payload))
-    code, out = run_json(["transform", "--factors", str(fpath), "--i", "1"], capsys)
+    code = main(["transform", "--factors", str(fpath), "--i", "1"])
     assert code == 1
-    report = out["reports"][0]
-    assert math.isnan(report["max_residual"]) and not report["passed"]
+    # the NaN residual cannot be written as JSON, so the run reports that instead
+    out = json.loads(capsys.readouterr().out, parse_constant=reject_constant)
+    assert out["error"] == "ValueError"
 
 
 def test_transform_index_out_of_range(capsys):
@@ -160,7 +179,8 @@ def test_corrupt_factors_file(tmp_path, capsys):
     (lambda f: f.update(factors=5), "ValueError"),
     (lambda f: f["factors"][0].update(bands=list(f["factors"][0]["bands"].values())), "ShapeError"),
     (lambda f: f.update(U=None), "ValueError"),
-], ids=["factors-not-a-list", "bands-a-list", "U-null"])
+    (lambda f: f["U"]["bands"]["0"].__setitem__(2, ["1.5", True]), "ShapeError"),
+], ids=["factors-not-a-list", "bands-a-list", "U-null", "U-entry-string-and-bool"])
 def test_malformed_factor_payloads_produce_error_json(corrupt, error, tmp_path, capsys):
     fpath = tmp_path / "factors.json"
     assert main(["factorize", "--p", "2", "--n", "6", "--out", str(fpath)]) == 0
@@ -250,19 +270,21 @@ def per_state_csv(traj):
 def test_evolve_csv_bytes_equal_per_state_formatting(lattice, tmp_path, capsys):
     out = tmp_path / "traj.csv"
     p, n, seed, steps, dt, scale = 2, 8, 4, 12, 1e-3, 0.15
-    code = main([
-        "evolve", "--lattice", lattice, "--p", str(p), "--n", str(n), "--seed", str(seed),
-        "--steps", str(steps), "--mode", "complex", "--out", str(out),
-    ])
-    capsys.readouterr()
-    assert code == 0
-    J = graded_scale(random_hessenberg(p, n, seed=seed, mode="complex"), scale)
-    if lattice == "toda":
-        traj = evolve_toda(J, 0j, dt, steps)
-    else:
-        _, table = darboux_factorization(J, 0j, rng=np.random.default_rng(seed), mode="complex")
-        traj = evolve_kdv(table, dt, steps)
-    assert out.read_bytes() == per_state_csv(traj).encode()
+    # real instances integrate in float64 and must still export as complex rows
+    for mode in ("real", "complex"):
+        code = main([
+            "evolve", "--lattice", lattice, "--p", str(p), "--n", str(n), "--seed", str(seed),
+            "--steps", str(steps), "--mode", mode, "--out", str(out),
+        ])
+        capsys.readouterr()
+        assert code == 0
+        J = graded_scale(random_hessenberg(p, n, seed=seed, mode=mode), scale)
+        if lattice == "toda":
+            traj = evolve_toda(J, 0j, dt, steps)
+        else:
+            _, table = darboux_factorization(J, 0j, rng=np.random.default_rng(seed), mode=mode)
+            traj = evolve_kdv(table, dt, steps)
+        assert out.read_bytes() == per_state_csv(traj).encode()
 
 
 def test_evolve_requires_out():

@@ -24,19 +24,17 @@ from toda_darboux.lattice import (
     InsufficientSamples,
     Trajectory,
     _transform_bands,
-    check_delta_derivative,
-    check_poly_derivative,
     evolve_kdv,
     evolve_toda,
     kdv_rhs,
     reconstruct_transform,
     theorem1_diagram,
     toda_rhs,
-    trajectory_rows,
     verify_kdv,
     verify_toda,
 )
-from toda_darboux.lu import char_poly
+
+from oracles import char_poly, check_delta_derivative, check_poly_derivative
 
 
 def dense_toda_rhs(J):
@@ -445,10 +443,9 @@ def test_real_states_integrate_in_float64_like_the_complex_route(p):
         # imaginary part of the complex route is +0.0
         assert real.data.tobytes() == np.ascontiguousarray(forced.data.real).tobytes()
         assert not forced.data.imag[1:].view(np.uint64).any()
-        # states and exported rows stay complex
+        # states stay complex
         first = real.states[0]
         assert np.asarray(getattr(first, "bands", None) or first.values).dtype == np.complex128
-        assert {type(v) for _, _, v in trajectory_rows(real)} == {complex}
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4])
@@ -747,16 +744,3 @@ def test_commuting_diagram_rng_route_is_deterministic():
     a = theorem1_diagram(J, rng=np.random.default_rng(3), dt=1e-3, steps=5)
     b = theorem1_diagram(J, rng=np.random.default_rng(3), dt=1e-3, steps=5)
     assert a["path"].max_residual == b["path"].max_residual
-
-
-def test_trajectory_rows_stream_shape():
-    J = graded_scale(random_hessenberg(1, 5, seed=17), 0.3)
-    traj = evolve_toda(J, dt=1e-3, steps=2)
-    rows = list(trajectory_rows(traj))
-    # the stream carries every stored band entry for every sample
-    per_sample = len(rows) // len(traj)
-    assert len(rows) == per_sample * len(traj)
-    t0, entry, val = rows[0]
-    assert t0 == 0.0 and entry.startswith("a[") and isinstance(val, complex)
-    ts = [r[0] for r in rows]
-    assert ts == sorted(ts)
