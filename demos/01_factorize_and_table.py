@@ -9,23 +9,14 @@ entries of the transformed matrices.
 import numpy as np
 
 from toda_darboux import (
-    BandedHessenberg,
     assemble_transform,
-    backlund_entry,
     darboux_factorization,
-    multiply_chain,
     random_hessenberg,
+    reconstruct_transform,
     residual,
 )
 
 P, N, C, SEED = 2, 8, 0.2, 7
-
-
-def shifted(J, c):
-    bands = tuple(
-        (J.band(0) - c if d == 0 else J.band(d)).copy() for d in range(J.p + 1)
-    )
-    return BandedHessenberg(J.p, J.n, bands)
 
 
 def main():
@@ -38,10 +29,9 @@ def main():
     print("pivot gammas (U diagonal):",
           np.array2string(factors.U.band(0).real, precision=4))
 
-    chain = list(factors.factors) + [factors.U]
-    prod, w = multiply_chain(chain)
-    print(f"round trip |L1...Lp U - (J - CI)| inside {w.rows} rows:",
-          f"{residual(prod, shifted(J, C), w):.2e}")
+    prod, w = assemble_transform(factors, 0)
+    print(f"round trip |CI + L1...Lp U - J| inside {w.rows} rows:",
+          f"{residual(prod, J, w):.2e}")
 
     print(f"\ngamma table: {table.columns} columns, rows interlace as "
           f"gamma_(m(p+1)+r+1)")
@@ -52,7 +42,7 @@ def main():
     for i in range(P + 1):
         Ji, wi = assemble_transform(factors, i)
         direct = Ji.entry(1, 1)
-        closed = backlund_entry(table, i, 1, 0, C)
+        closed = reconstruct_transform(table, i, C, rows=min(wi.rows, table.columns)).entry(1, 1)
         print(f"  J^({i}): window {wi.rows} rows, "
               f"entry (1,1) product route {direct.real:+.6f}, "
               f"closed form {closed.real:+.6f}")

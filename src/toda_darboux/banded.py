@@ -157,7 +157,7 @@ def truncate(m: Banded, size: int) -> Banded:
     return Banded(m.p, m.hi, m.data[:, :size])
 
 
-def multiply(a: Banded, b: Banded, window_a: ValidWindow = None, window_b: ValidWindow = None):
+def multiply(a: Banded, b: Banded, window_b: ValidWindow = None):
     """Banded product with window tracking.
 
     Returns (product, window).  The product has min(a.p + b.p, n - 1)
@@ -170,7 +170,8 @@ def multiply(a: Banded, b: Banded, window_a: ValidWindow = None, window_b: Valid
     superdiagonal: its last certified row would need a row of the right
     factor that lies outside the right factor's certified region, and the
     last row of the truncated product is missing a term for the same
-    reason.
+    reason.  ``window_b`` counts the right factor's certified rows (all
+    by default); the left factor is taken as exact.
     """
     if a.n != b.n:
         raise ShapeError(f"size mismatch: {a.n} vs {b.n}")
@@ -185,9 +186,8 @@ def multiply(a: Banded, b: Banded, window_a: ValidWindow = None, window_b: Valid
             if d <= p and lo < top:
                 out[hi + d, lo:top] += ba[lo:top] * b.band(db)[lo - da : top - da]
 
-    wa = n if window_a is None else window_a.rows
-    wb = n if window_b is None else window_b.rows
-    window = ValidWindow(max(0, min(wa, wb - a.hi, n - a.hi)))
+    wb = n if window_b is None else min(window_b.rows, n)
+    window = ValidWindow(max(0, wb - a.hi))
     return Banded(p, hi, out), window
 
 
@@ -266,7 +266,10 @@ def _from_pair(pair) -> complex:
     )
     if not numbers or len(pair) != 2:
         raise ValueError(f"{pair!r} is not an [re, im] pair of numbers")
-    return complex(float(pair[0]), float(pair[1]))
+    try:
+        return complex(float(pair[0]), float(pair[1]))
+    except OverflowError:
+        raise ValueError(f"{pair!r} does not fit in double precision") from None
 
 
 def _encode_band(arr: np.ndarray, n: int, d: int) -> list:

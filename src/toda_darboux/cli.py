@@ -73,12 +73,10 @@ class RunConfig:
     seed: int
     dt: float
     steps: int
-    mode: str = "real"
-    tol_pivot: float = None
-    tol_margin: float = 1e-9
-    tol_verify: float = 1e-5
-    out: str = None
-    scale: float = 1.0
+    mode: str
+    tol_verify: float
+    out: str
+    scale: float
 
     def __post_init__(self):
         if self.p < 1 or self.n <= self.p:
@@ -90,9 +88,7 @@ class RunConfig:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.dt <= 0 or self.steps < 0:
             raise ValueError("dt must be positive and steps nonnegative")
-        for name in ("tol_pivot", "tol_margin", "tol_verify"):
-            if getattr(self, name) is not None:
-                _check_tolerance(name, getattr(self, name))
+        _check_tolerance("tol_verify", self.tol_verify)
 
     def as_dict(self) -> dict:
         """Every field but the output path, with C as [re, im]."""
@@ -126,14 +122,7 @@ def _emit(payload: dict, cfg: RunConfig, reports=()) -> int:
 
 def _factorize(cfg: RunConfig):
     J = _instance(cfg)
-    factors, table = darboux_factorization(
-        J,
-        cfg.C,
-        rng=np.random.default_rng(cfg.seed),
-        tol_pivot=cfg.tol_pivot,
-        tol_margin=cfg.tol_margin,
-        mode=cfg.mode,
-    )
+    factors, table = darboux_factorization(J, cfg.C, rng=np.random.default_rng(cfg.seed))
     return J, factors, table
 
 
@@ -170,13 +159,9 @@ def cmd_transform(cfg: RunConfig, args) -> int:
             data = data["factors"]
         factors = DarbouxFactors.from_json_dict(data)
         table = factors_to_table(factors)
-        p = len(factors.factors)
     else:
         _, factors, table = _factorize(cfg)
-        p = cfg.p
     i = args.i
-    if not 0 <= i <= p:
-        raise ValueError(f"transform index {i} outside 0..{p}")
     Ji, window = assemble_transform(factors, i)
     wcmp = min(window.rows, table.columns)
     closed = reconstruct_transform(table, i, factors.C, rows=wcmp)
@@ -249,10 +234,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--dt", type=float, default=1e-3, help="integration step")
     common.add_argument("--steps", type=int, default=100, help="integration steps")
     common.add_argument("--mode", choices=("real", "complex"), default="real")
-    common.add_argument("--tol-pivot", type=float, default=None,
-                        help="pivot breakdown threshold (default: scale-aware)")
-    common.add_argument("--tol-margin", type=float, default=1e-9,
-                        help="smallest accepted row cancellation ratio of a sampled peel")
     common.add_argument("--tol-verify", type=float, default=1e-5,
                         help="tolerance for residual reports")
     common.add_argument("--out", default=None, help="output path (JSON, or CSV for evolve)")
@@ -262,6 +243,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Darboux factorizations, Backlund transformations, and lattice flows",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # --scale is declared per subcommand: parents= shares Action objects, so
+    # a set_defaults(scale=...) on one subcommand would change every default
 
     f = sub.add_parser("factorize", parents=[common], help="factor a seeded instance")
     f.add_argument("--scale", type=float, default=1.0, help="graded scaling of the instance")

@@ -19,9 +19,10 @@ machinery here makes that parameter count concrete:
 * ``peel`` splits one bidiagonal factor off a unit lower banded matrix,
   narrowing its bandwidth by one; the free entries of the split factor
   are exactly the parameters of that stage.
-* ``sample_parameters`` draws stage parameters scaled to the stage and
-  peels each draw; its margin, the smallest row cancellation ratio of
-  the peel, vanishes exactly where a later peel would divide by zero.
+* ``sample_parameters`` draws stage parameters scaled to the stage, in
+  its field, and peels each draw; its margin, the smallest row
+  cancellation ratio of the peel, vanishes exactly where a later peel
+  would divide by zero.
   The best of four draws is kept once it clears the margin.  The dense
   minors of ``hyperplane_determinant`` bound the same set, as an oracle.
 * ``table_fill`` recovers the whole gamma table from the pivots, the
@@ -347,18 +348,13 @@ def _peel_margin(T: Banded, D: Banded, A: Banded) -> float:
     return worst if worst > 0 else 0.0
 
 
-def sample_parameters(
-    T: Banded,
-    rng,
-    tol: float = 1e-9,
-    mode: str = "real",
-    max_retries: int = 64,
-) -> tuple:
+def sample_parameters(T: Banded, rng, tol: float = 1e-9, max_retries: int = 64) -> tuple:
     """Draw stage parameters, peel each draw, and return the best split (D, A).
 
     Each of the q - 1 parameters (q = subdiagonal count of T) gets
     modulus uniform in [1, 2] times the median modulus of T's first
-    subdiagonal, and a random sign (real mode) or phase (complex mode).
+    subdiagonal, and lies in the field of T: a random phase when some
+    entry of T has a nonzero imaginary part, a random sign otherwise.
     A draw is peeled without an absolute guard, and its margin is the
     smallest row cancellation ratio of the peel (``_peel_margin``); a
     draw whose peel divides by an exact zero has margin 0.  Of the first
@@ -366,9 +362,7 @@ def sample_parameters(
     accepted when that margin exceeds ``tol``; further draws, up to
     ``max_retries`` in all, are made only while no draw has cleared it.
     """
-    if mode not in ("real", "complex"):
-        raise ValueError(f"mode must be 'real' or 'complex', got {mode!r}")
-    d = T.p - 1
+    d, real = T.p - 1, not T.data.imag.any()
     rng = np.random.default_rng(rng)
     # the median by sorting: np.median loads numpy.ma, about 1 MB, on first use
     sub = np.sort(np.abs(T.band(1)[1:]))
@@ -378,7 +372,7 @@ def sample_parameters(
         if k >= 4 and best > tol:
             break
         mod = scale * rng.uniform(1.0, 2.0, d)
-        if mode == "real":
+        if real:
             alphas = mod * (rng.integers(0, 2, d) * 2.0 - 1.0)
         else:
             alphas = mod * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, d))
@@ -444,13 +438,7 @@ def peel(T: Banded, alphas, tol: float = None):
     return Banded(1, 0, np.vstack([np.ones(n), d])), Banded(q - 1, 0, np.vstack([np.ones(n), *abands]))
 
 
-def darboux_factorize(
-    L: Banded,
-    params=None,
-    rng=None,
-    tol_margin: float = 1e-9,
-    mode: str = "real",
-) -> tuple:
+def darboux_factorize(L: Banded, params=None, rng=None) -> tuple:
     """Split a unit lower banded matrix into p lower bidiagonal factors.
 
     Parameters come either from an explicit ParameterSet, peeled with
@@ -474,30 +462,23 @@ def darboux_factorize(
         if params is not None:
             d, current = peel(current, params.alphas[s])
         else:
-            d, current = sample_parameters(current, rng, tol_margin, mode)
+            d, current = sample_parameters(current, rng)
         factors.append(d)
     factors.append(current)
     return tuple(factors)
 
 
-def darboux_factorization(
-    J: Banded,
-    C=0.0,
-    params=None,
-    rng=None,
-    tol_pivot: float = None,
-    tol_margin: float = 1e-9,
-    mode: str = "real",
-):
+def darboux_factorization(J: Banded, C=0.0, params=None, rng=None):
     """Full pipeline: J, C -> (DarbouxFactors with U, GammaTable).
 
-    LU first, then the bidiagonal splitting of the L factor, sampled with
-    ``tol_margin`` and ``mode`` unless ``params`` are given; the gamma
-    table is rebuilt from pivots, parameters and matrix entries through
-    the fill recurrence, which is the reference route for gamma values.
+    LU first, then the bidiagonal splitting of the L factor, with
+    parameters drawn by ``sample_parameters`` in the field of each stage
+    matrix unless ``params`` are given; the gamma table is rebuilt from
+    pivots, parameters and matrix entries through the fill recurrence,
+    which is the reference route for gamma values.
     """
-    L, U = lu_factorize(J, C, tol_pivot)
-    factors = DarbouxFactors(U, darboux_factorize(L, params, rng, tol_margin, mode), complex(C))
+    L, U = lu_factorize(J, C)
+    factors = DarbouxFactors(U, darboux_factorize(L, params, rng), complex(C))
     table = table_fill(np.asarray(U.band(0)), factors.parameters(), J, C)
     return factors, table
 

@@ -47,24 +47,17 @@ class SingularLeadingMinor(ArithmeticError):
         )
 
 
-def _default_pivot_tol(J: Banded, C) -> float:
-    scale = max(float(np.max(np.abs(b))) for b in J.bands)
-    scale = max(scale, abs(C), 1.0)
-    return 1e-12 * scale
-
-
-def lu_factorize(J: Banded, C=0.0, tol_pivot: float = None):
+def lu_factorize(J: Banded, C=0.0):
     """Factor J - C I into L (p subdiagonals, unit diagonal) and U (upper
     bidiagonal, unit superdiagonal).
 
     One forward sweep over the rows: within row i the subdiagonal entries
     of L are filled left to right, each consuming the pivot of its column
     and the L entry one column to its left, and the pivot u_i closes the
-    row.  Raises SingularLeadingMinor(m) when pivot m falls below
-    tol_pivot (default 1e-12 times the largest band modulus).
+    row.  Raises SingularLeadingMinor(m) when pivot m falls below 1e-12
+    times max(1, |C|, the largest band modulus).
     """
-    if tol_pivot is None:
-        tol_pivot = _default_pivot_tol(J, C)
+    tol_pivot = 1e-12 * max(1.0, abs(C), *(float(np.max(np.abs(b))) for b in J.bands))
     n, p, bands = J.n, J.p, J.bands
     lbands = [np.zeros(n, dtype=np.complex128) for _ in range(p)]
     u = np.zeros(n, dtype=np.complex128)

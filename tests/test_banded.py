@@ -98,7 +98,7 @@ def test_truncate_size_errors():
 def test_multiply_identity_keeps_window():
     B = random_hessenberg(2, 6, seed=2)
     eye = Banded(1, 0, [np.ones(6), np.zeros(6)])
-    out, w = multiply(eye, B, ValidWindow(eye.n), ValidWindow(4))
+    out, w = multiply(eye, B, window_b=ValidWindow(4))
     assert w.rows == 4
     assert np.allclose(out.to_dense(), B.to_dense(), atol=0, rtol=0)
 

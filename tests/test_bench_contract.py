@@ -6,11 +6,14 @@ call, and every declared metric present, finite and in its declared
 unit.  The end-to-end metrics come from a timed run, the per-layer
 metrics from a traced one; a traced function that the library no longer
 defines drops its metrics from the traced result line.  The six runs
-start together and each test waits for its own.
+start together and each test waits for its own.  They run from a
+temporary copy of ``bench/*.py`` and ``src/toda_darboux/``, so they
+leave the checkout's ``bench/out/`` as it was.
 """
 
 import json
 import math
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -28,11 +31,17 @@ def _reject_constant(name):
 
 
 @pytest.fixture(scope="module")
-def runs():
+def runs(tmp_path_factory):
     """Every workload's timed and traced run, all started at once."""
+    copy = tmp_path_factory.mktemp("checkout")
+    (copy / "bench").mkdir()
+    for script in (ROOT / "bench").glob("*.py"):
+        shutil.copy(script, copy / "bench")
+    shutil.copytree(ROOT / "src" / "toda_darboux", copy / "src" / "toda_darboux",
+                    ignore=shutil.ignore_patterns("__pycache__"))
     procs = {
         (workload, kind): subprocess.Popen(
-            [sys.executable, str(ROOT / "bench" / "run.py"), "--workload", workload, *options],
+            [sys.executable, str(copy / "bench" / "run.py"), "--workload", workload, *options],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         )
         for workload in WORKLOADS

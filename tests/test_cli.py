@@ -79,8 +79,7 @@ def test_factorize_writes_file(tmp_path, capsys):
     assert "factors" in payload and "table" in payload
 
 
-CONFIG_KEYS = {"p", "n", "C", "seed", "dt", "steps", "mode", "tol_pivot", "tol_margin",
-               "tol_verify", "scale"}
+CONFIG_KEYS = {"p", "n", "C", "seed", "dt", "steps", "mode", "tol_verify", "scale"}
 
 
 @pytest.mark.parametrize("command", ["factorize", "verify"])
@@ -151,8 +150,7 @@ def test_transform_nan_factor_entry_fails(tmp_path, capsys):
 def test_transform_index_out_of_range(capsys):
     code, payload = run_json(["transform", "--p", "2", "--i", "5"], capsys)
     assert code == 1
-    assert payload["error"] == "ValueError"
-    assert "5" in payload["message"]
+    assert payload == {"error": "ValueError", "message": "transform index 5 outside 0..2"}
 
 
 def test_transform_requires_index():
@@ -180,7 +178,10 @@ def test_corrupt_factors_file(tmp_path, capsys):
     (lambda f: f["factors"][0].update(bands=list(f["factors"][0]["bands"].values())), "ShapeError"),
     (lambda f: f.update(U=None), "ValueError"),
     (lambda f: f["U"]["bands"]["0"].__setitem__(2, ["1.5", True]), "ShapeError"),
-], ids=["factors-not-a-list", "bands-a-list", "U-null", "U-entry-string-and-bool"])
+    (lambda f: f.update(C=[10 ** 400, 0]), "ValueError"),
+    (lambda f: f["U"]["bands"]["0"].__setitem__(2, [0, -10 ** 400]), "ShapeError"),
+], ids=["factors-not-a-list", "bands-a-list", "U-null", "U-entry-string-and-bool",
+        "C-beyond-double-range", "U-entry-beyond-double-range"])
 def test_malformed_factor_payloads_produce_error_json(corrupt, error, tmp_path, capsys):
     fpath = tmp_path / "factors.json"
     assert main(["factorize", "--p", "2", "--n", "6", "--out", str(fpath)]) == 0
@@ -200,18 +201,25 @@ def test_malformed_factor_payloads_produce_error_json(corrupt, error, tmp_path, 
     (["factorize", "--scale", "inf"], "scale"),
     (["factorize", "--C-re", "nan"], "C"),
     (["factorize", "--C-im", "inf"], "C"),
-    (["factorize", "--tol-pivot", "inf"], "tol_pivot"),
-    (["factorize", "--tol-margin", "inf"], "tol_margin"),
     (["verify", "--p", "2", "--n", "8", "--tol-verify", "inf"], "tol_verify"),
     (["verify", "--tol-path", "inf"], "tol_path"),
 ], ids=["dt-nan", "dt-inf", "scale-nan", "scale-inf", "C-re-nan", "C-im-inf",
-        "tol-pivot-inf", "tol-margin-inf", "tol-verify-inf", "tol-path-inf"])
+        "tol-verify-inf", "tol-path-inf"])
 def test_non_finite_options_are_rejected(argv, option, capsys):
     code, payload = run_json(argv, capsys)
     assert code == 1
     assert set(payload) == {"error", "message"}
     assert payload["error"] == "ValueError"
     assert payload["message"].startswith(f"{option} must be finite")
+
+
+@pytest.mark.parametrize("flag", ["--tol-pivot", "--tol-margin"])
+def test_factorization_thresholds_are_not_options(flag, capsys):
+    # the pivot and margin thresholds are worked out by the library
+    with pytest.raises(SystemExit) as err:
+        main(["factorize", flag, "1e-9"])
+    assert err.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_evolve_csv_and_manifest(tmp_path, capsys):
@@ -282,7 +290,7 @@ def test_evolve_csv_bytes_equal_per_state_formatting(lattice, tmp_path, capsys):
         if lattice == "toda":
             traj = evolve_toda(J, 0j, dt, steps)
         else:
-            _, table = darboux_factorization(J, 0j, rng=np.random.default_rng(seed), mode=mode)
+            _, table = darboux_factorization(J, 0j, rng=np.random.default_rng(seed))
             traj = evolve_kdv(table, dt, steps)
         assert out.read_bytes() == per_state_csv(traj).encode()
 

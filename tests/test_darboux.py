@@ -64,8 +64,8 @@ def det_cofactor(A):
     return acc
 
 
-def random_unit_lower(p, n, seed):
-    J = random_hessenberg(p, n, seed=seed)
+def random_unit_lower(p, n, seed, mode="real"):
+    J = random_hessenberg(p, n, seed=seed, mode=mode)
     L, _ = lu_factorize(J, 0.0)
     return L
 
@@ -217,12 +217,26 @@ def test_sample_parameters_deterministic_and_margin_certified():
 
 
 def test_sample_parameters_complex_mode():
-    T = random_unit_lower(3, 8, seed=4)
-    D, A = sample_parameters(T, np.random.default_rng(6), mode="complex")
+    T = random_unit_lower(3, 8, seed=4, mode="complex")
+    D, A = sample_parameters(T, np.random.default_rng(6))
     assert np.abs(D.band(1)[1:3].imag).max() > 0
     assert dense_margin(T, D, A) > 1e-9
-    with pytest.raises(ValueError):
-        sample_parameters(T, np.random.default_rng(6), mode="rational")
+
+
+@pytest.mark.parametrize("imag", [0.0, -0.0], ids=["real", "negative-zero-imag"])
+def test_sampler_draws_real_parameters_for_a_real_stage(imag):
+    # a -0.0 imaginary part is real: the draws are replay_draws' signs
+    data = random_unit_lower(3, 16, seed=12).data.copy()
+    data.imag = imag
+    T = Banded(3, 0, data)
+    assert np.signbit(T.data.imag).any() == np.signbit(imag)
+    seed = 4
+    draws = replay_draws(T, seed, 4)
+    best = int(np.argmax([m for m, _, _ in draws]))
+    D, A = sample_parameters(T, np.random.default_rng(seed))
+    assert np.array_equal(D.data, draws[best][1].data)
+    assert np.array_equal(A.data, draws[best][2].data)
+    assert not D.band(1)[1:3].imag.any()
 
 
 def test_sampling_failure_carries_retry_count_and_margin():
