@@ -11,7 +11,6 @@ from .banded import (
     multiply_chain,
     random_hessenberg,
     residual,
-    truncate,
 )
 from .lu import SingularLeadingMinor, lu_factorize
 from .darboux import (

@@ -42,7 +42,6 @@ __all__ = [
     "random_hessenberg",
     "residual",
     "to_json_dict",
-    "truncate",
 ]
 
 
@@ -145,16 +144,6 @@ def BandedHessenberg(p: int, n: int, bands) -> Banded:
 
 # ---------------------------------------------------------------------------
 # operations
-
-
-def truncate(m: Banded, size: int) -> Banded:
-    """Leading principal submatrix of the given size, same band counts.
-
-    Truncation commutes with reading entries: band arrays are simply cut.
-    """
-    if size < 1 or size > m.n:
-        raise ShapeError(f"truncation size {size} outside 1..{m.n}")
-    return Banded(m.p, m.hi, m.data[:, :size])
 
 
 def multiply(a: Banded, b: Banded, window_b: ValidWindow = None):
@@ -267,9 +256,12 @@ def _from_pair(pair) -> complex:
     if not numbers or len(pair) != 2:
         raise ValueError(f"{pair!r} is not an [re, im] pair of numbers")
     try:
-        return complex(float(pair[0]), float(pair[1]))
+        z = complex(float(pair[0]), float(pair[1]))
     except OverflowError:
         raise ValueError(f"{pair!r} does not fit in double precision") from None
+    if not np.isfinite(z):  # json reads 1e400 as inf, and NaN and Infinity as such
+        raise ValueError(f"{pair!r} is not finite")
+    return z
 
 
 def _encode_band(arr: np.ndarray, n: int, d: int) -> list:

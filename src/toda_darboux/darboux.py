@@ -159,16 +159,6 @@ class GammaTable:
             "gamma": [_pair(z) for z in self.values],
         }
 
-    @classmethod
-    def from_json_dict(cls, payload: Mapping) -> "GammaTable":
-        try:
-            p = int(payload["p"])
-            columns = int(payload["columns"])
-            raw = payload["gamma"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"malformed gamma table payload: {exc}") from None
-        return cls(p, columns, np.array([_from_pair(x) for x in raw]))
-
     def __repr__(self):
         return f"GammaTable(p={self.p}, columns={self.columns})"
 

@@ -23,6 +23,9 @@ right hand side, so residuals of honest solutions shrink like dt^2.
 A ``Trajectory`` is one array over the time axis, float64 for real states
 and complex128 otherwise, filled in place by RK4 on stage buffers allocated
 once and swept by the verifiers in blocks of samples; a NaN residual fails.
+Right-hand sides are kernels built per array shape that write into a
+caller's buffer: one per RK4 trajectory, and per verifier sweep one per
+block shape, with block buffers allocated once.
 Truncation is handled by windows: the bottom rows of a finite Toda
 truncation and the top indices of a finite gamma table feel the missing
 neighbors immediately, so equations are only checked where the full
@@ -36,7 +39,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .banded import Banded, BandedHessenberg, ValidWindow
 from .darboux import GammaTable, darboux_factorization, enumerate_indices
@@ -152,22 +154,31 @@ def _report(label, residual, argmax, tol) -> ResidualReport:
 
 
 def _toda_kernel(shape: tuple, dtype, p: int):
-    """rhs(B, out) writes the Toda derivative of bands B of shape (..., p + 1, n) to out."""
-    lead, bands, n = shape[:-2], p + 1, shape[-1]
-    # band p + 1 and row n read zero, through one padding band and column
-    padded = np.zeros((*lead, bands + 1, n + 1), dtype)
-    # shifted[..., d, i] is the diagonal entry of row i - d, zero for i < d
-    diag = np.zeros((*lead, bands - 1 + n), dtype)
-    shifted = sliding_window_view(diag, n, axis=-1)[..., ::-1, :]
-    outside = np.tri(bands, n, -1, dtype=bool)
+    """rhs(B, out) writes the Toda derivative of bands B of shape (..., p + 1, n) to out.
+
+    out must be C-contiguous (a non-contiguous B is copied).  In a state's
+    bands flattened row after row, a_{i+1,i-d} and a_{i,i-d-1} sit n + 1 and
+    n slots after a_{i,i-d}, so row n and band p + 1 read the zero slots
+    before each band.  The last n + 1 slots have no slot n + 1 ahead and add
+    0, turning -0 into +0 as a zero read would.  Slots outside the band come
+    out +0, as B holds zeros there.  Built for one state, it allocates nothing.
+    """
+    lead, n, size = shape[:-2], shape[-1], (p + 1) * shape[-1]
+    # the diagonal goes to every row of wide at stride n + 1; read at stride n, row d
+    # is shifted right by d, so shifted[..., d, i] is a_{i-d,i-d} for i >= d
+    wide = np.zeros((*lead, (p + 1) * (n + 1)), dtype)
+    rows = wide.reshape(*lead, p + 1, n + 1)[..., :n]
+    shifted = wide[..., :size].reshape(shape)
+    tile = np.empty(shape, dtype)
 
     def rhs(B, out):
-        padded[..., :-1, :-1] = B
-        diag[..., bands - 1 :] = B[..., 0, :]
-        np.multiply(np.subtract(B[..., :1, :], shifted, out=out), B, out=out)
-        out += padded[..., 1:, 1:]
-        out -= padded[..., 1:, :-1]
-        np.copyto(out, 0, where=outside)
+        np.copyto(rows, B[..., :1, :])
+        np.copyto(tile, rows)
+        np.multiply(np.subtract(tile, shifted, out=out), B, out=out)
+        flat, Bf = out.reshape(*lead, size), B.reshape(*lead, size)
+        flat[..., : size - n - 1] += Bf[..., n + 1 :]
+        flat[..., size - n - 1 :] += 0
+        flat[..., : size - n] -= Bf[..., n:]
         return out
 
     return rhs
@@ -194,14 +205,6 @@ def _kdv_kernel(shape: tuple, dtype, p: int):
     return rhs
 
 
-def _toda_rhs(B: np.ndarray) -> np.ndarray:
-    return _toda_kernel(B.shape, B.dtype, B.shape[-2] - 1)(B, np.empty_like(B))
-
-
-def _kdv_rhs(g: np.ndarray, p: int) -> np.ndarray:
-    return _kdv_kernel(g.shape, g.dtype, p)(g, np.empty_like(g))
-
-
 def toda_rhs(J: Banded) -> tuple:
     """Band derivatives of the Toda flow, one array per offset 0..p.
 
@@ -210,7 +213,8 @@ def toda_rhs(J: Banded) -> tuple:
     carry the exact semi-infinite derivative, so row n - 1 is trustworthy
     for the truncated system only; windows account for that downstream.
     """
-    return tuple(_toda_rhs(np.stack(J.bands)))
+    B = np.stack(J.bands)
+    return tuple(_toda_kernel(B.shape, B.dtype, J.p)(B, np.empty_like(B)))
 
 
 def kdv_rhs(table: GammaTable) -> np.ndarray:
@@ -221,7 +225,8 @@ def kdv_rhs(table: GammaTable) -> np.ndarray:
     truncation, so only entries with the full upper stencil inside the
     table carry the semi-infinite derivative.
     """
-    return _kdv_rhs(table.values, table.p)
+    g = table.values
+    return _kdv_kernel(g.shape, g.dtype, table.p)(g, np.empty_like(g))
 
 
 # ---------------------------------------------------------------------------
@@ -290,17 +295,19 @@ def _worst(residual, lo: int, hi: int, state_bytes: int):
     """Worst residual over samples lo..hi-1 and its (entry, sample).
 
     ``residual(m0, m1)`` gives samples m0..m1-1 of Toda band residuals
-    (samples, p + 1, rows), skipping the d slots before band d's first
-    row, or of gamma residuals (samples, size).  Only a strictly larger
-    entry in C order replaces the worst, so on ties the first sample,
-    then band and row, wins; a NaN is worse than any number.
+    (samples, p + 1, rows), whose d slots before band d's first row are
+    zeroed here, or of gamma residuals (samples, size).  Only a strictly
+    larger entry in C order replaces the worst, so on ties the first
+    sample, then band and row, wins; a NaN is worse than any number.
     """
-    worst, arg = 0.0, ("", 0)
+    worst, arg, outside = 0.0, ("", 0), None
     block = max(1, _BLOCK_BYTES // state_bytes)
     for m0 in range(lo, hi, block):
         res = residual(m0, min(m0 + block, hi))
         if res.ndim == 3:
-            res[:, np.tri(*res.shape[1:], -1, dtype=bool)] = 0
+            if outside is None:
+                outside = np.tri(*res.shape[1:], -1, dtype=bool)
+            res[:, outside] = 0
         if res.size:
             k = int(np.argmax(res))  # argmax stops at the first NaN
             v = float(res.flat[k])
@@ -311,14 +318,26 @@ def _worst(residual, lo: int, hi: int, state_bytes: int):
     return worst, arg
 
 
-def _central(data: np.ndarray, dt: float, rhs, cap: int):
-    """_worst of central differences against rhs, entries below cap on the last axis."""
+def _central(data: np.ndarray, dt: float, kernel, p: int, cap: int):
+    """_worst of central differences against kernel's rhs, entries below cap on the last axis.
+
+    Kernels and block buffers are built once per block shape; each block
+    computes (a - b) / (2 dt) - rhs, then abs, in that order.
+    """
     if len(data) < 3:
         raise InsufficientSamples(f"need at least 3 samples, have {len(data)}")
+    count, shape = len(data) - 2, data.shape[1:]
+    block = min(max(1, _BLOCK_BYTES // data[0].nbytes), count)
+    diff, slope, res = (np.empty((block, *shape), t) for t in (data.dtype, data.dtype, float))
+    rhs = {k: kernel((k, *shape), data.dtype, p) for k in {block, count % block or block}}
 
     def residual(m0, m1):
-        diff = (data[m0 + 1 : m1 + 1] - data[m0 - 1 : m1 - 1]) / (2 * dt)
-        return np.abs(diff - rhs(data[m0:m1]))[..., :cap]
+        k = m1 - m0
+        d, s = diff[:k], slope[:k]
+        np.subtract(data[m0 + 1 : m1 + 1], data[m0 - 1 : m1 - 1], out=d)
+        np.divide(d, 2 * dt, out=d)
+        rhs[k](data[m0:m1], s)
+        return np.abs(np.subtract(d, s, out=d), out=res[:k])[..., :cap]
 
     return _worst(residual, 1, len(data) - 1, data[0].nbytes)
 
@@ -332,7 +351,7 @@ def verify_toda(traj: Trajectory, tol: float, window: ValidWindow = None) -> Res
     """
     n = traj.data.shape[2]
     wlim = n if window is None else min(window.rows, n)
-    worst, arg = _central(traj.data, traj.dt, _toda_rhs, max(wlim - 1, 0))
+    worst, arg = _central(traj.data, traj.dt, _toda_kernel, traj.p, max(wlim - 1, 0))
     return _report("toda residual", worst, arg, tol)
 
 
@@ -344,7 +363,7 @@ def verify_kdv(traj: Trajectory, tol: float) -> ResidualReport:
     convention.
     """
     p, size = traj.p, traj.data.shape[1]
-    worst, arg = _central(traj.data, traj.dt, lambda g: _kdv_rhs(g, p), size - p)
+    worst, arg = _central(traj.data, traj.dt, _kdv_kernel, p, size - p)
     return _report("kdv residual", worst, arg, tol)
 
 
@@ -468,7 +487,7 @@ def theorem1_diagram(
 
     if len(traj_table) >= 3:
         for j in range(p + 1):
-            worst, arg = _central(recon[j], dt, _toda_rhs, rows - 1)
+            worst, arg = _central(recon[j], dt, _toda_kernel, p, rows - 1)
             label = f"toda residual of transform {j}"
             reports[f"toda[{j}]"] = _report(label, worst, arg, tol_verify)
         reports["kdv"] = verify_kdv(traj_table, tol_verify)

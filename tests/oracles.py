@@ -4,14 +4,39 @@
 characteristic polynomial values; ``check_poly_derivative`` and
 ``check_delta_derivative`` measure the derivative identities that tie the
 Toda flow to those polynomials and the KdV flow to the table's delta
-products.
+products.  ``truncate`` cuts a leading principal submatrix and
+``gamma_table_from_json`` reads back a written gamma table, routes that
+only the tests need.
 """
+
+from collections.abc import Mapping
 
 import numpy as np
 
-from toda_darboux.banded import Banded
+from toda_darboux.banded import Banded, ShapeError, _from_pair
 from toda_darboux.darboux import GammaTable
 from toda_darboux.lu import SingularLeadingMinor
+
+
+def truncate(m: Banded, size: int) -> Banded:
+    """Leading principal submatrix of the given size, same band counts.
+
+    Truncation commutes with reading entries: band arrays are simply cut.
+    """
+    if size < 1 or size > m.n:
+        raise ShapeError(f"truncation size {size} outside 1..{m.n}")
+    return Banded(m.p, m.hi, m.data[:, :size])
+
+
+def gamma_table_from_json(payload: Mapping) -> GammaTable:
+    """Decode GammaTable.to_json_dict's payload."""
+    try:
+        p = int(payload["p"])
+        columns = int(payload["columns"])
+        raw = payload["gamma"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"malformed gamma table payload: {exc}") from None
+    return GammaTable(p, columns, np.array([_from_pair(x) for x in raw]))
 
 
 def char_poly(J: Banded, z, m: int) -> np.ndarray:

@@ -17,8 +17,9 @@ from toda_darboux.banded import (
     random_hessenberg,
     residual,
     to_json_dict,
-    truncate,
 )
+
+from oracles import truncate
 
 
 def dense_product(A, B):

@@ -22,6 +22,8 @@ from toda_darboux.darboux import (
 )
 from toda_darboux.lattice import evolve_kdv, evolve_toda
 
+from oracles import gamma_table_from_json
+
 
 def run_json(argv, capsys):
     code = main(argv)
@@ -61,7 +63,7 @@ def test_factorize_cross_construction_is_relative_to_the_largest_gamma(capsys):
     # exceed the default 1e-5 although the tables agree to 7e-10 of their scale
     code, payload = run_json(["factorize", "--p", "3", "--n", "1024", "--seed", "1"], capsys)
     assert code == 0
-    table = GammaTable.from_json_dict(payload["table"])
+    table = gamma_table_from_json(payload["table"])
     cross = factors_to_table(DarbouxFactors.from_json_dict(payload["factors"]))
     gap = np.abs(cross.values - table.values).max()
     assert gap > 1e-5
@@ -142,9 +144,10 @@ def test_transform_nan_factor_entry_fails(tmp_path, capsys):
     fpath.write_text(json.dumps(payload))
     code = main(["transform", "--factors", str(fpath), "--i", "1"])
     assert code == 1
-    # the NaN residual cannot be written as JSON, so the run reports that instead
+    # the decoder refuses the NaN before any arithmetic, naming where it sits
     out = json.loads(capsys.readouterr().out, parse_constant=reject_constant)
-    assert out["error"] == "ValueError"
+    assert out["error"] == "ShapeError"
+    assert out["message"].startswith("band 1 entry 3: ")
 
 
 def test_transform_index_out_of_range(capsys):
@@ -180,15 +183,20 @@ def test_corrupt_factors_file(tmp_path, capsys):
     (lambda f: f["U"]["bands"]["0"].__setitem__(2, ["1.5", True]), "ShapeError"),
     (lambda f: f.update(C=[10 ** 400, 0]), "ValueError"),
     (lambda f: f["U"]["bands"]["0"].__setitem__(2, [0, -10 ** 400]), "ShapeError"),
+    (lambda f: f.update(C=[1e400, 0]), "ValueError"),
+    (lambda f: f["U"]["bands"]["0"].__setitem__(2, [0, -1e400]), "ShapeError"),
 ], ids=["factors-not-a-list", "bands-a-list", "U-null", "U-entry-string-and-bool",
-        "C-beyond-double-range", "U-entry-beyond-double-range"])
+        "C-beyond-double-range", "U-entry-beyond-double-range",
+        "C-float-beyond-double-range", "U-entry-float-beyond-double-range"])
 def test_malformed_factor_payloads_produce_error_json(corrupt, error, tmp_path, capsys):
     fpath = tmp_path / "factors.json"
     assert main(["factorize", "--p", "2", "--n", "6", "--out", str(fpath)]) == 0
     capsys.readouterr()
     payload = json.loads(fpath.read_text())
     corrupt(payload["factors"])
-    fpath.write_text(json.dumps(payload))
+    # json writes an infinite float as Infinity; a file may spell it as the
+    # number 1e400, which json reads back as inf
+    fpath.write_text(json.dumps(payload).replace("Infinity", "1e400"))
     code, out = run_json(["transform", "--factors", str(fpath), "--i", "1"], capsys)
     assert code == 1
     assert set(out) == {"error", "message"} and out["error"] == error

@@ -38,6 +38,8 @@ from toda_darboux.darboux import (
 )
 from toda_darboux.lu import lu_factorize
 
+from oracles import gamma_table_from_json
+
 
 def brute_indices(j, k, p):
     lo, hi = j + k + 1, j + p + 1
@@ -458,22 +460,25 @@ def test_gamma_table_reads_and_bounds():
 
 def test_gamma_table_json_round_trip():
     t = GammaTable(2, 3, np.arange(1.0, 10.0) + 0.5j)
-    again = GammaTable.from_json_dict(t.to_json_dict())
+    again = gamma_table_from_json(t.to_json_dict())
     assert again.p == 2 and again.columns == 3
     assert np.array_equal(again.values, t.values)
 
 
-@pytest.mark.parametrize("bad", [[None, 1], ["1", 0], [True, 0], [1], [1, 2, 3], 5, {"re": 1}],
-                         ids=["null", "string", "bool", "short", "long", "scalar", "object"])
+@pytest.mark.parametrize("bad", [[None, 1], ["1", 0], [True, 0], [1], [1, 2, 3], 5, {"re": 1},
+                                 json.loads("[1e400, 0]"), json.loads("[0, NaN]"),
+                                 json.loads("[-Infinity, 1]")],
+                         ids=["null", "string", "bool", "short", "long", "scalar", "object",
+                              "beyond-double-range", "nan", "infinity"])
 def test_decoders_reject_a_pair_that_is_not_two_numbers(bad):
     with pytest.raises(ValueError):
-        GammaTable.from_json_dict({"p": 1, "columns": 1, "gamma": [bad, [1, 1]]})
+        gamma_table_from_json({"p": 1, "columns": 1, "gamma": [bad, [1, 1]]})
     with pytest.raises(ShapeError, match="band 0 entry 1"):
         from_json_dict({"p": 0, "n": 2, "bands": {"0": [[1, 1], bad]}})
 
 
 def test_decoders_accept_integer_and_float_pairs():
-    t = GammaTable.from_json_dict({"p": 1, "columns": 1, "gamma": [[1, 0], [0.5, -2]]})
+    t = gamma_table_from_json({"p": 1, "columns": 1, "gamma": [[1, 0], [0.5, -2]]})
     assert np.array_equal(t.values, np.array([1, 0.5 - 2j]))
     m = from_json_dict({"p": 0, "n": 1, "bands": {"0": [[2, 0.25]]}})
     assert m.entry(0, 0) == 2 + 0.25j

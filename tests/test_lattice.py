@@ -127,6 +127,11 @@ def test_kdv_rhs_window_sums_p2():
         assert abs(der[n] - vals[n] * (up - dn)) <= 1e-14
 
 
+def built_rhs(kernel, y, p):
+    """The kernel's rhs built for y's shape and dtype, called once on a fresh output."""
+    return kernel(y.shape, y.dtype, p)(y, np.empty_like(y))
+
+
 def kdv_table(p, size, mode, seed):
     rng = np.random.default_rng(seed)
     g = rng.uniform(0.5, 1.5, size)
@@ -148,7 +153,7 @@ def test_kdv_rhs_equals_scalar_window_sums_at_both_ends(p, mode):
              for n in range(size)]
     # the last product is numpy's, whose complex multiply Python's need not match
     want = g * np.array(diffs, dtype=g.dtype)
-    got = lattice._kdv_rhs(g, p)
+    got = built_rhs(lattice._kdv_kernel, g, p)
     # size >= 2p, so the first p entries read the boundary and the last p the truncation
     assert got.dtype == g.dtype
     assert got.tobytes() == want.tobytes()
@@ -158,9 +163,9 @@ def test_kdv_rhs_equals_scalar_window_sums_at_both_ends(p, mode):
 def test_kdv_rhs_of_a_block_equals_its_rows(mode):
     p, size = 3, 40
     block = np.stack([kdv_table(p, size, mode, seed=s) for s in range(5)])
-    got = lattice._kdv_rhs(block, p)
+    got = built_rhs(lattice._kdv_kernel, block, p)
     for row, want in zip(got, block):
-        assert row.tobytes() == lattice._kdv_rhs(want, p).tobytes()
+        assert row.tobytes() == built_rhs(lattice._kdv_kernel, want, p).tobytes()
 
 
 def test_kdv_rhs_round_off_does_not_grow_with_table_length():
@@ -171,7 +176,7 @@ def test_kdv_rhs_round_off_does_not_grow_with_table_length():
     up = sum(ref[p + i : p + i + size] for i in range(1, p + 1))
     down = sum(ref[p - i : p - i + size] for i in range(1, p + 1))
     want = ref[p : p + size] * (up - down)
-    err = np.abs(lattice._kdv_rhs(g, p) - want).max()
+    err = np.abs(built_rhs(lattice._kdv_kernel, g, p) - want).max()
     assert err <= 4 * np.finfo(float).eps * np.abs(want).max()
 
 
@@ -189,6 +194,26 @@ def test_built_kdv_rhs_allocates_no_array_per_call():
     finally:
         tracemalloc.stop()
     # a single temporary of the table is 32 KB
+    assert peak < 4096
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_built_toda_rhs_allocates_no_array_per_call(dtype):
+    p, n = 3, 1024
+    mode = "real" if dtype is np.float64 else "complex"
+    B = np.stack(graded_scale(random_hessenberg(p, n, seed=2, mode=mode), 0.4).bands)
+    B = np.ascontiguousarray(B.real if mode == "real" else B)
+    out = np.empty_like(B)
+    rhs = lattice._toda_kernel(B.shape, B.dtype, p)
+    rhs(B, out)
+    tracemalloc.start()
+    try:
+        for _ in range(100):
+            rhs(B, out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # numpy's ufunc buffers alone took 66 KB per call before the flat-offset kernel
     assert peak < 4096
 
 
@@ -380,14 +405,38 @@ def test_array_flows_equal_per_state_route_bit_for_bit(p, mode, monkeypatch):
     toda_want = [per_state_verify_toda(toda_states, dt, w) for w in windows]
     kdv_want = per_state_verify_kdv(kdv_states, dt)
     # the default block holds all 29 interior samples; one byte makes every
-    # sample its own block
-    for block in (lattice._BLOCK_BYTES, 1):
-        monkeypatch.setattr(lattice, "_BLOCK_BYTES", block)
+    # sample its own block; three samples leave a last block of two
+    default = lattice._BLOCK_BYTES
+    for block in (lambda traj: default, lambda traj: 1, lambda traj: 3 * traj.data[0].nbytes):
+        monkeypatch.setattr(lattice, "_BLOCK_BYTES", block(toda))
         for w, want in zip(windows, toda_want):
             rep = verify_toda(toda, 1.0, w)
             assert (rep.max_residual, rep.argmax) == want
+        monkeypatch.setattr(lattice, "_BLOCK_BYTES", block(kdv))
         rep = verify_kdv(kdv, 1.0)
         assert (rep.max_residual, rep.argmax) == kdv_want
+
+
+def test_verifier_sweep_builds_at_most_two_kernels(monkeypatch):
+    J = graded_scale(random_hessenberg(2, 16, seed=6), 0.4)
+    _, table = darboux_factorization(J, 0.1, rng=np.random.default_rng(6))
+    toda, kdv = evolve_toda(J, dt=1e-3, steps=100), evolve_kdv(table, dt=1e-3, steps=100)
+    built = []
+
+    def counting(kernel):
+        def build(shape, dtype, p):
+            built.append(shape)
+            return kernel(shape, dtype, p)
+        return build
+
+    monkeypatch.setattr(lattice, "_toda_kernel", counting(lattice._toda_kernel))
+    monkeypatch.setattr(lattice, "_kdv_kernel", counting(lattice._kdv_kernel))
+    for traj, verify in ((toda, verify_toda), (kdv, verify_kdv)):
+        # 99 interior samples in blocks of 8: twelve full blocks and a last one of 3
+        monkeypatch.setattr(lattice, "_BLOCK_BYTES", 8 * traj.data[0].nbytes)
+        built.clear()
+        verify(traj, 1.0)
+        assert sorted(built) == [(3, *traj.data.shape[1:]), (8, *traj.data.shape[1:])]
 
 
 def test_array_flows_blow_up_at_the_per_state_time():
@@ -730,6 +779,24 @@ def test_commuting_diagram_equals_per_state_scalar_route(p):
             rep.max_residual,
             rep.argmax,
         )
+
+
+def test_commuting_diagram_reports_do_not_depend_on_the_block_size(monkeypatch):
+    p = 2
+    J = graded_scale(random_hessenberg(p, 16, seed=120 + p), 0.15)
+    params = small_params(p, 220 + p, 0.15)
+
+    def reports():
+        out = theorem1_diagram(J, C=0.015, params=params, dt=1e-3, steps=20)
+        return {k: (r.max_residual, r.argmax, r.passed) for k, r in out.items()}
+
+    want = reports()
+    # one byte puts every sample in its own block; the other size holds three
+    # samples of a reassembled transform, complex (p + 1, 16), leaving a last
+    # block of one of the 19 interior samples
+    for block in (1, 3 * 16 * (p + 1) * 16):
+        monkeypatch.setattr(lattice, "_BLOCK_BYTES", block)
+        assert reports() == want
 
 
 def test_commuting_diagram_single_step_is_path_only():

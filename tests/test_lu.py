@@ -6,7 +6,7 @@ import pytest
 from toda_darboux.banded import BandedHessenberg, multiply, random_hessenberg, residual
 from toda_darboux.lu import SingularLeadingMinor, lu_factorize
 
-from oracles import char_poly, pivot_gammas
+from oracles import char_poly, pivot_gammas, truncate
 
 
 def doolittle(A):
@@ -85,7 +85,6 @@ def test_lu_commutes_with_truncation(m):
     J = random_hessenberg(2, 8, seed=5)
     C = 0.25
     L, U = lu_factorize(J, C)
-    from toda_darboux.banded import truncate
     Lm, Um = lu_factorize(truncate(J, m), C)
     assert np.array_equal(Lm.to_dense(), truncate(L, m).to_dense())
     assert np.array_equal(Um.to_dense(), truncate(U, m).to_dense())
