@@ -25,7 +25,10 @@ and complex128 otherwise, filled in place by RK4 on stage buffers allocated
 once and swept by the verifiers in blocks of samples; a NaN residual fails.
 Right-hand sides are kernels built per array shape that write into a
 caller's buffer: one per RK4 trajectory, and per verifier sweep one per
-block shape, with block buffers allocated once.
+block shape, with block buffers allocated once.  Every array that RK4, the
+kernels and the sweeps allocate starts on a 64-byte boundary: malloc aligns
+to 16 bytes only, and an array that starts inside a cache line splits wide
+vector loads and stores across two lines, which slows every pass over it.
 Truncation is handled by windows: the bottom rows of a finite Toda
 truncation and the top indices of a finite gamma table feel the missing
 neighbors immediately, so equations are only checked where the full
@@ -35,6 +38,7 @@ certified rows.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -60,6 +64,14 @@ __all__ = [
 
 # Verifiers sweep samples in blocks of about this many bytes of state.
 _BLOCK_BYTES = 1 << 20
+
+
+def _empty(shape: tuple, dtype, zero: bool = False) -> np.ndarray:
+    """Uninitialised (zeroed if zero) C-contiguous array starting on a 64-byte boundary."""
+    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+    raw = (np.zeros if zero else np.empty)(nbytes + 64, np.uint8)
+    start = -raw.ctypes.data % 64  # the first cache-line boundary in raw
+    return raw[start : start + nbytes].view(dtype).reshape(shape)
 
 
 class BlowUp(RuntimeError):
@@ -166,10 +178,10 @@ def _toda_kernel(shape: tuple, dtype, p: int):
     lead, n, size = shape[:-2], shape[-1], (p + 1) * shape[-1]
     # the diagonal goes to every row of wide at stride n + 1; read at stride n, row d
     # is shifted right by d, so shifted[..., d, i] is a_{i-d,i-d} for i >= d
-    wide = np.zeros((*lead, (p + 1) * (n + 1)), dtype)
+    wide = _empty((*lead, (p + 1) * (n + 1)), dtype, zero=True)
     rows = wide.reshape(*lead, p + 1, n + 1)[..., :n]
     shifted = wide[..., :size].reshape(shape)
-    tile = np.empty(shape, dtype)
+    tile = _empty(shape, dtype)
 
     def rhs(B, out):
         np.copyto(rows, B[..., :1, :])
@@ -186,18 +198,20 @@ def _toda_kernel(shape: tuple, dtype, p: int):
 
 def _kdv_kernel(shape: tuple, dtype, p: int):
     """rhs(g, out) writes the KdV derivative of flat gamma arrays g of shape (..., size) to out."""
-    size = shape[-1]
+    size, L = shape[-1], shape[-1] + p + 1
     # buf is p zeros, the table, p zeros: gamma_{n<=0} reads the boundary, gamma_{n>size}
     # the truncation.  win[k] = buf[k] + .. + buf[k+p-1], summed left to right, so every
-    # entry sums p terms and its round-off does not grow with the table's length.
-    buf = np.zeros((*shape[:-1], size + 2 * p), dtype)
-    win = np.empty((*shape[:-1], size + p + 1), dtype)
+    # entry sums p terms and its round-off does not grow with the table's length.  The
+    # window starts with the add of the first two terms; for p = 1 it is buf itself.
+    buf = _empty((*shape[:-1], size + 2 * p), dtype, zero=True)
+    win = buf if p == 1 else _empty((*shape[:-1], L), dtype)
 
     def rhs(g, out):
         buf[..., p : p + size] = g
-        np.copyto(win, buf[..., : size + p + 1])
-        for i in range(1, p):
-            np.add(win, buf[..., i : i + size + p + 1], out=win)
+        if p > 1:
+            np.add(buf[..., :L], buf[..., 1 : L + 1], out=win)
+        for i in range(2, p):
+            np.add(win, buf[..., i : i + L], out=win)
         # upper minus lower window, then g * out: complex multiply is not bitwise commutative
         np.subtract(win[..., p + 1 :], win[..., :size], out=out)
         return np.multiply(g, out, out=out)
@@ -244,12 +258,12 @@ def _rk4(y0: np.ndarray, kernel, dt: float, steps: int, p: int) -> Trajectory:
         raise ValueError("steps must be nonnegative")
     if not (y0.imag.any() or np.signbit(y0.imag).any()):
         y0 = y0.real
-    out = np.empty((steps + 1,) + y0.shape, dtype=y0.dtype)
+    out = _empty((steps + 1,) + y0.shape, y0.dtype)
     out[0] = y0
     rhs = kernel(y0.shape, y0.dtype, p)
     # s is a stage's argument, k its slope, acc sums k1 + 2 k2 + 2 k3 + k4; operands keep
     # the order of y + h * k and 2 * k, as complex multiply is not bitwise commutative
-    s, acc, k = (np.empty(y0.shape, y0.dtype) for _ in range(3))
+    s, acc, k = (_empty(y0.shape, y0.dtype) for _ in range(3))
     block = max(1, _BLOCK_BYTES // out[0].nbytes)
     with np.errstate(over="ignore", invalid="ignore"):
         for m0 in range(0, steps, block):
@@ -291,8 +305,8 @@ def evolve_kdv(table0: GammaTable, dt: float = 1e-3, steps: int = 100) -> Trajec
 # verification
 
 
-def _worst(residual, lo: int, hi: int, state_bytes: int):
-    """Worst residual over samples lo..hi-1 and its (entry, sample).
+def _worst(residual, lo: int, hi: int, block: int):
+    """Worst residual over samples lo..hi-1, swept in blocks of samples, and its (entry, sample).
 
     ``residual(m0, m1)`` gives samples m0..m1-1 of Toda band residuals
     (samples, p + 1, rows), whose d slots before band d's first row are
@@ -301,7 +315,6 @@ def _worst(residual, lo: int, hi: int, state_bytes: int):
     sample, then band and row, wins; a NaN is worse than any number.
     """
     worst, arg, outside = 0.0, ("", 0), None
-    block = max(1, _BLOCK_BYTES // state_bytes)
     for m0 in range(lo, hi, block):
         res = residual(m0, min(m0 + block, hi))
         if res.ndim == 3:
@@ -328,7 +341,7 @@ def _central(data: np.ndarray, dt: float, kernel, p: int, cap: int):
         raise InsufficientSamples(f"need at least 3 samples, have {len(data)}")
     count, shape = len(data) - 2, data.shape[1:]
     block = min(max(1, _BLOCK_BYTES // data[0].nbytes), count)
-    diff, slope, res = (np.empty((block, *shape), t) for t in (data.dtype, data.dtype, float))
+    diff, slope, res = (_empty((block, *shape), t) for t in (data.dtype, data.dtype, float))
     rhs = {k: kernel((k, *shape), data.dtype, p) for k in {block, count % block or block}}
 
     def residual(m0, m1):
@@ -339,7 +352,7 @@ def _central(data: np.ndarray, dt: float, kernel, p: int, cap: int):
         rhs[k](data[m0:m1], s)
         return np.abs(np.subtract(d, s, out=d), out=res[:k])[..., :cap]
 
-    return _worst(residual, 1, len(data) - 1, data[0].nbytes)
+    return _worst(residual, 1, len(data) - 1, block)
 
 
 def verify_toda(traj: Trajectory, tol: float, window: ValidWindow = None) -> ResidualReport:
@@ -478,11 +491,15 @@ def theorem1_diagram(
     direct = evolve_toda(J0, C, dt, steps).data
     traj_table = evolve_kdv(table0, dt, steps)
     recon = [_transform_bands(traj_table.data, p, j, rows, C) for j in range(p + 1)]
+    block = min(max(1, _BLOCK_BYTES // direct[0].nbytes), len(direct))
+    diff, res = (_empty((block, p + 1, w_path), t) for t in (complex, float))
 
     def path_residual(m0, m1):
-        return np.abs(direct[m0:m1, :, :w_path] - recon[0][m0:m1, :, :w_path])
+        k = m1 - m0
+        np.subtract(direct[m0:m1, :, :w_path], recon[0][m0:m1, :, :w_path], out=diff[:k])
+        return np.abs(diff[:k], out=res[:k])
 
-    worst, arg = _worst(path_residual, 0, len(direct), direct[0].nbytes)
+    worst, arg = _worst(path_residual, 0, len(direct), block)
     reports = {"path": _report("path agreement", worst, arg, tol_path)}
 
     if len(traj_table) >= 3:

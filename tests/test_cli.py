@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +24,8 @@ from toda_darboux.darboux import (
 from toda_darboux.lattice import evolve_kdv, evolve_toda
 
 from oracles import gamma_table_from_json
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_json(argv, capsys):
@@ -341,7 +344,8 @@ def test_output_deterministic_modulo_timestamp(capsys):
 
 
 def test_logging_env_routes_to_stderr():
-    env = dict(os.environ, TODA_DARBOUX_LOG="INFO")
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, TODA_DARBOUX_LOG="INFO", PYTHONPATH=path)
     proc = subprocess.run(
         [sys.executable, "-m", "toda_darboux.cli", "factorize", "--p", "1", "--seed", "1"],
         capture_output=True, text=True, env=env,

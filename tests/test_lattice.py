@@ -180,9 +180,14 @@ def test_kdv_rhs_round_off_does_not_grow_with_table_length():
     assert err <= 4 * np.finfo(float).eps * np.abs(want).max()
 
 
-def test_built_kdv_rhs_allocates_no_array_per_call():
-    p, size = 3, 4 * 1023
-    g = np.random.default_rng(2).uniform(0.05, 0.15, size)
+@pytest.mark.parametrize("p", [1, 3])
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_built_kdv_rhs_allocates_no_array_per_call(dtype, p):
+    size = 4 * 1023
+    rng = np.random.default_rng(2)
+    g = rng.uniform(0.05, 0.15, size)
+    if dtype is np.complex128:
+        g = g + 1j * rng.uniform(-0.05, 0.05, size)
     out = np.empty_like(g)
     rhs = lattice._kdv_kernel(g.shape, g.dtype, p)
     rhs(g, out)
@@ -215,6 +220,49 @@ def test_built_toda_rhs_allocates_no_array_per_call(dtype):
         tracemalloc.stop()
     # numpy's ufunc buffers alone took 66 KB per call before the flat-offset kernel
     assert peak < 4096
+
+
+def closure_arrays(rhs):
+    return [c.cell_contents for c in rhs.__closure__ if isinstance(c.cell_contents, np.ndarray)]
+
+
+@pytest.mark.parametrize("mode", ["real", "complex"])
+def test_lattice_buffers_start_on_a_cache_line(mode, monkeypatch):
+    J = graded_scale(random_hessenberg(3, 38, seed=4, mode=mode), 0.3)
+    _, table = darboux_factorization(J, 0.05, rng=np.random.default_rng(4))
+    # an odd column count, so a KdV sample is not a whole number of cache lines
+    assert table.columns % 2 == 1
+    table = GammaTable(3, table.columns, kdv_table(3, table.values.size, mode, seed=4))
+    toda, kdv = evolve_toda(J, dt=1e-3, steps=40), evolve_kdv(table, dt=1e-3, steps=40)
+    dtype = np.float64 if mode == "real" else np.complex128
+    for traj in (toda, kdv):
+        assert traj.data.dtype == dtype
+        assert traj.data.flags.c_contiguous and traj.data.ctypes.data % 64 == 0
+    for kernel, traj in ((lattice._toda_kernel, toda), (lattice._kdv_kernel, kdv)):
+        for shape in (traj.data.shape[1:], (32, *traj.data.shape[1:])):
+            arrays = closure_arrays(kernel(shape, dtype, 3))
+            assert arrays and all(a.ctypes.data % 64 == 0 for a in arrays)
+    made, empty = [], lattice._empty
+
+    def recording(shape, dtype, zero=False):
+        made.append(empty(shape, dtype, zero))
+        return made[-1]
+
+    monkeypatch.setattr(lattice, "_empty", recording)
+    for verify, traj in ((verify_toda, toda), (verify_kdv, kdv)):
+        made.clear()
+        verify(traj, 1.0)
+        # diff, slope and res for the 39 interior samples, then the kernel's own buffers
+        assert [(a.dtype, a.shape) for a in made[:3]] == [
+            (t, (39, *traj.data.shape[1:])) for t in (dtype, dtype, np.float64)]
+        assert all(a.ctypes.data % 64 == 0 for a in made)
+    made.clear()
+    theorem1_diagram(J, 0.05, rng=np.random.default_rng(4), steps=4)
+    # the path check's complex difference and float64 residual, on rows above the p + 2 margin
+    shapes = [(a.dtype, a.shape) for a in made]
+    window = (5, 4, table.columns - 5)
+    assert (np.complex128, window) in shapes and (np.float64, window) in shapes
+    assert all(a.ctypes.data % 64 == 0 for a in made)
 
 
 # ---------------------------------------------------------------------------
