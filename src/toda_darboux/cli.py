@@ -33,6 +33,7 @@ from .darboux import (
     assemble_transform,
     darboux_factorization,
     factors_to_table,
+    table_fill,
 )
 from .lattice import (
     BlowUp,
@@ -131,16 +132,14 @@ def cmd_factorize(cfg: RunConfig, args) -> int:
     log.info("factorized p=%d n=%d into %d lower factors", cfg.p, cfg.n, len(factors.factors))
     product, window = assemble_transform(factors, 0)
     rt = residual(product, J, window)
-    cross = factors_to_table(factors)
-    # relative to the largest gamma read off the factors, as the fill's error grows with it
-    uniq = float(np.abs(cross.values - table.values).max() / np.abs(cross.values).max())
+    # relative to the largest read-off gamma, as the fill's error grows with it
+    fill = table_fill(factors.U.band(0), factors.parameters(), J, cfg.C)
+    uniq = float(np.abs(fill.values - table.values).max() / np.abs(table.values).max())
     reports = [
         _report("factorization round trip", rt, ("product vs J", 0), cfg.tol_verify),
         _report("table cross-construction", uniq, ("gamma table", 0), cfg.tol_verify),
     ]
-    rows = [
-        [[v.real, v.imag] for v in table.row(r)] for r in range(cfg.p + 1)
-    ]
+    rows = [[[v.real, v.imag] for v in table.row(r)] for r in range(cfg.p + 1)]
     payload = {
         "config": cfg.as_dict(),
         "factors": factors.to_json_dict(),
@@ -158,9 +157,9 @@ def cmd_transform(cfg: RunConfig, args) -> int:
         if isinstance(data, dict) and isinstance(data.get("factors"), dict):
             data = data["factors"]
         factors = DarbouxFactors.from_json_dict(data)
-        table = factors_to_table(factors)
     else:
-        _, factors, table = _factorize(cfg)
+        factors = _factorize(cfg)[1]
+    table = factors_to_table(factors)
     i = args.i
     Ji, window = assemble_transform(factors, i)
     wcmp = min(window.rows, table.columns)

@@ -27,8 +27,8 @@ machinery here makes that parameter count concrete:
   minors of ``hyperplane_determinant`` bound the same set, as an oracle.
 * ``table_fill`` recovers the whole gamma table from the pivots, the
   free parameters and the matrix entries alone, one anti-diagonal at a
-  time, without forming any factor.  Together with the peeling route
-  this pins down the factorization uniquely for fixed parameters.
+  time, without forming any factor.  That it matches the table read off
+  the factors (``factors_to_table``) pins the factorization down.
 * ``assemble_transform`` builds the transformed matrices
 
       J^(i) = C I + L^(i+1) ... L^(p) U L^(1) ... L^(i),
@@ -291,8 +291,6 @@ def enumerate_indices_tilde(k: int, p: int) -> list:
     (p+1, ..., p+1): the last coordinate must stay below p + 1.  This is
     the index set of the known side of the table fill recurrence.
     """
-    if not -1 <= k <= p - 2:
-        raise ValueError(f"fill step k={k} outside -1..{p - 2}")
     return [t for t in enumerate_indices(0, k + 2, p) if t[-1] != p + 1]
 
 
@@ -338,6 +336,12 @@ def _peel_margin(T: Banded, D: Banded, A: Banded) -> float:
     return worst if worst > 0 else 0.0
 
 
+def _median_modulus(values) -> float:
+    # by sorting, as np.median loads numpy.ma (about 1 MB) on first use; 1.0 for zeros
+    mod = np.sort(np.abs(values))
+    return float(mod[(len(mod) - 1) // 2] + mod[len(mod) // 2]) / 2 or 1.0
+
+
 def sample_parameters(T: Banded, rng, tol: float = 1e-9, max_retries: int = 64) -> tuple:
     """Draw stage parameters, peel each draw, and return the best split (D, A).
 
@@ -354,9 +358,7 @@ def sample_parameters(T: Banded, rng, tol: float = 1e-9, max_retries: int = 64) 
     """
     d, real = T.p - 1, not T.data.imag.any()
     rng = np.random.default_rng(rng)
-    # the median by sorting: np.median loads numpy.ma, about 1 MB, on first use
-    sub = np.sort(np.abs(T.band(1)[1:]))
-    scale = float(sub[(len(sub) - 1) // 2] + sub[len(sub) // 2]) / 2 or 1.0
+    scale = _median_modulus(T.band(1)[1:])
     best, split = 0.0, None
     for k in range(max_retries):
         if k >= 4 and best > tol:
@@ -463,14 +465,12 @@ def darboux_factorization(J: Banded, C=0.0, params=None, rng=None):
 
     LU first, then the bidiagonal splitting of the L factor, with
     parameters drawn by ``sample_parameters`` in the field of each stage
-    matrix unless ``params`` are given; the gamma table is rebuilt from
-    pivots, parameters and matrix entries through the fill recurrence,
-    which is the reference route for gamma values.
+    matrix unless ``params`` are given; the gamma table is read off the
+    factors (``factors_to_table``).
     """
     L, U = lu_factorize(J, C)
     factors = DarbouxFactors(U, darboux_factorize(L, params, rng), complex(C))
-    table = table_fill(np.asarray(U.band(0)), factors.parameters(), J, C)
-    return factors, table
+    return factors, factors_to_table(factors)
 
 
 def factors_to_table(factors: DarbouxFactors) -> GammaTable:
@@ -502,8 +502,8 @@ def table_fill(u_diag, params: ParameterSet, J: Banded, C=0.0) -> GammaTable:
     of the same anti-diagonal, after subtracting the gamma products over
     the truncated index set.  Everything the recurrence reads has been
     determined by earlier steps; reading an unset entry is an internal
-    error, not a breakdown.  A running product below 1e-12 in modulus
-    raises TableBreakdown.
+    error, not a breakdown.  A product of k + 2 gammas below 1e-12 m^(k+2),
+    m the median modulus of pivots and parameters, raises TableBreakdown.
 
     The shift enters only through a consistency guard: the first pivot
     must be a_{0,0} - C, which is the corner case of the pivot identity.
@@ -542,6 +542,7 @@ def table_fill(u_diag, params: ParameterSet, J: Banded, C=0.0) -> GammaTable:
         for i in range(1, p - s):
             put((i - 1) * (p + 1) + s + 2, params.alphas[s][i - 1])
 
+    scale = _median_modulus(np.concatenate((u, *params.alphas)))
     tilde = {k: enumerate_indices_tilde(k, p) for k in range(-1, p - 1)}
     bands = J.bands
     for i in range(1, columns + 1):
@@ -552,7 +553,7 @@ def table_fill(u_diag, params: ParameterSet, J: Banded, C=0.0) -> GammaTable:
                 break
             if k > -1:
                 delta = delta * get((k + i) * p + i)
-            if abs(delta) < 1e-12:
+            if abs(delta) < 1e-12 * scale ** (k + 2):
                 raise TableBreakdown(i, k, abs(delta))
             total = 0j
             for t in tilde[k]:

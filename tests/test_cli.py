@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from toda_darboux import cli
+from toda_darboux import cli, darboux
 from toda_darboux.banded import graded_scale, random_hessenberg
 from toda_darboux.cli import main
 from toda_darboux.darboux import (
@@ -20,6 +20,7 @@ from toda_darboux.darboux import (
     backlund_entry,
     darboux_factorization,
     factors_to_table,
+    table_fill,
 )
 from toda_darboux.lattice import evolve_kdv, evolve_toda
 
@@ -66,13 +67,54 @@ def test_factorize_cross_construction_is_relative_to_the_largest_gamma(capsys):
     # exceed the default 1e-5 although the tables agree to 7e-10 of their scale
     code, payload = run_json(["factorize", "--p", "3", "--n", "1024", "--seed", "1"], capsys)
     assert code == 0
+    factors = DarbouxFactors.from_json_dict(payload["factors"])
     table = gamma_table_from_json(payload["table"])
-    cross = factors_to_table(DarbouxFactors.from_json_dict(payload["factors"]))
-    gap = np.abs(cross.values - table.values).max()
+    assert np.array_equal(table.values, factors_to_table(factors).values)
+    J = random_hessenberg(3, 1024, seed=1)
+    fill = table_fill(factors.U.band(0), factors.parameters(), J, 0.0)
+    gap = np.abs(fill.values - table.values).max()
     assert gap > 1e-5
     (report,) = [r for r in payload["reports"] if r["label"] == "table cross-construction"]
-    assert report["max_residual"] == gap / np.abs(cross.values).max() <= 1e-9
+    assert report["max_residual"] == gap / np.abs(table.values).max() <= 1e-9
     assert report["passed"]
+
+
+@pytest.mark.parametrize("command", ["factorize", "verify"])
+def test_tiny_graded_scale_passes_every_report(command, capsys):
+    # at scale 0.001 an absolute 1e-12 guard on the fill's running products
+    # raised TableBreakdown (anti-diagonal 3, step 2, product 9.8e-13)
+    argv = [command, "--p", "4", "--n", "32", "--scale", "0.001", "--seed", "1"]
+    code, payload = run_json(argv, capsys)
+    assert code == 0
+    reports = payload["reports"]
+    assert all(r["passed"] for r in (reports.values() if command == "verify" else reports))
+
+
+def test_only_factorize_runs_the_table_fill(tmp_path, monkeypatch, capsys):
+    calls = []
+    original = darboux.table_fill
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    # every module that binds the fill
+    monkeypatch.setattr(darboux, "table_fill", counted)
+    monkeypatch.setattr(cli, "table_fill", counted)
+    saved, csv_out = str(tmp_path / "factors.json"), str(tmp_path / "traj.csv")
+    runs = [
+        (["factorize", "--p", "3", "--n", "12", "--out", saved], 1),
+        (["transform", "--p", "3", "--n", "12", "--i", "1"], 0),
+        (["transform", "--factors", saved, "--i", "1"], 0),
+        (["verify"], 0),
+        (["evolve", "--lattice", "toda", "--p", "3", "--n", "12", "--out", csv_out], 0),
+        (["evolve", "--lattice", "kdv", "--p", "3", "--n", "12", "--out", csv_out], 0),
+    ]
+    for argv, expected in runs:
+        calls.clear()
+        assert main(argv) == 0, argv
+        assert len(calls) == expected, argv
+    capsys.readouterr()
 
 
 def test_factorize_writes_file(tmp_path, capsys):

@@ -414,7 +414,9 @@ def test_table_fill_agrees_with_peeled_factors(p, mode):
         C = 0.3 - 0.2j if mode == "complex" else 0.25
         factors, table = darboux_factorization(J, C, rng=np.random.default_rng(seed))
         direct = factors_to_table(factors)
-        assert np.abs(direct.values - table.values).max() <= 1e-9
+        assert np.array_equal(table.values, direct.values)
+        fill = table_fill(factors.U.band(0), factors.parameters(), J, C)
+        assert np.abs(direct.values - fill.values).max() <= 1e-9
 
 
 def test_classical_tridiagonal_relation():
@@ -445,6 +447,19 @@ def test_table_fill_breakdown_on_zero_delta():
     with pytest.raises(TableBreakdown) as err:
         table_fill(u, params, J, C)
     assert err.value.i == 1
+
+
+@pytest.mark.parametrize("s", [1e-3, 1e-5, 1e3])
+def test_table_fill_breakdown_is_invariant_under_grading(s):
+    # grading by s scales every gamma by s and a product of k + 2 of them by
+    # s^(k+2); an absolute 1e-12 guard broke down at s = 1e-3 on this instance
+    J = random_hessenberg(4, 32, seed=1)
+    factors, _ = darboux_factorization(J, 0.0, rng=np.random.default_rng(1))
+    u, params = factors.U.band(0), factors.parameters()
+    fill = table_fill(u, params, J)
+    graded = ParameterSet(tuple(s * row for row in params.alphas))
+    got = table_fill(s * u, graded, graded_scale(J, s))
+    assert np.abs(got.values - s * fill.values).max() <= 1e-9 * s * np.abs(fill.values).max()
 
 
 def test_gamma_table_reads_and_bounds():
