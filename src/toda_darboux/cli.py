@@ -130,21 +130,19 @@ def _factorize(cfg: RunConfig):
 def cmd_factorize(cfg: RunConfig, args) -> int:
     J, factors, table = _factorize(cfg)
     log.info("factorized p=%d n=%d into %d lower factors", cfg.p, cfg.n, len(factors.factors))
+    # relative to max|J| (at least 1) and to the largest gamma, as the fill's error grows with it
     product, window = assemble_transform(factors, 0)
-    rt = residual(product, J, window)
-    # relative to the largest read-off gamma, as the fill's error grows with it
+    rt = residual(product, J, window) / np.abs(J.data).max()
     fill = table_fill(factors.U.band(0), factors.parameters(), J, cfg.C)
     uniq = float(np.abs(fill.values - table.values).max() / np.abs(table.values).max())
     reports = [
         _report("factorization round trip", rt, ("product vs J", 0), cfg.tol_verify),
         _report("table cross-construction", uniq, ("gamma table", 0), cfg.tol_verify),
     ]
-    rows = [[[v.real, v.imag] for v in table.row(r)] for r in range(cfg.p + 1)]
     payload = {
         "config": cfg.as_dict(),
         "factors": factors.to_json_dict(),
         "table": table.to_json_dict(),
-        "gamma_rows": rows,
         "reports": [asdict(r) for r in reports],
     }
     return _emit(payload, cfg, reports)
@@ -164,10 +162,11 @@ def cmd_transform(cfg: RunConfig, args) -> int:
     Ji, window = assemble_transform(factors, i)
     wcmp = min(window.rows, table.columns)
     closed = reconstruct_transform(table, i, factors.C, rows=wcmp)
-    # hypot is Python's abs(complex) bit for bit, where np.abs may round
-    # differently; max propagates NaN, so a NaN entry fails
+    # relative to max|J^(i)|; hypot is Python's abs(complex) bit for bit, where
+    # np.abs may round differently; max propagates NaN, so a NaN entry fails
     diff = np.stack(Ji.bands)[:, :wcmp] - np.stack(closed.bands)
-    worst = float(np.max(np.hypot(diff.real, diff.imag), initial=0.0))
+    scale = np.max(np.hypot(Ji.data.real, Ji.data.imag))
+    worst = float(np.max(np.hypot(diff.real, diff.imag), initial=0.0) / scale)
     label = f"transform {i} product vs closed form"
     reports = [_report(label, worst, (f"rows 0..{wcmp - 1}", 0), cfg.tol_verify)]
     payload = {

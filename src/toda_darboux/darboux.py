@@ -49,7 +49,7 @@ import numpy as np
 
 from .banded import Banded, ShapeError, _from_pair, _pair, multiply_chain
 from .banded import from_json_dict as matrix_from_json, to_json_dict as matrix_json
-from .lu import lu_factorize
+from .lu import BREAKDOWN_RATIO, lu_factorize
 
 __all__ = [
     "DarbouxFactors",
@@ -85,13 +85,13 @@ class SamplingFailed(RuntimeError):
 
 
 class PeelBreakdown(ArithmeticError):
-    """Peeling divided by a vanishing deepest-band entry."""
+    """The peel denominator of ``row`` cancelled; ``ratio`` is its cancellation ratio."""
 
-    def __init__(self, row: int, magnitude: float = 0.0):
+    def __init__(self, row: int, ratio: float = 0.0):
         self.row = row
-        self.magnitude = magnitude
+        self.ratio = ratio
         super().__init__(
-            f"peel breaks down at row {row} (denominator magnitude {magnitude:.3e})"
+            f"peel breaks down at row {row} (denominator cancellation ratio {ratio:.3e})"
         )
 
 
@@ -297,6 +297,9 @@ def enumerate_indices_tilde(k: int, p: int) -> list:
 # ---------------------------------------------------------------------------
 # parameter sampling
 
+SAMPLE_MARGIN = 1e-9
+SAMPLE_RETRIES = 64
+
 
 def hyperplane_determinant(T: Banded, s: int, r: int, k: int) -> complex:
     """Minor R_k^(s,r) of the stage-s matrix, by dense elimination.
@@ -319,21 +322,19 @@ def hyperplane_determinant(T: Banded, s: int, r: int, k: int) -> complex:
     return complex(np.linalg.det(m))
 
 
-def _peel_margin(T: Banded, D: Banded, A: Banded) -> float:
-    """Smallest cancellation ratio of A's deepest band over rows q-1 ..
+def _peel_ratios(T: Banded, D: Banded, A: Banded) -> np.ndarray:
+    """Cancellation ratios of A's deepest band on rows q-1 .. n-1.
 
     Row i computes A_{q-1}[i] = T_{q-1}[i] - d_i A_{q-2}[i-1] (A_0 is the
     unit diagonal), and the ratio |A_{q-1}[i]| / (|T_{q-1}[i]| +
     |d_i A_{q-2}[i-1]|) lies in [0, 1]; it is 0 when the entry cancels
-    exactly, and such an entry is the next row's peel denominator.  The
-    ratio is invariant under graded scaling.
+    exactly, and such an entry is the peel denominator of row i + 1 (row n
+    lies past the truncation).  The ratios are invariant under graded scaling.
     """
     q = T.p
     num = np.abs(A.band(q - 1)[q - 1 :])
     den = np.abs(T.band(q - 1)[q - 1 :]) + np.abs(D.band(1)[q - 1 :] * A.band(q - 2)[q - 2 : -1])
-    ratio = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
-    worst = float(ratio.min(initial=1.0))
-    return worst if worst > 0 else 0.0
+    return np.divide(num, den, out=np.zeros_like(num), where=den > 0)
 
 
 def _median_modulus(values) -> float:
@@ -342,26 +343,26 @@ def _median_modulus(values) -> float:
     return float(mod[(len(mod) - 1) // 2] + mod[len(mod) // 2]) / 2 or 1.0
 
 
-def sample_parameters(T: Banded, rng, tol: float = 1e-9, max_retries: int = 64) -> tuple:
+def sample_parameters(T: Banded, rng) -> tuple:
     """Draw stage parameters, peel each draw, and return the best split (D, A).
 
     Each of the q - 1 parameters (q = subdiagonal count of T) gets
     modulus uniform in [1, 2] times the median modulus of T's first
     subdiagonal, and lies in the field of T: a random phase when some
     entry of T has a nonzero imaginary part, a random sign otherwise.
-    A draw is peeled without an absolute guard, and its margin is the
-    smallest row cancellation ratio of the peel (``_peel_margin``); a
-    draw whose peel divides by an exact zero has margin 0.  Of the first
-    four draws the one with the largest margin is kept, and it is
-    accepted when that margin exceeds ``tol``; further draws, up to
-    ``max_retries`` in all, are made only while no draw has cleared it.
+    A draw's margin is the smallest row cancellation ratio of its peel
+    (``_peel_ratios``); a draw whose peel divides by an exact zero has
+    margin 0.  Of the first four draws the one with the largest margin is
+    kept, and it is accepted when that margin exceeds SAMPLE_MARGIN;
+    further draws, up to SAMPLE_RETRIES in all, are made only while no
+    draw has cleared it.
     """
     d, real = T.p - 1, not T.data.imag.any()
     rng = np.random.default_rng(rng)
     scale = _median_modulus(T.band(1)[1:])
     best, split = 0.0, None
-    for k in range(max_retries):
-        if k >= 4 and best > tol:
+    for k in range(SAMPLE_RETRIES):
+        if k >= 4 and best > SAMPLE_MARGIN:
             break
         mod = scale * rng.uniform(1.0, 2.0, d)
         if real:
@@ -369,35 +370,31 @@ def sample_parameters(T: Banded, rng, tol: float = 1e-9, max_retries: int = 64) 
         else:
             alphas = mod * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, d))
         try:
-            D, A = peel(T, alphas, tol=0.0)
+            D, A = peel(T, alphas)
         except PeelBreakdown:
             continue
-        margin = _peel_margin(T, D, A)
+        # a NaN margin never beats best, which starts at 0
+        margin = float(_peel_ratios(T, D, A).min(initial=1.0))
         if margin > best:
             best, split = margin, (D, A)
-    if best > tol:
+    if best > SAMPLE_MARGIN:
         return split
-    raise SamplingFailed(max_retries, best)
+    raise SamplingFailed(SAMPLE_RETRIES, best)
 
 
 # ---------------------------------------------------------------------------
 # peeling
 
 
-def _band_scale(T: Banded) -> float:
-    # the free bands 1..q only, not the stored unit diagonal
-    return max(1.0, float(np.max(np.abs(T.data[T.hi + 1 :]))))
-
-
-def peel(T: Banded, alphas, tol: float = None):
+def peel(T: Banded, alphas):
     """Split T into D A with D lower bidiagonal and A one band narrower.
 
     The first q - 1 subdiagonal entries of D are the given parameters
     (q = subdiagonal count of T); from row q on, each entry of D is the
     ratio of T's deepest band to A's deepest band one row up, which
     forces the deepest band of A to vanish.  Rows of A follow by direct
-    subtraction, so D A = T holds exactly, at every truncation size, and
-    the whole split is deterministic in the parameters.
+    subtraction, so D A = T holds exactly at every truncation size.  Only
+    an exact zero denominator raises PeelBreakdown.
     """
     q = T.p
     if q < 2:
@@ -405,8 +402,6 @@ def peel(T: Banded, alphas, tol: float = None):
     alphas = np.asarray(alphas, dtype=np.complex128)
     if alphas.shape != (q - 1,):
         raise ValueError(f"stage needs {q - 1} parameters, got shape {alphas.shape}")
-    if tol is None:
-        tol = 1e-12 * _band_scale(T)
     n = T.n
     # lists of numpy scalars: the same scalar arithmetic as on arrays,
     # without the cost of array item access
@@ -419,8 +414,8 @@ def peel(T: Banded, alphas, tol: float = None):
             di = alphas[i - 1]
         else:
             denom = abands[q - 2][i - 1]
-            if abs(denom) <= tol:
-                raise PeelBreakdown(i, abs(denom))
+            if denom == 0:
+                raise PeelBreakdown(i)
             di = tbands[q][i] / denom
         d[i] = di
         # A[i, i - dd] = T[i, i - dd] - d_i A[i - 1, i - dd], with A's unit diagonal
@@ -433,9 +428,9 @@ def peel(T: Banded, alphas, tol: float = None):
 def darboux_factorize(L: Banded, params=None, rng=None) -> tuple:
     """Split a unit lower banded matrix into p lower bidiagonal factors.
 
-    Parameters come either from an explicit ParameterSet, peeled with
-    ``peel``'s default guard, or, when a seed or generator is passed
-    instead, from ``sample_parameters``, which returns its accepted split.
+    Parameters come from an explicit ParameterSet, whose stages raise
+    PeelBreakdown at a ``_peel_ratios`` ratio of BREAKDOWN_RATIO or less,
+    or, given a seed or generator instead, from ``sample_parameters``.
     Stage s peels L^(s+1) off the current matrix; what remains after
     p - 1 stages is L^(p) itself.  Returns the factors L^(1) .. L^(p);
     DarbouxFactors joins them with the U of the LU factorization.
@@ -452,7 +447,12 @@ def darboux_factorize(L: Banded, params=None, rng=None) -> tuple:
     current = L
     for s in range(p - 1):
         if params is not None:
-            d, current = peel(current, params.alphas[s])
+            d, A = peel(current, params.alphas[s])
+            ratio = _peel_ratios(current, d, A)
+            if not np.all(ratio > BREAKDOWN_RATIO):
+                k = int(ratio.argmin())  # a NaN ratio is the first argmin
+                raise PeelBreakdown(current.p + k, float(ratio[k]))
+            current = A
         else:
             d, current = sample_parameters(current, rng)
         factors.append(d)
@@ -515,7 +515,7 @@ def table_fill(u_diag, params: ParameterSet, J: Banded, C=0.0) -> GammaTable:
     columns = min(len(u), n - 1)
     if columns < max(p - 1, 1):
         raise ValueError(f"need at least {max(p - 1, 1)} columns, have {columns}")
-    guard = 1e-6 * max(1.0, abs(complex(J.band(0)[0])), abs(complex(C)))
+    guard = 1e-6 * (abs(complex(J.band(0)[0])) + abs(complex(C)))
     if abs(u[0] - (J.band(0)[0] - C)) > guard:
         raise ValueError("first pivot does not match a_00 - C; wrong shift or pivots")
 

@@ -20,8 +20,8 @@ one has P_k(z) = det(z I_k - J_k), and the k-th pivot of U at shift C is
 
 which is also the gamma value with index k (p + 1) + 1 in the bidiagonal
 factorization downstream.  The factorization exists exactly when no
-leading principal minor of J - C I is singular, and a pivot below the
-tolerance reports which minor failed.
+leading principal minor of J - C I is singular; a pivot at most
+BREAKDOWN_RATIO of the summed moduli of its terms reports which one.
 """
 
 from __future__ import annotations
@@ -34,6 +34,8 @@ __all__ = [
     "SingularLeadingMinor",
     "lu_factorize",
 ]
+
+BREAKDOWN_RATIO = 1e-12
 
 
 class SingularLeadingMinor(ArithmeticError):
@@ -54,10 +56,9 @@ def lu_factorize(J: Banded, C=0.0):
     One forward sweep over the rows: within row i the subdiagonal entries
     of L are filled left to right, each consuming the pivot of its column
     and the L entry one column to its left, and the pivot u_i closes the
-    row.  Raises SingularLeadingMinor(m) when pivot m falls below 1e-12
-    times max(1, |C|, the largest band modulus).
+    row.  Raises SingularLeadingMinor(m, |u_m|) when the pivot u_m = a_mm -
+    C - l_{m,m-1} has |u_m| <= BREAKDOWN_RATIO (|a_mm| + |C| + |l_{m,m-1}|).
     """
-    tol_pivot = 1e-12 * max(1.0, abs(C), *(float(np.max(np.abs(b))) for b in J.bands))
     n, p, bands = J.n, J.p, J.bands
     lbands = [np.zeros(n, dtype=np.complex128) for _ in range(p)]
     u = np.zeros(n, dtype=np.complex128)
@@ -71,7 +72,7 @@ def lu_factorize(J: Banded, C=0.0):
         for j in range(max(0, i - p), i):
             lbands[i - j - 1][i] = (bands[i - j][i] - lentry(i, j - 1)) / u[j]
         u[i] = bands[0][i] - C - lentry(i, i - 1)
-        if abs(u[i]) < tol_pivot:
+        if abs(u[i]) <= BREAKDOWN_RATIO * (abs(bands[0][i]) + abs(C) + abs(lentry(i, i - 1))):
             raise SingularLeadingMinor(i, abs(u[i]))
     return Banded(p, 0, np.vstack([np.ones(n), *lbands])), Banded(0, 1, np.vstack([np.ones(n), u]))
 

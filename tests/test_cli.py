@@ -1,6 +1,7 @@
 """Command line entry points, exit codes, and artifact formats."""
 
 import csv
+import inspect
 import json
 import os
 import subprocess
@@ -23,6 +24,7 @@ from toda_darboux.darboux import (
     table_fill,
 )
 from toda_darboux.lattice import evolve_kdv, evolve_toda
+from toda_darboux.lu import lu_factorize
 
 from oracles import gamma_table_from_json
 
@@ -55,8 +57,9 @@ def test_factorize_defaults_pass(capsys):
 def test_factorize_gamma_row_count(capsys):
     code, payload = run_json(["factorize", "--p", "2", "--n", "8", "--seed", "7"], capsys)
     assert code == 0
-    assert len(payload["gamma_rows"]) == 3  # p + 1 interlaced sequences
-    assert len(payload["gamma_rows"][0]) == payload["table"]["columns"]
+    table = payload["table"]
+    assert table["p"] == 2  # p + 1 interlaced sequences
+    assert len(table["gamma"]) == 3 * table["columns"]
     labels = {r["label"] for r in payload["reports"]}
     assert "factorization round trip" in labels
     assert "table cross-construction" in labels
@@ -79,15 +82,25 @@ def test_factorize_cross_construction_is_relative_to_the_largest_gamma(capsys):
     assert report["passed"]
 
 
-@pytest.mark.parametrize("command", ["factorize", "verify"])
-def test_tiny_graded_scale_passes_every_report(command, capsys):
-    # at scale 0.001 an absolute 1e-12 guard on the fill's running products
-    # raised TableBreakdown (anti-diagonal 3, step 2, product 9.8e-13)
-    argv = [command, "--p", "4", "--n", "32", "--scale", "0.001", "--seed", "1"]
-    code, payload = run_json(argv, capsys)
+@pytest.mark.parametrize("argv", [
+    # an absolute 1e-12 guard on the fill's running products raised
+    # TableBreakdown (anti-diagonal 3, step 2, product 9.8e-13)
+    ["factorize", "--p", "4", "--n", "32", "--scale", "0.001"],
+    ["verify", "--p", "4", "--n", "32", "--scale", "0.001"],
+    # a pivot guard of 1e-12 times the largest band modulus (the deepest,
+    # about 1e15) raised SingularLeadingMinor at minor 0 (pivot 1.5e3)
+    ["factorize", "--p", "4", "--n", "16", "--scale", "1000"],
+    # an absolute round trip read 7.3e-4 on bands reaching 2e12
+    ["factorize", "--p", "3", "--n", "16", "--scale", "1000"],
+    # absolute product-vs-closed-form residuals read 2e-3 to 8e-3
+    *(["transform", "--p", "4", "--n", "16", "--scale", "1000", "--i", str(i)] for i in range(5)),
+], ids=["factorize", "verify", "factorize-p4-1000", "factorize-p3-1000",
+        *(f"transform-{i}-1000" for i in range(5))])
+def test_tiny_graded_scale_passes_every_report(argv, capsys):
+    code, payload = run_json([*argv, "--seed", "1"], capsys)
     assert code == 0
     reports = payload["reports"]
-    assert all(r["passed"] for r in (reports.values() if command == "verify" else reports))
+    assert all(r["passed"] for r in (reports.values() if argv[0] == "verify" else reports))
 
 
 def test_only_factorize_runs_the_table_fill(tmp_path, monkeypatch, capsys):
@@ -176,8 +189,12 @@ def test_transform_residual_is_the_entrywise_scalar_maximum(tmp_path, capsys):
             for col in range(max(0, row - 3), row + 1):
                 closed = backlund_entry(table, i, col, row - col, factors.C)
                 worst = max(worst, abs(Ji.entry(row, col) - closed))
+        # the report is relative to the largest entry modulus of J^(i)
+        scale = max(abs(Ji.entry(row, col)) for row in range(Ji.n)
+                    for col in range(max(0, row - 3), min(Ji.n, row + 2)))
+        assert scale >= 1.0  # the unit superdiagonal
         assert code == 0
-        assert payload["reports"][0]["max_residual"] == worst
+        assert payload["reports"][0]["max_residual"] == worst / scale
 
 
 def test_transform_nan_factor_entry_fails(tmp_path, capsys):
@@ -273,6 +290,17 @@ def test_factorization_thresholds_are_not_options(flag, capsys):
         main(["factorize", flag, "1e-9"])
     assert err.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_factorization_thresholds_are_not_parameters():
+    # every breakdown guard is one scale-free ratio, so there is nothing to set
+    signatures = {fn: list(inspect.signature(fn).parameters)
+                  for fn in (lu_factorize, darboux.peel, darboux.sample_parameters)}
+    assert signatures == {
+        lu_factorize: ["J", "C"],
+        darboux.peel: ["T", "alphas"],
+        darboux.sample_parameters: ["T", "rng"],
+    }
 
 
 def test_evolve_csv_and_manifest(tmp_path, capsys):

@@ -17,6 +17,7 @@ from toda_darboux.banded import (
     random_hessenberg,
     residual,
 )
+from toda_darboux import darboux
 from toda_darboux.darboux import (
     DarbouxFactors,
     GammaTable,
@@ -195,7 +196,7 @@ def replay_draws(T, seed, count):
     for _ in range(count):
         alphas = scale * rng.uniform(1.0, 2.0, d) * (rng.integers(0, 2, d) * 2.0 - 1.0)
         try:
-            D, A = peel(T, alphas, tol=0.0)
+            D, A = peel(T, alphas)
         except PeelBreakdown:
             out.append((0.0, None, None))
             continue
@@ -206,8 +207,9 @@ def replay_draws(T, seed, count):
 def test_sample_parameters_deterministic_and_margin_certified():
     T = random_unit_lower(3, 10, seed=3)
     tol = 1e-9
-    D1, A1 = sample_parameters(T, np.random.default_rng(5), tol)
-    D2, A2 = sample_parameters(T, np.random.default_rng(5), tol)
+    assert darboux.SAMPLE_MARGIN == tol
+    D1, A1 = sample_parameters(T, np.random.default_rng(5))
+    D2, A2 = sample_parameters(T, np.random.default_rng(5))
     assert np.array_equal(D1.data, D2.data) and np.array_equal(A1.data, A2.data)
     assert A1.p == T.p - 1
     Td = T.to_dense()
@@ -241,11 +243,13 @@ def test_sampler_draws_real_parameters_for_a_real_stage(imag):
     assert not D.band(1)[1:3].imag.any()
 
 
-def test_sampling_failure_carries_retry_count_and_margin():
+def test_sampling_failure_carries_retry_count_and_margin(monkeypatch):
     # every cancellation ratio is at most 1, so a margin of 1 cannot be cleared
     T = random_unit_lower(2, 8, seed=5)
+    monkeypatch.setattr(darboux, "SAMPLE_MARGIN", 1.0)
+    monkeypatch.setattr(darboux, "SAMPLE_RETRIES", 9)
     with pytest.raises(SamplingFailed) as err:
-        sample_parameters(T, np.random.default_rng(7), tol=1.0, max_retries=9)
+        sample_parameters(T, np.random.default_rng(7))
     assert err.value.retries == 9
     best = max(m for m, _, _ in replay_draws(T, 7, 9))
     assert 0 < err.value.margin <= 1.0
@@ -460,6 +464,25 @@ def test_table_fill_breakdown_is_invariant_under_grading(s):
     graded = ParameterSet(tuple(s * row for row in params.alphas))
     got = table_fill(s * u, graded, graded_scale(J, s))
     assert np.abs(got.values - s * fill.values).max() <= 1e-9 * s * np.abs(fill.values).max()
+
+
+@pytest.mark.parametrize("s", [1e-13, 1e-5, 1e-4, 1e3])
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_factorization_routes_are_equivariant_under_grading(p, s):
+    # grading by s scales the pivots, the parameters and so every gamma by s,
+    # and leaves every cancellation ratio as it was; at p = 4 absolute guards
+    # broke the explicit route down at s = 1e-4 (row 5) and s = 1e-5 (row 4)
+    J = random_hessenberg(p, 24, seed=3)
+    Jg = graded_scale(J, s)
+    u, ug = lu_factorize(J, 0.0)[1].band(0), lu_factorize(Jg, 0.0)[1].band(0)
+    assert np.abs(ug - s * u).max() <= 1e-12 * s * np.abs(u).max()
+    factors, table = darboux_factorization(J, 0.0, rng=np.random.default_rng(3))
+    graded = ParameterSet(tuple(s * row for row in factors.parameters().alphas))
+    explicit = darboux_factorization(Jg, 0.0, params=graded)[1]
+    # the sampler's draws scale with the stage, so it keeps the same draws
+    sampled = darboux_factorization(Jg, 0.0, rng=np.random.default_rng(3))[1]
+    for got in (explicit, sampled):
+        assert np.abs(got.values - s * table.values).max() <= 1e-12 * s * np.abs(table.values).max()
 
 
 def test_gamma_table_reads_and_bounds():
