@@ -30,7 +30,7 @@ def main():
           np.array2string(factors.U.band(0).real, precision=4))
 
     prod, w = assemble_transform(factors, 0)
-    print(f"round trip |CI + L1...Lp U - J| inside {w.rows} rows:",
+    print(f"round trip |CI + L1...Lp U - J| inside {w} rows:",
           f"{residual(prod, J, w):.2e}")
 
     print(f"\ngamma table: {table.columns} columns, rows interlace as "
@@ -42,8 +42,8 @@ def main():
     for i in range(P + 1):
         Ji, wi = assemble_transform(factors, i)
         direct = Ji.entry(1, 1)
-        closed = reconstruct_transform(table, i, C, rows=min(wi.rows, table.columns)).entry(1, 1)
-        print(f"  J^({i}): window {wi.rows} rows, "
+        closed = reconstruct_transform(table, i, C, rows=min(wi, table.columns)).entry(1, 1)
+        print(f"  J^({i}): window {wi} rows, "
               f"entry (1,1) product route {direct.real:+.6f}, "
               f"closed form {closed.real:+.6f}")
 

@@ -5,7 +5,6 @@ from .banded import (
     Banded,
     BandedHessenberg,
     ShapeError,
-    ValidWindow,
     graded_scale,
     multiply,
     multiply_chain,

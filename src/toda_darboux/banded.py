@@ -18,9 +18,9 @@ the superdiagonal, and slots that have no matrix entry hold zero.
 Finite matrices stand in for truncations of semi-infinite ones, and the
 leading rows are the only part of a truncation that can be trusted once
 truncations are multiplied: a factor that reaches above the diagonal
-pulls one uncertified row into the product.  ``ValidWindow`` carries the
-count of certified leading rows through products, and ``residual``
-compares matrices inside such a window only.
+pulls one uncertified row into the product.  ``multiply`` returns the
+count of certified leading rows with every product, and ``residual``
+compares matrices band by band inside such a window only.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ __all__ = [
     "Banded",
     "BandedHessenberg",
     "ShapeError",
-    "ValidWindow",
     "from_json_dict",
     "graded_scale",
     "multiply",
@@ -47,13 +46,6 @@ __all__ = [
 
 class ShapeError(ValueError):
     """Size mismatch, malformed band data, or a factor of the wrong shape."""
-
-
-@dataclass(frozen=True)
-class ValidWindow:
-    """Number of leading rows of a truncation that are certified exact."""
-
-    rows: int
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -146,15 +138,15 @@ def BandedHessenberg(p: int, n: int, bands) -> Banded:
 # operations
 
 
-def multiply(a: Banded, b: Banded, window_b: ValidWindow = None):
+def multiply(a: Banded, b: Banded, window_b: int = None):
     """Banded product with window tracking.
 
-    Returns (product, window).  The product has min(a.p + b.p, n - 1)
-    subdiagonals and a.hi + b.hi superdiagonals; the partial products
-    accumulate band by band, offsets of a outer and offsets of b inner.
-    Inside the returned window the entries of the product agree with the
-    product of the corresponding semi-infinite matrices: rows below the
-    window may be polluted by the truncation.  Only the left factor's
+    Returns (product, rows), rows the count of certified leading rows.
+    The product has min(a.p + b.p, n - 1) subdiagonals and a.hi + b.hi
+    superdiagonals; the partial products accumulate band by band, offsets
+    of a outer and offsets of b inner.  Inside those rows the entries of
+    the product agree with the product of the corresponding semi-infinite
+    matrices: rows below them may be polluted by the truncation.  Only the left factor's
     reach above the diagonal consumes certified rows, one per
     superdiagonal: its last certified row would need a row of the right
     factor that lies outside the right factor's certified region, and the
@@ -175,9 +167,8 @@ def multiply(a: Banded, b: Banded, window_b: ValidWindow = None):
             if d <= p and lo < top:
                 out[hi + d, lo:top] += ba[lo:top] * b.band(db)[lo - da : top - da]
 
-    wb = n if window_b is None else min(window_b.rows, n)
-    window = ValidWindow(max(0, wb - a.hi))
-    return Banded(p, hi, out), window
+    wb = n if window_b is None else min(window_b, n)
+    return Banded(p, hi, out), max(0, wb - a.hi)
 
 
 def multiply_chain(factors: Sequence[Banded]):
@@ -189,21 +180,24 @@ def multiply_chain(factors: Sequence[Banded]):
     """
     if not factors:
         raise ShapeError("empty factor chain")
-    acc, acc_w = factors[-1], ValidWindow(factors[-1].n)
+    acc, acc_w = factors[-1], factors[-1].n
     for f in reversed(factors[:-1]):
         acc, acc_w = multiply(f, acc, window_b=acc_w)
     return acc, acc_w
 
 
-def residual(a: Banded, b: Banded, window: ValidWindow = None) -> float:
-    """Largest entry modulus of a - b over the leading window square."""
+def residual(a: Banded, b: Banded, window: int = None) -> float:
+    """Largest entry modulus of a - b over the leading window square, band by band."""
     if a.n != b.n:
         raise ShapeError(f"size mismatch: {a.n} vs {b.n}")
-    w = a.n if window is None else min(window.rows, a.n)
-    if w <= 0:
-        return 0.0
-    diff = a.to_dense()[:w, :w] - b.to_dense()[:w, :w]
-    return float(np.max(np.abs(diff)))
+    w = a.n if window is None else min(window, a.n)
+    worst = [0.0]
+    for d in range(-max(a.hi, b.hi), max(a.p, b.p) + 1):
+        # the square holds the entries (i, i - d) of rows max(d, 0) .. min(w, w + d) - 1
+        lo, top = max(d, 0), min(w, w + d)
+        if lo < top:
+            worst.append(np.abs(a.band(d)[lo:top] - b.band(d)[lo:top]).max())
+    return float(np.max(worst))  # np.max propagates NaN
 
 
 def random_hessenberg(p: int, n: int, seed, mode: str = "real") -> Banded:

@@ -27,13 +27,12 @@ import numpy as np
 from .banded import graded_scale, random_hessenberg, residual, to_json_dict
 from .darboux import (
     DarbouxFactors,
+    GammaTable,
     PeelBreakdown,
     SamplingFailed,
-    TableBreakdown,
     assemble_transform,
     darboux_factorization,
     factors_to_table,
-    table_fill,
 )
 from .lattice import (
     BlowUp,
@@ -53,7 +52,6 @@ _MODULE_ERRORS = (
     SingularLeadingMinor,
     SamplingFailed,
     PeelBreakdown,
-    TableBreakdown,
     BlowUp,
     ValueError,
     KeyError,
@@ -130,11 +128,15 @@ def _factorize(cfg: RunConfig):
 def cmd_factorize(cfg: RunConfig, args) -> int:
     J, factors, table = _factorize(cfg)
     log.info("factorized p=%d n=%d into %d lower factors", cfg.p, cfg.n, len(factors.factors))
-    # relative to max|J| (at least 1) and to the largest gamma, as the fill's error grows with it
-    product, window = assemble_transform(factors, 0)
-    rt = residual(product, J, window) / np.abs(J.data).max()
-    fill = table_fill(factors.U.band(0), factors.parameters(), J, cfg.C)
-    uniq = float(np.abs(fill.values - table.values).max() / np.abs(table.values).max())
+    # both relative to max|J|, which is at least 1
+    jmax = np.abs(J.data).max()
+    product, rows = assemble_transform(factors, 0)
+    rt = residual(product, J, rows) / jmax
+    # the table drops the last pivot, which row n - 1 of J reads; with it and p zeros
+    # the j = 0 closed form gives all n rows, and every gamma reaches one of them
+    extended = np.concatenate((table.values, factors.U.band(0)[-1:], np.zeros(cfg.p)))
+    closed = reconstruct_transform(GammaTable(cfg.p, cfg.n, extended), 0, cfg.C)
+    uniq = residual(closed, J) / jmax
     reports = [
         _report("factorization round trip", rt, ("product vs J", 0), cfg.tol_verify),
         _report("table cross-construction", uniq, ("gamma table", 0), cfg.tol_verify),
@@ -159,8 +161,8 @@ def cmd_transform(cfg: RunConfig, args) -> int:
         factors = _factorize(cfg)[1]
     table = factors_to_table(factors)
     i = args.i
-    Ji, window = assemble_transform(factors, i)
-    wcmp = min(window.rows, table.columns)
+    Ji, rows = assemble_transform(factors, i)
+    wcmp = min(rows, table.columns)
     closed = reconstruct_transform(table, i, factors.C, rows=wcmp)
     # relative to max|J^(i)|; hypot is Python's abs(complex) bit for bit, where
     # np.abs may round differently; max propagates NaN, so a NaN entry fails

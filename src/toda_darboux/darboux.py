@@ -25,10 +25,12 @@ machinery here makes that parameter count concrete:
   would divide by zero.
   The best of four draws is kept once it clears the margin.  The dense
   minors of ``hyperplane_determinant`` bound the same set, as an oracle.
-* ``table_fill`` recovers the whole gamma table from the pivots, the
-  free parameters and the matrix entries alone, one anti-diagonal at a
-  time, without forming any factor.  That it matches the table read off
-  the factors (``factors_to_table``) pins the factorization down.
+* ``factors_to_table`` reads the gamma table off the factors.
+  ``table_fill`` recovers the same table from the pivots, the free
+  parameters and the matrix entries alone, one anti-diagonal at a time,
+  without forming any factor; it stays only as the reference of the
+  uniqueness check, and the command line checks a table by its closed
+  form instead.
 * ``assemble_transform`` builds the transformed matrices
 
       J^(i) = C I + L^(i+1) ... L^(p) U L^(1) ... L^(i),
@@ -572,21 +574,21 @@ def table_fill(u_diag, params: ParameterSet, J: Banded, C=0.0) -> GammaTable:
 
 
 def assemble_transform(factors: DarbouxFactors, i: int):
-    """J^(i) = C I + L^(i+1) .. L^(p) U L^(1) .. L^(i), with its window.
+    """J^(i) = C I + L^(i+1) .. L^(p) U L^(1) .. L^(i), with its certified rows.
 
-    The chain is multiplied right to left, so the single upper factor
-    costs one certified row once and the result is certified on n - 1
-    rows for every i (all n rows for i = 0, where U is the rightmost
-    factor and truncation commutes with the product exactly).
+    Returns (J^(i), rows).  The chain is multiplied right to left, so the
+    single upper factor costs one certified row once and the result is
+    certified on n - 1 rows for every i (all n rows for i = 0, where U is
+    the rightmost factor and truncation commutes with the product exactly).
     """
     p = factors.p
     if not 0 <= i <= p:
         raise ValueError(f"transform index {i} outside 0..{p}")
     chain = list(factors.factors[i:]) + [factors.U] + list(factors.factors[:i])
-    prod, window = multiply_chain(chain)
+    prod, rows = multiply_chain(chain)
     data = prod.data.copy()
     data[prod.hi] += factors.C
-    return Banded(prod.p, prod.hi, data), window
+    return Banded(prod.p, prod.hi, data), rows
 
 
 def backlund_entry(table: GammaTable, j: int, i: int, k: int, C=0.0) -> complex:

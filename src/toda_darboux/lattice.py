@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .banded import Banded, BandedHessenberg, ValidWindow
+from .banded import Banded, BandedHessenberg
 from .darboux import GammaTable, darboux_factorization, enumerate_indices
 
 __all__ = [
@@ -355,15 +355,16 @@ def _central(data: np.ndarray, dt: float, kernel, p: int, cap: int):
     return _worst(residual, 1, len(data) - 1, block)
 
 
-def verify_toda(traj: Trajectory, tol: float, window: ValidWindow = None) -> ResidualReport:
+def verify_toda(traj: Trajectory, tol: float, window: int = None) -> ResidualReport:
     """Central-difference check of the Toda equations along a trajectory.
 
     Residuals are taken at interior sample times over every entry whose
     full stencil (the neighbor one row down) lies inside the certified
-    window; with an exact flow they scale like dt^2.
+    window, a count of leading rows (all by default); with an exact flow
+    they scale like dt^2.
     """
     n = traj.data.shape[2]
-    wlim = n if window is None else min(window.rows, n)
+    wlim = n if window is None else min(window, n)
     worst, arg = _central(traj.data, traj.dt, _toda_kernel, traj.p, max(wlim - 1, 0))
     return _report("toda residual", worst, arg, tol)
 

@@ -4,7 +4,9 @@
 characteristic polynomial values; ``check_poly_derivative`` and
 ``check_delta_derivative`` measure the derivative identities that tie the
 Toda flow to those polynomials and the KdV flow to the table's delta
-products.  ``truncate`` cuts a leading principal submatrix and
+products.  ``dense_residual`` compares two band matrices as dense
+arrays, the reference for ``residual``'s band-by-band comparison.
+``truncate`` cuts a leading principal submatrix and
 ``gamma_table_from_json`` reads back a written gamma table, routes that
 only the tests need.
 """
@@ -26,6 +28,17 @@ def truncate(m: Banded, size: int) -> Banded:
     if size < 1 or size > m.n:
         raise ShapeError(f"truncation size {size} outside 1..{m.n}")
     return Banded(m.p, m.hi, m.data[:, :size])
+
+
+def dense_residual(a: Banded, b: Banded, window: int = None) -> float:
+    """Largest entry modulus of a - b over the leading window square, on dense copies."""
+    if a.n != b.n:
+        raise ShapeError(f"size mismatch: {a.n} vs {b.n}")
+    w = a.n if window is None else min(window, a.n)
+    if w <= 0:
+        return 0.0
+    diff = a.to_dense()[:w, :w] - b.to_dense()[:w, :w]
+    return float(np.max(np.abs(diff)))
 
 
 def gamma_table_from_json(payload: Mapping) -> GammaTable:

@@ -1,6 +1,7 @@
 """Band storage, windowed products, and the truncation-soundness oracle."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from toda_darboux.banded import (
     Banded,
     BandedHessenberg,
     ShapeError,
-    ValidWindow,
     from_json_dict,
     graded_scale,
     multiply,
@@ -19,7 +19,7 @@ from toda_darboux.banded import (
     to_json_dict,
 )
 
-from oracles import truncate
+from oracles import dense_residual, truncate
 
 
 def dense_product(A, B):
@@ -99,8 +99,8 @@ def test_truncate_size_errors():
 def test_multiply_identity_keeps_window():
     B = random_hessenberg(2, 6, seed=2)
     eye = Banded(1, 0, [np.ones(6), np.zeros(6)])
-    out, w = multiply(eye, B, window_b=ValidWindow(4))
-    assert w.rows == 4
+    out, w = multiply(eye, B, window_b=4)
+    assert w == 4
     assert np.allclose(out.to_dense(), B.to_dense(), atol=0, rtol=0)
 
 
@@ -111,7 +111,7 @@ def test_multiply_bidiagonal_2x2_closed_form():
     out, w = multiply(low, up)
     expect = np.array([[u0, 1.0], [beta * u0, beta + u1]])
     assert np.array_equal(out.to_dense(), expect)
-    assert w.rows == 2
+    assert w == 2
 
 
 @pytest.mark.parametrize("p,n", [(1, 6), (2, 8), (3, 10), (4, 12)])
@@ -157,11 +157,11 @@ def test_general_product_matches_dense_on_its_window(shape_a, shape_b):
     a, b = truncate(big_a, n), truncate(big_b, n)
     out, w = multiply(a, b)
     assert (out.p, out.hi) == (min(a.p + b.p, n - 1), a.hi + b.hi)
-    assert w.rows == n - a.hi
+    assert w == n - a.hi
     dense = dense_product(a.to_dense(), b.to_dense())
     assert np.abs(out.to_dense() - dense).max() <= 1e-13 * np.abs(dense).max()
     truth = dense_product(big_a.to_dense(), big_b.to_dense())[:n, :n]
-    k = w.rows
+    k = w
     assert np.abs(out.to_dense()[:k, :k] - truth[:k, :k]).max() <= 1e-13 * np.abs(truth).max()
 
 
@@ -197,7 +197,7 @@ def test_window_soundness_vs_padded_truth(seed):
     small, big = _padded_chain(builders, n, pad)
     got, w = multiply_chain(small)
     truth, _ = multiply_chain(big)
-    k = w.rows
+    k = w
     assert k >= n - 1  # a single upper-reach factor costs at most one row
     diff = np.abs(got.to_dense()[:k, :k] - truth.to_dense()[:k, :k])
     scale = max(1.0, np.abs(truth.to_dense()[:k, :k]).max())
@@ -210,7 +210,7 @@ def test_bidiagonal_chain_window_bound(p):
     n = 10
     factors = [random_lower_bidiagonal(n, rng) for _ in range(p)] + [random_upper(n, rng)]
     _, w = multiply_chain(factors)
-    assert w.rows >= n - (p + 1)
+    assert w >= n - (p + 1)
 
 
 def test_truncate_multiply_commutes_inside_window():
@@ -220,7 +220,7 @@ def test_truncate_multiply_commutes_inside_window():
     U = random_upper(n, rng)
     whole, w = multiply(L, U)
     part, wp = multiply(truncate(L, m), truncate(U, m))
-    k = min(w.rows, wp.rows, m)
+    k = min(w, wp, m)
     assert np.array_equal(truncate(whole, m).to_dense()[:k, :k], part.to_dense()[:k, :k])
 
 
@@ -230,13 +230,13 @@ def test_truncate_multiply_commutes_inside_window():
 
 def test_residual_of_equal_matrices_is_zero():
     J = random_hessenberg(2, 5, seed=3)
-    assert residual(J, J, ValidWindow(J.n)) == 0.0
+    assert residual(J, J, J.n) == 0.0
 
 
 def test_residual_unit_difference():
     ones = BandedHessenberg(1, 2, (np.ones(2), np.zeros(2)))
     zeros = BandedHessenberg(1, 2, (np.zeros(2), np.zeros(2)))
-    assert residual(ones, zeros, ValidWindow(ones.n)) == 1.0
+    assert residual(ones, zeros, ones.n) == 1.0
 
 
 def test_residual_ignores_rows_outside_window():
@@ -245,8 +245,54 @@ def test_residual_ignores_rows_outside_window():
     bumped[4] = 7.0
     a = BandedHessenberg(1, 5, (diag, np.zeros(5)))
     b = BandedHessenberg(1, 5, (bumped, np.zeros(5)))
-    assert residual(a, b, ValidWindow(3)) == 0.0
-    assert residual(a, b, ValidWindow(a.n)) == 7.0
+    assert residual(a, b, 3) == 0.0
+    assert residual(a, b, a.n) == 7.0
+
+
+@pytest.mark.parametrize("shape_a,shape_b", [
+    ((1, 1), (1, 1)),
+    ((1, 1), (4, 0)),  # Hessenberg against unit lower
+    ((0, 1), (2, 2)),  # upper reaches that differ
+    ((3, 0), (0, 1)),
+    ((0, 0), (1, 0)),  # diagonal only on one side
+    ((2, 2), (6, 3)),  # bands wider than the window square
+])
+@pytest.mark.parametrize("mode", ["real", "complex"])
+def test_residual_equals_the_dense_comparison(shape_a, shape_b, mode):
+    rng = np.random.default_rng(7)
+    n = 7
+
+    def draw(p, hi):
+        bands = [signed(n, rng) for _ in range(p + hi + 1)]
+        if mode == "complex":
+            bands = [b * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, n)) for b in bands]
+        return Banded(p, hi, bands)
+
+    a, b = draw(*shape_a), draw(*shape_b)
+    near = Banded(a.p, a.hi, a.data * (1 + 1e-9 * signed(n, rng)))
+    for w in (None, 0, 1, n - 1, n, n + 3):
+        for x, y in ((a, b), (b, a), (a, near), (a, a)):
+            assert residual(x, y, w) == dense_residual(x, y, w), (w, x, y)
+
+
+def test_residual_propagates_nan():
+    a = random_hessenberg(2, 5, seed=3)
+    data = a.data.copy()
+    data[2, 3] = np.nan
+    assert np.isnan(residual(a, Banded(a.p, a.hi, data)))
+    assert residual(a, Banded(a.p, a.hi, data), 3) == 0.0  # row 3 lies outside
+
+
+def test_residual_allocates_no_dense_matrix():
+    # the dense comparison allocates two n x n complex arrays (48 MB here)
+    a, b = random_hessenberg(4, 1024, seed=1), random_hessenberg(4, 1024, seed=2)
+    tracemalloc.start()
+    try:
+        residual(a, b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 # ---------------------------------------------------------------------------

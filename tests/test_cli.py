@@ -11,7 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from toda_darboux import cli, darboux
+import toda_darboux
+from toda_darboux import banded, cli, darboux, lattice, lu
 from toda_darboux.banded import graded_scale, random_hessenberg
 from toda_darboux.cli import main
 from toda_darboux.darboux import (
@@ -21,7 +22,6 @@ from toda_darboux.darboux import (
     backlund_entry,
     darboux_factorization,
     factors_to_table,
-    table_fill,
 )
 from toda_darboux.lattice import evolve_kdv, evolve_toda
 from toda_darboux.lu import lu_factorize
@@ -65,21 +65,56 @@ def test_factorize_gamma_row_count(capsys):
     assert "table cross-construction" in labels
 
 
-def test_factorize_cross_construction_is_relative_to_the_largest_gamma(capsys):
-    # the gammas reach about 3e5 here, so the absolute gap (about 2e-4) would
-    # exceed the default 1e-5 although the tables agree to 7e-10 of their scale
-    code, payload = run_json(["factorize", "--p", "3", "--n", "1024", "--seed", "1"], capsys)
+def test_factorize_cross_construction_is_the_closed_form_gap(capsys):
+    # the table, extended by the last pivot and p zeros, gives all n rows of
+    # J^(0) = J by the closed form; the report is the largest entry gap,
+    # relative to max|J|
+    p, n = 3, 1024
+    code, payload = run_json(["factorize", "--p", str(p), "--n", str(n), "--seed", "1"], capsys)
     assert code == 0
     factors = DarbouxFactors.from_json_dict(payload["factors"])
     table = gamma_table_from_json(payload["table"])
     assert np.array_equal(table.values, factors_to_table(factors).values)
-    J = random_hessenberg(3, 1024, seed=1)
-    fill = table_fill(factors.U.band(0), factors.parameters(), J, 0.0)
-    gap = np.abs(fill.values - table.values).max()
-    assert gap > 1e-5
+    J = random_hessenberg(p, n, seed=1)
+    u_last = factors.U.entry(n - 1, n - 1)
+    extended = GammaTable(p, n, np.concatenate((table.values, [u_last], np.zeros(p))))
+    diffs = np.array([backlund_entry(extended, 0, i, k) - J.entry(i + k, i)
+                      for k in range(p + 1) for i in range(n - k)])
+    gap = np.abs(diffs).max()
     (report,) = [r for r in payload["reports"] if r["label"] == "table cross-construction"]
-    assert report["max_residual"] == gap / np.abs(table.values).max() <= 1e-9
+    assert report["max_residual"] == gap / np.abs(J.data).max() <= 1e-10
+    assert report["argmax"] == ["gamma table", 0]
     assert report["passed"]
+
+
+def cross_construction(argv, capsys):
+    code, payload = run_json(argv, capsys)
+    assert code == 0
+    (report,) = [r for r in payload["reports"] if r["label"] == "table cross-construction"]
+    return report["max_residual"]
+
+
+@pytest.mark.parametrize("scale", ["1", "0.15"])
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_cross_construction_detects_every_perturbed_gamma(p, scale, monkeypatch, capsys):
+    # the last p gammas are the lower factors' entries (n - 1, n - 2), which
+    # reach row n - 1 of J only: a check on n - 1 rows cannot see them
+    n = 32
+    argv = ["factorize", "--p", str(p), "--n", str(n), "--scale", scale]
+    honest = cross_construction(argv, capsys)
+    original = cli.darboux_factorization
+    size = (p + 1) * (n - 1)
+    for idx in (size // 2, size // 2 + 1, *range(size - p + 1, size + 1)):
+
+        def perturbed(*args, **kwargs):
+            factors, table = original(*args, **kwargs)
+            values = table.values.copy()
+            values[idx - 1] *= 1 + 1e-8
+            return factors, GammaTable(table.p, table.columns, values)
+
+        monkeypatch.setattr(cli, "darboux_factorization", perturbed)
+        mutant = cross_construction(argv, capsys)
+        assert mutant > 0 and mutant >= 100 * honest, (idx, honest, mutant)
 
 
 @pytest.mark.parametrize("argv", [
@@ -103,7 +138,7 @@ def test_tiny_graded_scale_passes_every_report(argv, capsys):
     assert all(r["passed"] for r in (reports.values() if argv[0] == "verify" else reports))
 
 
-def test_only_factorize_runs_the_table_fill(tmp_path, monkeypatch, capsys):
+def test_no_command_runs_the_table_fill(tmp_path, monkeypatch, capsys):
     calls = []
     original = darboux.table_fill
 
@@ -112,21 +147,23 @@ def test_only_factorize_runs_the_table_fill(tmp_path, monkeypatch, capsys):
         return original(*args, **kwargs)
 
     # every module that binds the fill
-    monkeypatch.setattr(darboux, "table_fill", counted)
-    monkeypatch.setattr(cli, "table_fill", counted)
+    modules = [m for m in (toda_darboux, banded, cli, darboux, lattice, lu)
+               if hasattr(m, "table_fill")]
+    assert cli not in modules
+    for m in modules:
+        monkeypatch.setattr(m, "table_fill", counted)
     saved, csv_out = str(tmp_path / "factors.json"), str(tmp_path / "traj.csv")
     runs = [
-        (["factorize", "--p", "3", "--n", "12", "--out", saved], 1),
-        (["transform", "--p", "3", "--n", "12", "--i", "1"], 0),
-        (["transform", "--factors", saved, "--i", "1"], 0),
-        (["verify"], 0),
-        (["evolve", "--lattice", "toda", "--p", "3", "--n", "12", "--out", csv_out], 0),
-        (["evolve", "--lattice", "kdv", "--p", "3", "--n", "12", "--out", csv_out], 0),
+        ["factorize", "--p", "3", "--n", "12", "--out", saved],
+        ["transform", "--p", "3", "--n", "12", "--i", "1"],
+        ["transform", "--factors", saved, "--i", "1"],
+        ["verify"],
+        ["evolve", "--lattice", "toda", "--p", "3", "--n", "12", "--out", csv_out],
+        ["evolve", "--lattice", "kdv", "--p", "3", "--n", "12", "--out", csv_out],
     ]
-    for argv, expected in runs:
-        calls.clear()
+    for argv in runs:
         assert main(argv) == 0, argv
-        assert len(calls) == expected, argv
+        assert calls == [], argv
     capsys.readouterr()
 
 
@@ -185,7 +222,7 @@ def test_transform_residual_is_the_entrywise_scalar_maximum(tmp_path, capsys):
         code, payload = run_json(["transform", "--factors", str(fpath), "--i", str(i)], capsys)
         Ji, window = assemble_transform(factors, i)
         worst = 0.0
-        for row in range(min(window.rows, table.columns)):
+        for row in range(min(window, table.columns)):
             for col in range(max(0, row - 3), row + 1):
                 closed = backlund_entry(table, i, col, row - col, factors.C)
                 worst = max(worst, abs(Ji.entry(row, col) - closed))

@@ -8,7 +8,6 @@ import pytest
 from toda_darboux.banded import (
     Banded,
     BandedHessenberg,
-    ValidWindow,
     graded_scale,
     random_hessenberg,
 )
@@ -399,7 +398,7 @@ def per_state_rk4(state, dt, steps):
 
 def per_state_verify_toda(states, dt, window=None):
     n, p = states[0].n, states[0].p
-    cap = (n if window is None else min(window.rows, n)) - 1
+    cap = (n if window is None else min(window, n)) - 1
     worst, arg = 0.0, ("", 0)
     for m in range(1, len(states) - 1):
         rhs = per_state_toda_rhs(states[m])
@@ -449,7 +448,7 @@ def test_array_flows_equal_per_state_route_bit_for_bit(p, mode, monkeypatch):
     assert (np.asarray(kdv.data, complex).tobytes()
             == np.stack([s.values for s in kdv_states]).tobytes())
     assert [s.bands[-1].tolist() for s in toda.states] == [s.bands[-1].tolist() for s in toda_states]
-    windows = [None, ValidWindow(J.n - p - 1)]
+    windows = [None, J.n - p - 1]
     toda_want = [per_state_verify_toda(toda_states, dt, w) for w in windows]
     kdv_want = per_state_verify_kdv(kdv_states, dt)
     # the default block holds all 29 interior samples; one byte makes every
@@ -555,7 +554,7 @@ def test_verify_reports_equal_on_float64_data_and_its_complex_cast(p):
     def cast(traj):
         return Trajectory(traj.times, traj.data.astype(complex), traj.dt, traj.p)
 
-    for w in (None, ValidWindow(0), ValidWindow(3), ValidWindow(J.n - p - 1)):
+    for w in (None, 0, 3, J.n - p - 1):
         assert verify_toda(toda, 1e-9, w) == verify_toda(cast(toda), 1e-9, w)
     assert verify_kdv(kdv, 1e-9) == verify_kdv(cast(kdv), 1e-9)
 
@@ -677,17 +676,17 @@ def test_verify_window_excludes_corrupt_tail_row():
     bad = Trajectory(times=traj.times, data=spoiled, dt=traj.dt, p=traj.p)
     full = verify_toda(bad, tol=1e-5)
     assert not full.passed
-    trimmed = verify_toda(bad, tol=1e-5, window=ValidWindow(J.n - 1))
+    trimmed = verify_toda(bad, tol=1e-5, window=J.n - 1)
     assert trimmed.passed
 
 
 def test_verify_window_of_zero_rows_checks_nothing():
     J = graded_scale(random_hessenberg(2, 8, seed=3), 0.4)
     traj = evolve_toda(J, dt=0.1, steps=10)
-    full = verify_toda(traj, tol=1e-30, window=ValidWindow(8))
+    full = verify_toda(traj, tol=1e-30, window=8)
     assert not full.passed and full.argmax == ("a[5,4]", 9)
     for rows in (0, 1):
-        rep = verify_toda(traj, tol=1e-30, window=ValidWindow(rows))
+        rep = verify_toda(traj, tol=1e-30, window=rows)
         assert (rep.max_residual, rep.argmax, rep.passed) == (0.0, ("", 0), True)
 
 
@@ -739,7 +738,7 @@ def test_reconstruct_transform_matches_direct_assembly():
     factors, table = darboux_factorization(J, C, params=small_params(2, 3, 0.2))
     for j in range(3):
         direct, w = assemble_transform(factors, j)
-        rows = min(w.rows, table.columns)
+        rows = min(w, table.columns)
         rebuilt = reconstruct_transform(table, j, C, rows=rows)
         for r in range(rows):
             for c in range(max(0, r - 2), r + 1):
