@@ -21,14 +21,12 @@ Everything is integrated with fixed-step classical RK4 and verified by
 comparing central finite differences of a trajectory against the exact
 right hand side, so residuals of honest solutions shrink like dt^2.
 A ``Trajectory`` is one array over the time axis, float64 for real states
-and complex128 otherwise, filled in place by RK4 on stage buffers allocated
-once and swept by the verifiers in blocks of samples; a NaN residual fails.
-Right-hand sides are kernels built per array shape that write into a
-caller's buffer: one per RK4 trajectory, and per verifier sweep one per
-block shape, with block buffers allocated once.  Every array that RK4, the
-kernels and the sweeps allocate starts on a 64-byte boundary: malloc aligns
-to 16 bytes only, and an array that starts inside a cache line splits wide
-vector loads and stores across two lines, which slows every pass over it.
+and complex128 otherwise, filled in place by RK4 and swept by the verifiers
+in blocks of samples; a NaN residual fails.  A right-hand side is a kernel
+built per array shape (per RK4 trajectory, per verifier block shape) that
+owns a zero-padded input, where RK4 writes each stage's argument and a sweep
+copies each block.  Every array lattice allocates starts on a 64-byte
+boundary, as one inside a cache line splits vector loads across two lines.
 Truncation is handled by windows: the bottom rows of a finite Toda
 truncation and the top indices of a finite gamma table feel the missing
 neighbors immediately, so equations are only checked where the full
@@ -62,8 +60,8 @@ __all__ = [
     "verify_toda",
 ]
 
-# Verifiers sweep samples in blocks of about this many bytes of state.
-_BLOCK_BYTES = 1 << 20
+# Verifiers sweep samples in blocks of about this many bytes of state, sized for L2.
+_BLOCK_BYTES = 1 << 18
 
 
 def _empty(shape: tuple, dtype, zero: bool = False) -> np.ndarray:
@@ -166,57 +164,52 @@ def _report(label, residual, argmax, tol) -> ResidualReport:
 
 
 def _toda_kernel(shape: tuple, dtype, p: int):
-    """rhs(B, out) writes the Toda derivative of bands B of shape (..., p + 1, n) to out.
+    """(arg, rhs): rhs(out) writes the Toda derivative of the bands in arg to out.
 
-    out must be C-contiguous (a non-contiguous B is copied).  In a state's
-    bands flattened row after row, a_{i+1,i-d} and a_{i,i-d-1} sit n + 1 and
-    n slots after a_{i,i-d}, so row n and band p + 1 read the zero slots
-    before each band.  The last n + 1 slots have no slot n + 1 ahead and add
-    0, turning -0 into +0 as a zero read would.  Slots outside the band come
-    out +0, as B holds zeros there.  Built for one state, it allocates nothing.
+    arg, (..., p + 1, n), views a zeroed buffer of each state's bands flattened, then
+    n + 1 zeros: a_{i+1,i-d} and a_{i,i-d-1} sit n + 1 and n slots after a_{i,i-d}, so
+    row n and band p + 1 read zeros, whose +0 turns -0 into +0, and slots outside the
+    band come out +0.  Built for one state, it allocates nothing per call.
     """
     lead, n, size = shape[:-2], shape[-1], (p + 1) * shape[-1]
+    padded = _empty((*lead, size + n + 1), dtype, zero=True)
+    arg, below, left = (padded[..., o : o + size].reshape(shape) for o in (0, n + 1, n))
+    diag = arg[..., :1, :]
     # the diagonal goes to every row of wide at stride n + 1; read at stride n, row d
     # is shifted right by d, so shifted[..., d, i] is a_{i-d,i-d} for i >= d
     wide = _empty((*lead, (p + 1) * (n + 1)), dtype, zero=True)
-    rows = wide.reshape(*lead, p + 1, n + 1)[..., :n]
-    shifted = wide[..., :size].reshape(shape)
-    tile = _empty(shape, dtype)
+    rows, shifted = wide.reshape(*lead, p + 1, n + 1)[..., :n], wide[..., :size].reshape(shape)
 
-    def rhs(B, out):
-        np.copyto(rows, B[..., :1, :])
-        np.copyto(tile, rows)
-        np.multiply(np.subtract(tile, shifted, out=out), B, out=out)
-        flat, Bf = out.reshape(*lead, size), B.reshape(*lead, size)
-        flat[..., : size - n - 1] += Bf[..., n + 1 :]
-        flat[..., size - n - 1 :] += 0
-        flat[..., : size - n] -= Bf[..., n:]
-        return out
+    def rhs(out):
+        np.copyto(rows, diag)
+        np.copyto(out, diag)
+        np.multiply(np.subtract(out, shifted, out=out), arg, out=out)
+        np.add(out, below, out=out)
+        return np.subtract(out, left, out=out)
 
-    return rhs
+    return arg, rhs
 
 
 def _kdv_kernel(shape: tuple, dtype, p: int):
-    """rhs(g, out) writes the KdV derivative of flat gamma arrays g of shape (..., size) to out."""
+    """(arg, rhs): rhs(out) writes the KdV derivative of the flat gamma arrays in arg to out."""
     size, L = shape[-1], shape[-1] + p + 1
     # buf is p zeros, the table, p zeros: gamma_{n<=0} reads the boundary, gamma_{n>size}
-    # the truncation.  win[k] = buf[k] + .. + buf[k+p-1], summed left to right, so every
-    # entry sums p terms and its round-off does not grow with the table's length.  The
-    # window starts with the add of the first two terms; for p = 1 it is buf itself.
+    # the truncation.  win[k] = buf[k] + .. + buf[k+p-1], summed left to right, so its
+    # round-off does not grow with the table's length; for p = 1 it is buf itself.
     buf = _empty((*shape[:-1], size + 2 * p), dtype, zero=True)
     win = buf if p == 1 else _empty((*shape[:-1], L), dtype)
+    terms = [buf[..., i : i + L] for i in range(p)]
+    adds = list(zip([terms[0]] + [win] * (p - 2), terms[1:]))  # terms 0 + 1, then win + i
+    arg, upper, lower = buf[..., p : p + size], win[..., p + 1 :], win[..., :size]
 
-    def rhs(g, out):
-        buf[..., p : p + size] = g
-        if p > 1:
-            np.add(buf[..., :L], buf[..., 1 : L + 1], out=win)
-        for i in range(2, p):
-            np.add(win, buf[..., i : i + L], out=win)
+    def rhs(out):
+        for a, b in adds:
+            np.add(a, b, out=win)
         # upper minus lower window, then g * out: complex multiply is not bitwise commutative
-        np.subtract(win[..., p + 1 :], win[..., :size], out=out)
-        return np.multiply(g, out, out=out)
+        np.subtract(upper, lower, out=out)
+        return np.multiply(arg, out, out=out)
 
-    return rhs
+    return arg, rhs
 
 
 def toda_rhs(J: Banded) -> tuple:
@@ -227,8 +220,9 @@ def toda_rhs(J: Banded) -> tuple:
     carry the exact semi-infinite derivative, so row n - 1 is trustworthy
     for the truncated system only; windows account for that downstream.
     """
-    B = np.stack(J.bands)
-    return tuple(_toda_kernel(B.shape, B.dtype, J.p)(B, np.empty_like(B)))
+    arg, rhs = _toda_kernel((J.p + 1, J.n), np.complex128, J.p)
+    np.copyto(arg, J.bands)
+    return tuple(rhs(np.empty_like(arg)))
 
 
 def kdv_rhs(table: GammaTable) -> np.ndarray:
@@ -239,8 +233,9 @@ def kdv_rhs(table: GammaTable) -> np.ndarray:
     truncation, so only entries with the full upper stencil inside the
     table carry the semi-infinite derivative.
     """
-    g = table.values
-    return _kdv_kernel(g.shape, g.dtype, table.p)(g, np.empty_like(g))
+    arg, rhs = _kdv_kernel(table.values.shape, table.values.dtype, table.p)
+    np.copyto(arg, table.values)
+    return rhs(np.empty_like(arg))
 
 
 # ---------------------------------------------------------------------------
@@ -260,24 +255,28 @@ def _rk4(y0: np.ndarray, kernel, dt: float, steps: int, p: int) -> Trajectory:
         y0 = y0.real
     out = _empty((steps + 1,) + y0.shape, y0.dtype)
     out[0] = y0
-    rhs = kernel(y0.shape, y0.dtype, p)
-    # s is a stage's argument, k its slope, acc sums k1 + 2 k2 + 2 k3 + k4; operands keep
+    arg, rhs = kernel(y0.shape, y0.dtype, p)
+    # arg is a stage's argument, k its slope, acc sums k1 + 2 k2 + 2 k3 + k4; operands keep
     # the order of y + h * k and 2 * k, as complex multiply is not bitwise commutative
-    s, acc, k = (_empty(y0.shape, y0.dtype) for _ in range(3))
+    acc, k = _empty(y0.shape, y0.dtype), _empty(y0.shape, y0.dtype)
+    half, sixth = dt / 2, dt / 6
     block = max(1, _BLOCK_BYTES // out[0].nbytes)
     with np.errstate(over="ignore", invalid="ignore"):
         for m0 in range(0, steps, block):
             m1 = min(m0 + block, steps)
-            for m in range(m0, m1):
-                y = out[m]
-                rhs(y, acc)
-                rhs(np.add(y, np.multiply(dt / 2, acc, out=s), out=s), k)
-                for h in (dt / 2, dt):
-                    np.add(y, np.multiply(h, k, out=s), out=s)
-                    np.add(acc, np.multiply(2, k, out=k), out=acc)
-                    rhs(s, k)
-                np.multiply(dt / 6, np.add(acc, k, out=acc), out=acc)
-                np.add(y, acc, out=out[m + 1])
+            for y, y1 in zip(out[m0:m1], out[m0 + 1 : m1 + 1]):
+                np.copyto(arg, y)
+                rhs(acc)
+                np.add(y, np.multiply(half, acc, out=arg), out=arg)
+                rhs(k)
+                np.add(y, np.multiply(half, k, out=arg), out=arg)
+                np.add(acc, np.multiply(2, k, out=k), out=acc)
+                rhs(k)
+                np.add(y, np.multiply(dt, k, out=arg), out=arg)
+                np.add(acc, np.multiply(2, k, out=k), out=acc)
+                rhs(k)
+                np.multiply(sixth, np.add(acc, k, out=acc), out=acc)
+                np.add(y, acc, out=y1)
             finite = np.isfinite(out[m0 + 1 : m1 + 1].view(float).reshape(m1 - m0, -1)).all(1)
             if not finite.all():
                 raise BlowUp((m0 + int(np.argmin(finite))) * dt)
@@ -342,14 +341,15 @@ def _central(data: np.ndarray, dt: float, kernel, p: int, cap: int):
     count, shape = len(data) - 2, data.shape[1:]
     block = min(max(1, _BLOCK_BYTES // data[0].nbytes), count)
     diff, slope, res = (_empty((block, *shape), t) for t in (data.dtype, data.dtype, float))
-    rhs = {k: kernel((k, *shape), data.dtype, p) for k in {block, count % block or block}}
+    kernels = {k: kernel((k, *shape), data.dtype, p) for k in {block, count % block or block}}
 
     def residual(m0, m1):
         k = m1 - m0
-        d, s = diff[:k], slope[:k]
+        d, s, (arg, rhs) = diff[:k], slope[:k], kernels[k]
         np.subtract(data[m0 + 1 : m1 + 1], data[m0 - 1 : m1 - 1], out=d)
         np.divide(d, 2 * dt, out=d)
-        rhs[k](data[m0:m1], s)
+        np.copyto(arg, data[m0:m1])
+        rhs(s)
         return np.abs(np.subtract(d, s, out=d), out=res[:k])[..., :cap]
 
     return _worst(residual, 1, len(data) - 1, block)

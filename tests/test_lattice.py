@@ -127,8 +127,10 @@ def test_kdv_rhs_window_sums_p2():
 
 
 def built_rhs(kernel, y, p):
-    """The kernel's rhs built for y's shape and dtype, called once on a fresh output."""
-    return kernel(y.shape, y.dtype, p)(y, np.empty_like(y))
+    """The kernel built for y's shape and dtype, called once on y and a fresh output."""
+    arg, rhs = kernel(y.shape, y.dtype, p)
+    np.copyto(arg, y)
+    return rhs(np.empty_like(y))
 
 
 def kdv_table(p, size, mode, seed):
@@ -167,6 +169,30 @@ def test_kdv_rhs_of_a_block_equals_its_rows(mode):
         assert row.tobytes() == built_rhs(lattice._kdv_kernel, want, p).tobytes()
 
 
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+@pytest.mark.parametrize("mode", ["real", "complex"])
+def test_toda_rhs_of_a_block_equals_its_rows(p, mode):
+    n = 7
+    states = []
+    for s in range(5):
+        J = random_hessenberg(p, n, seed=60 + s, mode=mode)
+        B = np.stack(J.bands)
+        # -0.0 in the last row and all along band p: their neighbours below are zero
+        # slots, the zero tail among them, whose +0 turns the -0 of their product into +0
+        B[:, -1] = B[p, p:] = complex(-0.0, -0.0)
+        states.append(BandedHessenberg(p, n, tuple(B)))
+    block = np.stack([np.stack(J.bands) for J in states])
+    if mode == "real":
+        block = np.ascontiguousarray(block.real)
+    got = built_rhs(lattice._toda_kernel, block, p)
+    for row, state, J in zip(got, block, states):
+        assert row.tobytes() == built_rhs(lattice._toda_kernel, state, p).tobytes()
+        want = np.stack(per_state_toda_rhs(J))
+        assert row.tobytes() == np.ascontiguousarray(want.real if mode == "real" else want).tobytes()
+    assert np.signbit(block[:, p, p:].view(float)).all()
+    assert not np.signbit(got[:, p, p:].view(float)).any()
+
+
 def test_kdv_rhs_round_off_does_not_grow_with_table_length():
     # flow-large's size: p = 3, 1023 columns of a positive table in [0.05, 0.15]
     p, size = 3, 4 * 1023
@@ -188,12 +214,14 @@ def test_built_kdv_rhs_allocates_no_array_per_call(dtype, p):
     if dtype is np.complex128:
         g = g + 1j * rng.uniform(-0.05, 0.05, size)
     out = np.empty_like(g)
-    rhs = lattice._kdv_kernel(g.shape, g.dtype, p)
-    rhs(g, out)
+    arg, rhs = lattice._kdv_kernel(g.shape, g.dtype, p)
+    np.copyto(arg, g)
+    rhs(out)
     tracemalloc.start()
     try:
         for _ in range(100):
-            rhs(g, out)
+            np.copyto(arg, g)
+            rhs(out)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -208,12 +236,14 @@ def test_built_toda_rhs_allocates_no_array_per_call(dtype):
     B = np.stack(graded_scale(random_hessenberg(p, n, seed=2, mode=mode), 0.4).bands)
     B = np.ascontiguousarray(B.real if mode == "real" else B)
     out = np.empty_like(B)
-    rhs = lattice._toda_kernel(B.shape, B.dtype, p)
-    rhs(B, out)
+    arg, rhs = lattice._toda_kernel(B.shape, B.dtype, p)
+    np.copyto(arg, B)
+    rhs(out)
     tracemalloc.start()
     try:
         for _ in range(100):
-            rhs(B, out)
+            np.copyto(arg, B)
+            rhs(out)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -237,10 +267,6 @@ def test_lattice_buffers_start_on_a_cache_line(mode, monkeypatch):
     for traj in (toda, kdv):
         assert traj.data.dtype == dtype
         assert traj.data.flags.c_contiguous and traj.data.ctypes.data % 64 == 0
-    for kernel, traj in ((lattice._toda_kernel, toda), (lattice._kdv_kernel, kdv)):
-        for shape in (traj.data.shape[1:], (32, *traj.data.shape[1:])):
-            arrays = closure_arrays(kernel(shape, dtype, 3))
-            assert arrays and all(a.ctypes.data % 64 == 0 for a in arrays)
     made, empty = [], lattice._empty
 
     def recording(shape, dtype, zero=False):
@@ -248,6 +274,15 @@ def test_lattice_buffers_start_on_a_cache_line(mode, monkeypatch):
         return made[-1]
 
     monkeypatch.setattr(lattice, "_empty", recording)
+    for kernel, traj in ((lattice._toda_kernel, toda), (lattice._kdv_kernel, kdv)):
+        for shape in (traj.data.shape[1:], (32, *traj.data.shape[1:])):
+            made.clear()
+            arg, rhs = kernel(shape, dtype, 3)
+            # the padded buffers start on a cache line, and arg and every view rhs
+            # reads or writes lie in them
+            arrays = [arg, *closure_arrays(rhs)]
+            assert made and all(a.ctypes.data % 64 == 0 for a in made)
+            assert all(any(np.shares_memory(a, b) for b in made) for a in arrays)
     for verify, traj in ((verify_toda, toda), (verify_kdv, kdv)):
         made.clear()
         verify(traj, 1.0)
@@ -262,6 +297,46 @@ def test_lattice_buffers_start_on_a_cache_line(mode, monkeypatch):
     window = (5, 4, table.columns - 5)
     assert (np.complex128, window) in shapes and (np.float64, window) in shapes
     assert all(a.ctypes.data % 64 == 0 for a in made)
+
+
+class CountingNumpy:
+    """numpy, with every call of a numpy function or ufunc counted."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __getattr__(self, name):
+        attr = getattr(np, name)
+        if not callable(attr) or isinstance(attr, type):
+            return attr
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return attr(*args, **kwargs)
+
+        return counted
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_rk4_step_numpy_call_budget(p, monkeypatch):
+    J, table = flow_instances(p, "complex")
+    counting = CountingNumpy()
+    monkeypatch.setattr(lattice, "np", counting)
+
+    def step_calls(evolve, state):
+        # one more step in the same block of samples costs exactly one step's calls
+        counts = []
+        for steps in (1, 2):
+            counting.calls = 0
+            evolve(state, dt=1e-2, steps=steps)
+            counts.append(counting.calls)
+        return counts[1] - counts[0]
+
+    # per step: copy y into the kernel's input, 13 RK4 passes, four right-hand sides;
+    # a Toda rhs copies the diagonal twice and makes 4 passes, a KdV rhs p - 1 window
+    # adds and 2 passes
+    assert step_calls(evolve_toda, J) <= 14 + 4 * 6
+    assert step_calls(evolve_kdv, table) <= 14 + 4 * (p + 1)
 
 
 # ---------------------------------------------------------------------------
