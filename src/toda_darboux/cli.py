@@ -97,10 +97,7 @@ class RunConfig:
 
 
 def _instance(cfg: RunConfig):
-    J = random_hessenberg(cfg.p, cfg.n, seed=cfg.seed, mode=cfg.mode)
-    if cfg.scale != 1.0:
-        J = graded_scale(J, cfg.scale)
-    return J
+    return graded_scale(random_hessenberg(cfg.p, cfg.n, seed=cfg.seed, mode=cfg.mode), cfg.scale)
 
 
 def _emit(payload: dict, cfg: RunConfig, reports=()) -> int:

@@ -276,10 +276,11 @@ def enumerate_indices(j: int, k: int, p: int) -> list:
     """Weakly decreasing (k+1)-tuples between j + k + 1 and j + p + 1.
 
     These index the gamma products in the entries of the transformed
-    matrix J^(j) at band offset k.  Sorted lexicographically.
+    matrix J^(j) at band offset k; k = 0 gives the 1-tuples (j + 1,) ..
+    (j + p + 1,) of the diagonal.  Sorted lexicographically.
     """
-    if not 1 <= k <= p:
-        raise ValueError(f"band offset k={k} outside 1..{p}")
+    if not 0 <= k <= p:
+        raise ValueError(f"band offset k={k} outside 0..{p}")
     lo, hi = j + k + 1, j + p + 1
     tuples = [t[::-1] for t in itertools.combinations_with_replacement(range(lo, hi + 1), k + 1)]
     tuples.sort()
@@ -303,14 +304,14 @@ SAMPLE_MARGIN = 1e-9
 SAMPLE_RETRIES = 64
 
 
-def hyperplane_determinant(T: Banded, s: int, r: int, k: int) -> complex:
-    """Minor R_k^(s,r) of the stage-s matrix, by dense elimination.
+def hyperplane_determinant(T: Banded, r: int, k: int) -> complex:
+    """Minor R_k^(r) of a stage matrix T, by dense elimination.
 
     Rows are the single row q - r - 1 followed by rows q .. q + k - 2
     (q is the subdiagonal count of T), columns 0 .. k - 1.  These minors
-    are the coefficients of the hyperplanes that stage-s parameters must
-    avoid so that every later peel denominator stays nonzero (an oracle;
-    the sampler checks its peels instead).
+    are the coefficients of the hyperplanes that the stage's parameters
+    must avoid so that every later peel denominator stays nonzero (an
+    oracle; the sampler checks its peels instead).
     """
     q = T.p
     if k < 1:
@@ -594,10 +595,11 @@ def assemble_transform(factors: DarbouxFactors, i: int):
 def backlund_entry(table: GammaTable, j: int, i: int, k: int, C=0.0) -> complex:
     """Entry (i + k, i) of J^(j), straight from the gamma table.
 
-    k = 0 gives the diagonal entry C plus a window of p + 1 consecutive
-    gammas; k = 1..p gives the sum over weakly decreasing index tuples of
-    products of k + 1 gammas.  Indices that fall off the bottom of the
-    table contribute zero, indices beyond the filled table raise
+    The sum over the weakly decreasing index tuples of enumerate_indices
+    of products of k + 1 gammas, plus C on the diagonal (k = 0, where the
+    1-tuples give a window of p + 1 consecutive gammas).  Each product
+    starts from its first factor.  Indices that fall off the bottom of
+    the table contribute zero, indices beyond the filled table raise
     IndexError.
     """
     p = table.p
@@ -607,15 +609,10 @@ def backlund_entry(table: GammaTable, j: int, i: int, k: int, C=0.0) -> complex:
         raise ValueError(f"band offset {k} outside 0..{p}")
     if i < 0:
         raise ValueError(f"column index {i} must be nonnegative")
-    if k == 0:
-        acc = complex(C)
-        for s in range(j + 1, j + p + 2):
-            acc += table.gamma((i - 1) * p + i + s)
-        return acc
-    acc = 0j
+    acc = complex(C) if k == 0 else 0j
     for t in enumerate_indices(j, k, p):
-        prod = 1 + 0j
-        for r, idx in enumerate(t, start=1):
-            prod *= table.gamma((i + r - 2) * p + idx + i)
+        prod, *rest = (table.gamma(r * p + idx + i) for r, idx in enumerate(t, i - 1))
+        for g in rest:
+            prod *= g
         acc += prod
-    return complex(acc)
+    return acc

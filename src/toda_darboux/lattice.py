@@ -23,7 +23,7 @@ right hand side, so residuals of honest solutions shrink like dt^2.
 A ``Trajectory`` is one array over the time axis, float64 for real states
 and complex128 otherwise, filled in place by RK4 and swept by the verifiers
 in blocks of samples; a NaN residual fails.  A right-hand side is a kernel
-built per array shape (per RK4 trajectory, per verifier block shape) that
+built per array shape (per RK4 trajectory, per verifier sweep) that
 owns a zero-padded input, where RK4 writes each stage's argument and a sweep
 copies each block.  Every array lattice allocates starts on a 64-byte
 boundary, as one inside a cache line splits vector loads across two lines.
@@ -88,23 +88,24 @@ class InsufficientSamples(ValueError):
 class Trajectory:
     """Fixed-step trajectory of a lattice, one read-only array over time.
 
-    ``data[m]`` is sample m: the row-indexed bands (p + 1, n) of J for
-    the Toda flow, or the flat gamma table ((p + 1) columns,) for KdV.
-    ``data`` is float64 when the states are real (every imaginary part
-    +0.0) and complex128 otherwise; ``states`` are complex either way.
+    ``data[m]`` is sample m, at time m dt: the row-indexed bands (p + 1, n)
+    of J for the Toda flow, or the flat gamma table ((p + 1) columns,) for
+    KdV.  ``data`` is float64 when the states are real (every imaginary
+    part +0.0) and complex128 otherwise; ``states`` are complex either way.
     """
 
-    times: np.ndarray
     data: np.ndarray
     dt: float
     p: int
 
     def __post_init__(self):
-        real = np.isrealobj(self.data)
-        for name, dtype in (("times", float), ("data", float if real else np.complex128)):
-            arr = np.asarray(getattr(self, name), dtype=dtype)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        data = np.asarray(self.data, dtype=float if np.isrealobj(self.data) else np.complex128)
+        data.flags.writeable = False
+        object.__setattr__(self, "data", data)
+
+    @property
+    def times(self) -> np.ndarray:
+        return np.arange(len(self.data)) * self.dt
 
     @property
     def kind(self) -> str:
@@ -280,7 +281,7 @@ def _rk4(y0: np.ndarray, kernel, dt: float, steps: int, p: int) -> Trajectory:
             finite = np.isfinite(out[m0 + 1 : m1 + 1].view(float).reshape(m1 - m0, -1)).all(1)
             if not finite.all():
                 raise BlowUp((m0 + int(np.argmin(finite))) * dt)
-    return Trajectory(np.arange(steps + 1) * dt, out, dt, p)
+    return Trajectory(out, dt, p)
 
 
 def evolve_toda(J0: Banded, C=0.0, dt: float = 1e-3, steps: int = 100) -> Trajectory:
@@ -307,15 +308,19 @@ def evolve_kdv(table0: GammaTable, dt: float = 1e-3, steps: int = 100) -> Trajec
 def _worst(residual, lo: int, hi: int, block: int):
     """Worst residual over samples lo..hi-1, swept in blocks of samples, and its (entry, sample).
 
-    ``residual(m0, m1)`` gives samples m0..m1-1 of Toda band residuals
-    (samples, p + 1, rows), whose d slots before band d's first row are
-    zeroed here, or of gamma residuals (samples, size).  Only a strictly
-    larger entry in C order replaces the worst, so on ties the first
-    sample, then band and row, wins; a NaN is worse than any number.
+    ``residual(m0)`` gives samples m0..m0+block-1 of Toda band residuals
+    (block, p + 1, rows), whose d slots before band d's first row are
+    zeroed here, or of gamma residuals (block, size).  Every block has
+    block <= hi - lo samples, so the last starts at hi - block and may
+    sweep samples again.  Only a strictly larger entry in C order replaces
+    the worst, so on ties the first sample, then band and row, wins, and a
+    sample swept again changes nothing; a NaN is worse than any number.
+    The location is () while nothing exceeds zero.
     """
-    worst, arg, outside = 0.0, ("", 0), None
+    worst, arg, outside = 0.0, (), None
     for m0 in range(lo, hi, block):
-        res = residual(m0, min(m0 + block, hi))
+        m0 = min(m0, hi - block)
+        res = residual(m0)
         if res.ndim == 3:
             if outside is None:
                 outside = np.tri(*res.shape[1:], -1, dtype=bool)
@@ -333,39 +338,34 @@ def _worst(residual, lo: int, hi: int, block: int):
 def _central(data: np.ndarray, dt: float, kernel, p: int, cap: int):
     """_worst of central differences against kernel's rhs, entries below cap on the last axis.
 
-    Kernels and block buffers are built once per block shape; each block
+    One kernel and its block buffers are built per sweep; each block
     computes (a - b) / (2 dt) - rhs, then abs, in that order.
     """
     if len(data) < 3:
         raise InsufficientSamples(f"need at least 3 samples, have {len(data)}")
-    count, shape = len(data) - 2, data.shape[1:]
-    block = min(max(1, _BLOCK_BYTES // data[0].nbytes), count)
-    diff, slope, res = (_empty((block, *shape), t) for t in (data.dtype, data.dtype, float))
-    kernels = {k: kernel((k, *shape), data.dtype, p) for k in {block, count % block or block}}
+    shape = (min(max(1, _BLOCK_BYTES // data[0].nbytes), len(data) - 2), *data.shape[1:])
+    diff, slope, res = (_empty(shape, t) for t in (data.dtype, data.dtype, float))
+    arg, rhs = kernel(shape, data.dtype, p)
 
-    def residual(m0, m1):
-        k = m1 - m0
-        d, s, (arg, rhs) = diff[:k], slope[:k], kernels[k]
-        np.subtract(data[m0 + 1 : m1 + 1], data[m0 - 1 : m1 - 1], out=d)
-        np.divide(d, 2 * dt, out=d)
+    def residual(m0):
+        m1 = m0 + shape[0]
+        np.subtract(data[m0 + 1 : m1 + 1], data[m0 - 1 : m1 - 1], out=diff)
+        np.divide(diff, 2 * dt, out=diff)
         np.copyto(arg, data[m0:m1])
-        rhs(s)
-        return np.abs(np.subtract(d, s, out=d), out=res[:k])[..., :cap]
+        rhs(slope)
+        return np.abs(np.subtract(diff, slope, out=diff), out=res)[..., :cap]
 
-    return _worst(residual, 1, len(data) - 1, block)
+    return _worst(residual, 1, len(data) - 1, shape[0])
 
 
-def verify_toda(traj: Trajectory, tol: float, window: int = None) -> ResidualReport:
+def verify_toda(traj: Trajectory, tol: float) -> ResidualReport:
     """Central-difference check of the Toda equations along a trajectory.
 
     Residuals are taken at interior sample times over every entry whose
-    full stencil (the neighbor one row down) lies inside the certified
-    window, a count of leading rows (all by default); with an exact flow
-    they scale like dt^2.
+    full stencil (the neighbor one row down) lies inside the matrix, so
+    on rows 0..n-2; with an exact flow they scale like dt^2.
     """
-    n = traj.data.shape[2]
-    wlim = n if window is None else min(window, n)
-    worst, arg = _central(traj.data, traj.dt, _toda_kernel, traj.p, max(wlim - 1, 0))
+    worst, arg = _central(traj.data, traj.dt, _toda_kernel, traj.p, traj.data.shape[2] - 1)
     return _report("toda residual", worst, arg, tol)
 
 
@@ -395,12 +395,13 @@ def _transform_bands(values: np.ndarray, p: int, j: int, rows: int, C=0.0) -> np
 
     This is backlund_entry's closed form with the same index tuples, the
     same products and the same accumulation order, so it agrees with the
-    scalar route bit for bit.  Column i of band k reads gamma_{i (p+1) + o}
-    for an offset o fixed by the tuple coordinate, so each factor is one
-    strided slice of the zero-padded table, for all columns and all
-    stacked tables at once.  Complex products are spelled out in real
-    arithmetic: numpy's complex multiply may fuse a multiply and an add,
-    Python's does not.
+    scalar route bit for bit: band k starts at C for k = 0 (the diagonal,
+    summed over 1-tuples) and at 0 otherwise, and each product starts from
+    its first factor.  Column i of band k reads gamma_{i (p+1) + o} for an
+    offset o fixed by the tuple coordinate, so each factor is one strided
+    slice of the zero-padded table, for all columns and all stacked tables
+    at once.  Complex products are spelled out in real arithmetic: numpy's
+    complex multiply may fuse a multiply and an add, Python's does not.
     """
     if not 0 <= j <= p:
         raise ValueError(f"transform index {j} outside 0..{p}")
@@ -411,34 +412,21 @@ def _transform_bands(values: np.ndarray, p: int, j: int, rows: int, C=0.0) -> np
         padded = np.zeros(lead + (p + 1 + size,))
         padded[..., p + 1 :] = part
         parts.append(padded)
-    C = complex(C)
 
     def factor(o, cols):
         # gamma_{i (p+1) + o} for columns i = 0..cols-1, as (real, imag)
         return [a[..., o + p :: p + 1][..., :cols] for a in parts]
 
     bands = np.zeros(lead + (p + 1, rows), dtype=np.complex128)
-    for k in range(p + 1):
-        cols = rows - k
-        if cols > 0:
-            shape = lead + (cols,)
-            if k == 0:
-                acc_re, acc_im = np.full(shape, C.real), np.full(shape, C.imag)
-                for s in range(j + 1, j + p + 2):
-                    g_re, g_im = factor(s - p, cols)
-                    acc_re += g_re
-                    acc_im += g_im
-            else:
-                acc_re, acc_im = np.zeros(shape), np.zeros(shape)
-                for t in enumerate_indices(j, k, p):
-                    pr, pi = np.ones(shape), np.zeros(shape)
-                    for r, idx in enumerate(t, start=1):
-                        g_re, g_im = factor((r - 2) * p + idx, cols)
-                        pr, pi = pr * g_re - pi * g_im, pr * g_im + pi * g_re
-                    acc_re += pr
-                    acc_im += pi
-            bands.real[..., k, k:] = acc_re
-            bands.imag[..., k, k:] = acc_im
+    bands[..., 0, :] = C
+    for k in range(min(p + 1, rows)):
+        acc_re, acc_im = bands.real[..., k, k:], bands.imag[..., k, k:]
+        for t in enumerate_indices(j, k, p):
+            (pr, pi), *rest = (factor(r * p + idx, rows - k) for r, idx in enumerate(t, -1))
+            for g_re, g_im in rest:
+                pr, pi = pr * g_re - pi * g_im, pr * g_im + pi * g_re
+            acc_re += pr
+            acc_im += pi
     return bands
 
 
@@ -495,10 +483,10 @@ def theorem1_diagram(
     block = min(max(1, _BLOCK_BYTES // direct[0].nbytes), len(direct))
     diff, res = (_empty((block, p + 1, w_path), t) for t in (complex, float))
 
-    def path_residual(m0, m1):
-        k = m1 - m0
-        np.subtract(direct[m0:m1, :, :w_path], recon[0][m0:m1, :, :w_path], out=diff[:k])
-        return np.abs(diff[:k], out=res[:k])
+    def path_residual(m0):
+        m1 = m0 + block
+        np.subtract(direct[m0:m1, :, :w_path], recon[0][m0:m1, :, :w_path], out=diff)
+        return np.abs(diff, out=res)
 
     worst, arg = _worst(path_residual, 0, len(direct), block)
     reports = {"path": _report("path agreement", worst, arg, tol_path)}

@@ -436,6 +436,23 @@ def test_verify_samples_parameters_for_longer_matrices(n, capsys):
     assert payload["reports"]["path"]["passed"]
 
 
+@pytest.mark.parametrize("argv, empty", [
+    # at n = 2 no row has the row below it that a Toda check needs
+    (["--p", "1", "--n", "2"], {"toda[0]", "toda[1]"}),
+    # the one-row path window agrees exactly at every sample
+    (["--p", "2", "--n", "6"], {"path"}),
+])
+def test_verify_names_no_location_where_nothing_exceeds_zero(argv, empty, tmp_path, capsys):
+    out = tmp_path / "verify.json"
+    main(["verify", *argv, "--out", str(out)])
+    lines = capsys.readouterr().out.splitlines()
+    reports = json.loads(out.read_text())["reports"]
+    assert {k for k, r in reports.items() if r["max_residual"] == 0} == empty
+    for key, r in reports.items():
+        line = next(s for s in lines if f"] {r['label']}:" in s)
+        assert (r["argmax"] == []) == (" at " not in line) == (key in empty)
+
+
 def test_verify_complex_shift(capsys):
     code, payload = run_json(
         ["verify", "--C-re", "0.02", "--C-im", "0.01", "--steps", "60"], capsys

@@ -98,7 +98,11 @@ def test_enumerate_indices_rejects_bad_band_offset():
     with pytest.raises(ValueError):
         enumerate_indices(3, 3, 2)
     with pytest.raises(ValueError):
-        enumerate_indices(0, 0, 2)
+        enumerate_indices(0, -1, 2)
+    # k = 0 is the diagonal: the p + 1 ascending 1-tuples
+    for p in range(1, 5):
+        for j in range(p + 1):
+            assert enumerate_indices(j, 0, p) == [(j + s,) for s in range(1, p + 2)]
 
 
 def test_enumerate_tilde_pinned_examples():
@@ -127,10 +131,10 @@ def test_hyperplane_determinant_k1_is_single_entry():
     T = random_unit_lower(3, 8, seed=0)
     q = T.p
     for r in range(q):
-        val = hyperplane_determinant(T, 0, r, 1)
+        val = hyperplane_determinant(T, r, 1)
         assert val == T.band(q - r - 1)[q - r - 1] if q - r - 1 >= 1 else True
     # explicit: r = 0 picks the entry on row q-1, first column
-    assert hyperplane_determinant(T, 0, 0, 1) == T.band(q - 1)[q - 1]
+    assert hyperplane_determinant(T, 0, 1) == T.band(q - 1)[q - 1]
 
 
 def test_hyperplane_determinant_k2_is_2x2():
@@ -140,7 +144,7 @@ def test_hyperplane_determinant_k2_is_2x2():
     b = T.entry(q - 1, 1)
     c = T.entry(q, 0)
     d = T.entry(q, 1)
-    assert abs(hyperplane_determinant(T, 0, 0, 2) - (a * d - b * c)) <= 1e-14
+    assert abs(hyperplane_determinant(T, 0, 2) - (a * d - b * c)) <= 1e-14
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -153,7 +157,7 @@ def test_hyperplane_determinant_matches_cofactor_oracle(seed):
             rows = [q - r - 1] + list(range(q, q + k - 1))
             sub = dense[np.ix_(rows, range(k))]
             truth = det_cofactor(sub)
-            got = hyperplane_determinant(T, 0, r, k)
+            got = hyperplane_determinant(T, r, k)
             assert abs(got - truth) <= 1e-10 * max(1.0, abs(truth))
 
 
@@ -165,7 +169,7 @@ def test_hyperplane_determinant_equals_det_of_entrywise_submatrix(q):
         for k in range(1, n - q + 2):
             rows = [q - r - 1] + list(range(q, q + k - 1))
             sub = np.array([[T.entry(a, b) for b in range(k)] for a in rows])
-            assert hyperplane_determinant(T, 0, r, k) == complex(np.linalg.det(sub))
+            assert hyperplane_determinant(T, r, k) == complex(np.linalg.det(sub))
 
 
 def test_sample_parameters_none_to_sample():

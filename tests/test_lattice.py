@@ -471,10 +471,9 @@ def per_state_rk4(state, dt, steps):
     return states
 
 
-def per_state_verify_toda(states, dt, window=None):
-    n, p = states[0].n, states[0].p
-    cap = (n if window is None else min(window, n)) - 1
-    worst, arg = 0.0, ("", 0)
+def per_state_verify_toda(states, dt):
+    cap, p = states[0].n - 1, states[0].p
+    worst, arg = 0.0, ()
     for m in range(1, len(states) - 1):
         rhs = per_state_toda_rhs(states[m])
         for d in range(p + 1):
@@ -488,7 +487,7 @@ def per_state_verify_toda(states, dt, window=None):
 
 def per_state_verify_kdv(states, dt):
     cap = states[0].size - states[0].p
-    worst, arg = 0.0, ("", 0)
+    worst, arg = 0.0, ()
     for m in range(1, len(states) - 1):
         diff = (states[m + 1].values - states[m - 1].values) / (2 * dt)
         res = np.abs(diff - per_state_kdv_rhs(states[m]))[:cap]
@@ -523,23 +522,22 @@ def test_array_flows_equal_per_state_route_bit_for_bit(p, mode, monkeypatch):
     assert (np.asarray(kdv.data, complex).tobytes()
             == np.stack([s.values for s in kdv_states]).tobytes())
     assert [s.bands[-1].tolist() for s in toda.states] == [s.bands[-1].tolist() for s in toda_states]
-    windows = [None, J.n - p - 1]
-    toda_want = [per_state_verify_toda(toda_states, dt, w) for w in windows]
+    toda_want = per_state_verify_toda(toda_states, dt)
     kdv_want = per_state_verify_kdv(kdv_states, dt)
     # the default block holds all 29 interior samples; one byte makes every
-    # sample its own block; three samples leave a last block of two
+    # sample its own block; three samples leave a last block that starts two
+    # samples early and sweeps them again
     default = lattice._BLOCK_BYTES
     for block in (lambda traj: default, lambda traj: 1, lambda traj: 3 * traj.data[0].nbytes):
         monkeypatch.setattr(lattice, "_BLOCK_BYTES", block(toda))
-        for w, want in zip(windows, toda_want):
-            rep = verify_toda(toda, 1.0, w)
-            assert (rep.max_residual, rep.argmax) == want
+        rep = verify_toda(toda, 1.0)
+        assert (rep.max_residual, rep.argmax) == toda_want
         monkeypatch.setattr(lattice, "_BLOCK_BYTES", block(kdv))
         rep = verify_kdv(kdv, 1.0)
         assert (rep.max_residual, rep.argmax) == kdv_want
 
 
-def test_verifier_sweep_builds_at_most_two_kernels(monkeypatch):
+def test_verifier_sweep_builds_one_kernel(monkeypatch):
     J = graded_scale(random_hessenberg(2, 16, seed=6), 0.4)
     _, table = darboux_factorization(J, 0.1, rng=np.random.default_rng(6))
     toda, kdv = evolve_toda(J, dt=1e-3, steps=100), evolve_kdv(table, dt=1e-3, steps=100)
@@ -554,11 +552,12 @@ def test_verifier_sweep_builds_at_most_two_kernels(monkeypatch):
     monkeypatch.setattr(lattice, "_toda_kernel", counting(lattice._toda_kernel))
     monkeypatch.setattr(lattice, "_kdv_kernel", counting(lattice._kdv_kernel))
     for traj, verify in ((toda, verify_toda), (kdv, verify_kdv)):
-        # 99 interior samples in blocks of 8: twelve full blocks and a last one of 3
+        # 99 interior samples in blocks of 8: twelve blocks, and a thirteenth
+        # that starts five samples early, all through one kernel
         monkeypatch.setattr(lattice, "_BLOCK_BYTES", 8 * traj.data[0].nbytes)
         built.clear()
         verify(traj, 1.0)
-        assert sorted(built) == [(3, *traj.data.shape[1:]), (8, *traj.data.shape[1:])]
+        assert built == [(8, *traj.data.shape[1:])]
 
 
 def test_array_flows_blow_up_at_the_per_state_time():
@@ -627,16 +626,18 @@ def test_verify_reports_equal_on_float64_data_and_its_complex_cast(p):
     assert toda.data.dtype == kdv.data.dtype == np.float64
 
     def cast(traj):
-        return Trajectory(traj.times, traj.data.astype(complex), traj.dt, traj.p)
+        return Trajectory(traj.data.astype(complex), traj.dt, traj.p)
 
-    for w in (None, 0, 3, J.n - p - 1):
-        assert verify_toda(toda, 1e-9, w) == verify_toda(cast(toda), 1e-9, w)
+    assert verify_toda(toda, 1e-9) == verify_toda(cast(toda), 1e-9)
     assert verify_kdv(kdv, 1e-9) == verify_kdv(cast(kdv), 1e-9)
 
 
-@pytest.mark.parametrize("block", [None, 1])
+@pytest.mark.parametrize("block", [None, 1, 2 * 3 * 6 * 16])
 def test_verifier_ties_go_to_the_first_sample_then_band(block, monkeypatch):
-    if block:  # one sample per block: ties across blocks keep the first
+    # one byte puts each sample in its own block, so ties across blocks keep the
+    # first; two samples per block make the last block (samples 2 and 3) sweep
+    # sample 2 again, so ties inside that overlap keep the first too
+    if block:
         monkeypatch.setattr(lattice, "_BLOCK_BYTES", block)
     # a[1,0] = 1 gives band-0 residuals of modulus 1 at rows 0 and 1; a[3,1] = 1
     # gives band-1 residuals of modulus 1 at rows 2 and 3.  Samples alternate
@@ -648,11 +649,11 @@ def test_verifier_ties_go_to_the_first_sample_then_band(block, monkeypatch):
     only_band0[1, 1] = 1.0
     both = only_band0 + only_band1
     for samples, want in [
-        ([only_band0, only_band1, only_band0, only_band1], ("a[2,1]", 1)),
-        ([only_band1, only_band0, only_band1, only_band0], ("a[0,0]", 1)),
-        ([both, both, both, both], ("a[0,0]", 1)),
+        ([only_band0, only_band1] * 2 + [only_band0], ("a[2,1]", 1)),
+        ([only_band1, only_band0] * 2 + [only_band1], ("a[0,0]", 1)),
+        ([both] * 5, ("a[0,0]", 1)),
     ]:
-        traj = Trajectory(np.arange(4) * 0.1, np.stack(samples), 0.1, 2)
+        traj = Trajectory(np.stack(samples), 0.1, 2)
         rep = verify_toda(traj, 1.0)
         assert (rep.max_residual, rep.argmax) == (1.0, want)
         assert per_state_verify_toda(list(traj.states), 0.1) == (1.0, want)
@@ -667,7 +668,7 @@ def test_nan_entry_fails_verify_toda(where, block, monkeypatch):
     traj = evolve_toda(J, dt=1e-3, steps=10)
     data = traj.data.copy()
     data[where] = np.nan
-    rep = verify_toda(Trajectory(traj.times, data, traj.dt, traj.p), tol=1.0)
+    rep = verify_toda(Trajectory(data, traj.dt, traj.p), tol=1.0)
     m, d, i = where
     assert np.isnan(rep.max_residual) and not rep.passed
     # the first NaN in sample order: the difference one sample before, or
@@ -683,7 +684,7 @@ def test_nan_entry_fails_verify_kdv(block, monkeypatch):
     traj = evolve_kdv(table, dt=1e-3, steps=10)
     data = traj.data.copy()
     data[4, 2] = np.nan
-    rep = verify_kdv(Trajectory(traj.times, data, traj.dt, traj.p), tol=1.0)
+    rep = verify_kdv(Trajectory(data, traj.dt, traj.p), tol=1.0)
     assert np.isnan(rep.max_residual) and not rep.passed
     assert rep.argmax == ("gamma[3]", 3)
 
@@ -739,30 +740,6 @@ def test_verify_kdv_on_evolved_table():
     assert rep.passed
     entry, _ = rep.argmax
     assert entry.startswith("gamma[")
-
-
-def test_verify_window_excludes_corrupt_tail_row():
-    J = graded_scale(random_hessenberg(1, 7, seed=10), 0.4)
-    traj = evolve_toda(J, dt=1e-3, steps=10)
-    spoiled = traj.data.copy()
-    # constant corruption in the last row: it feeds the row-below stencil
-    # of row n-2 but never moves the finite difference
-    spoiled[:, 1, -1] += 50.0
-    bad = Trajectory(times=traj.times, data=spoiled, dt=traj.dt, p=traj.p)
-    full = verify_toda(bad, tol=1e-5)
-    assert not full.passed
-    trimmed = verify_toda(bad, tol=1e-5, window=J.n - 1)
-    assert trimmed.passed
-
-
-def test_verify_window_of_zero_rows_checks_nothing():
-    J = graded_scale(random_hessenberg(2, 8, seed=3), 0.4)
-    traj = evolve_toda(J, dt=0.1, steps=10)
-    full = verify_toda(traj, tol=1e-30, window=8)
-    assert not full.passed and full.argmax == ("a[5,4]", 9)
-    for rows in (0, 1):
-        rep = verify_toda(traj, tol=1e-30, window=rows)
-        assert (rep.max_residual, rep.argmax, rep.passed) == (0.0, ("", 0), True)
 
 
 # ---------------------------------------------------------------------------
@@ -885,9 +862,9 @@ def test_commuting_diagram_equals_per_state_scalar_route(p):
         for m, tb in enumerate(traj_table.states):
             for d, entries in enumerate(scalar_transform_bands(tb, j, C, rows)):
                 data[m, d, d:] = entries
-        recon[j] = Trajectory(traj_table.times, data, dt, p)
+        recon[j] = Trajectory(data, dt, p)
 
-    worst, arg = 0.0, ("", 0)
+    worst, arg = 0.0, ()
     for m, direct in enumerate(evolve_toda(J, C, dt, steps).states):
         for d in range(p + 1):
             res = np.abs(direct.bands[d][:w_path] - recon[0].states[m].bands[d][:w_path])[d:]
