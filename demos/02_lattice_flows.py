@@ -42,7 +42,7 @@ def main():
     print("\ndiagonal sum along the matrix flow (a conserved trace):")
     traj = evolve_toda(J, dt=1e-2, steps=20)
     for m in (0, len(traj) // 2, len(traj) - 1):
-        tr = traj.states[m].band(0).sum()
+        tr = traj[m].band(0).sum()
         print(f"  t = {traj.times[m]:.2f}: trace = {tr.real:+.12f}")
 
 

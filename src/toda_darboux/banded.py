@@ -34,13 +34,11 @@ __all__ = [
     "Banded",
     "BandedHessenberg",
     "ShapeError",
-    "from_json_dict",
     "graded_scale",
     "multiply",
     "multiply_chain",
     "random_hessenberg",
     "residual",
-    "to_json_dict",
 ]
 
 

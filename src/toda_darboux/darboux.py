@@ -181,7 +181,7 @@ class ParameterSet:
         rows = []
         p = len(self.alphas) + 1
         for s, row in enumerate(self.alphas):
-            arr = np.asarray(row, dtype=np.complex128)
+            arr = np.array(row, dtype=np.complex128)
             if arr.shape != (p - s - 1,):
                 raise ValueError(
                     f"stage {s} needs {p - s - 1} parameters, got shape {arr.shape}"
@@ -469,8 +469,10 @@ def darboux_factorization(J: Banded, C=0.0, params=None, rng=None):
     LU first, then the bidiagonal splitting of the L factor, with
     parameters drawn by ``sample_parameters`` in the field of each stage
     matrix unless ``params`` are given; the gamma table is read off the
-    factors (``factors_to_table``).
+    factors (``factors_to_table``).  A gamma table needs n >= 2 rows.
     """
+    if J.n < 2:
+        raise ValueError(f"a gamma table needs n >= 2, got n={J.n}")
     L, U = lu_factorize(J, C)
     factors = DarbouxFactors(U, darboux_factorize(L, params, rng), complex(C))
     return factors, factors_to_table(factors)

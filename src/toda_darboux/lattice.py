@@ -21,11 +21,11 @@ Everything is integrated with fixed-step classical RK4 and verified by
 comparing central finite differences of a trajectory against the exact
 right hand side, so residuals of honest solutions shrink like dt^2.
 A ``Trajectory`` is one array over the time axis, float64 for real states
-and complex128 otherwise, filled in place by RK4 and swept by the verifiers
-in blocks of samples; a NaN residual fails.  A right-hand side is a kernel
-built per array shape (per RK4 trajectory, per verifier sweep) that
-owns a zero-padded input, where RK4 writes each stage's argument and a sweep
-copies each block.  Every array lattice allocates starts on a 64-byte
+and complex128 otherwise, filled in place by RK4, swept by the verifiers in
+blocks of samples (a NaN residual fails), and read as a sequence of states.
+A right-hand side is a kernel built per array shape (per RK4 trajectory,
+per verifier sweep) that owns a zero-padded input, where RK4 writes each
+stage's argument and a sweep copies each block.  Every array lattice allocates starts on a 64-byte
 boundary, as one inside a cache line splits vector loads across two lines.
 Truncation is handled by windows: the bottom rows of a finite Toda
 truncation and the top indices of a finite gamma table feel the missing
@@ -85,13 +85,16 @@ class InsufficientSamples(ValueError):
 
 
 @dataclass(frozen=True, eq=False, repr=False)
-class Trajectory:
+class Trajectory(Sequence):
     """Fixed-step trajectory of a lattice, one read-only array over time.
 
     ``data[m]`` is sample m, at time m dt: the row-indexed bands (p + 1, n)
     of J for the Toda flow, or the flat gamma table ((p + 1) columns,) for
     KdV.  ``data`` is float64 when the states are real (every imaginary
-    part +0.0) and complex128 otherwise; ``states`` are complex either way.
+    part +0.0) and complex128 otherwise.  An array of that dtype is taken
+    over without a copy and made read-only.  The trajectory is the sequence
+    of its states: ``traj[m]`` builds sample m as a complex banded
+    Hessenberg matrix or GammaTable per access.
     """
 
     data: np.ndarray
@@ -112,29 +115,21 @@ class Trajectory:
         return "toda" if self.data.ndim == 3 else "kdv"
 
     @property
-    def states(self) -> "_States":
-        """The samples as banded Hessenberg matrices or GammaTables, built per access."""
-        return _States(self)
+    def states(self) -> "Trajectory":
+        """The trajectory itself, its own sequence of states."""
+        return self
 
     def __len__(self):
         return len(self.data)
 
-    def __repr__(self):
-        return f"Trajectory(kind={self.kind!r}, samples={len(self)}, dt={self.dt})"
-
-
-@dataclass(frozen=True)
-class _States(Sequence):
-    traj: Trajectory
-
-    def __len__(self):
-        return len(self.traj)
-
     def __getitem__(self, m):
-        data, p = self.traj.data, self.traj.p
+        data, p = self.data, self.p
         if data.ndim == 3:
             return BandedHessenberg(p, data.shape[2], tuple(data[m]))
         return GammaTable(p, data.shape[1] // (p + 1), data[m])
+
+    def __repr__(self):
+        return f"Trajectory(kind={self.kind!r}, samples={len(self)}, dt={self.dt})"
 
 
 @dataclass(frozen=True)
@@ -385,13 +380,13 @@ def verify_kdv(traj: Trajectory, tol: float) -> ResidualReport:
 # the commuting diagram
 
 
-def _transform_bands(values: np.ndarray, p: int, j: int, rows: int, C=0.0) -> np.ndarray:
-    """Bands 0..p of J^(j) on rows 0..rows-1, for a stack of gamma tables.
+def _transform_bands(values: np.ndarray, p: int, j: int, C=0.0) -> np.ndarray:
+    """Bands 0..p of J^(j), one row per table column, for a stack of gamma tables.
 
-    ``values`` has shape (..., size), one flat gamma array per leading
-    index, and the result has shape (..., p + 1, rows), the bands indexed
-    by row like those of a Banded.  The caller guarantees
-    rows <= columns, so every gamma read lies inside the table.
+    ``values`` has shape (..., size), one flat gamma array of
+    rows = size // (p + 1) columns per leading index, and the result has
+    shape (..., p + 1, rows), the bands indexed by row like those of a
+    Banded; every gamma read lies inside the table.
 
     This is backlund_entry's closed form with the same index tuples, the
     same products and the same accumulation order, so it agrees with the
@@ -406,6 +401,7 @@ def _transform_bands(values: np.ndarray, p: int, j: int, rows: int, C=0.0) -> np
     if not 0 <= j <= p:
         raise ValueError(f"transform index {j} outside 0..{p}")
     lead, size = values.shape[:-1], values.shape[-1]
+    rows = size // (p + 1)
     # gamma_n sits at index n + p, so gamma_{n <= 0} reads the zero padding
     parts = []
     for part in (values.real, values.imag):
@@ -430,18 +426,14 @@ def _transform_bands(values: np.ndarray, p: int, j: int, rows: int, C=0.0) -> np
     return bands
 
 
-def reconstruct_transform(table: GammaTable, j: int, C=0.0, rows: int = None) -> Banded:
-    """Assemble J^(j) of a given size from a gamma table.
+def reconstruct_transform(table: GammaTable, j: int, C=0.0) -> Banded:
+    """Assemble J^(j) from a gamma table, one row per table column.
 
     Every entry is the closed form of backlund_entry, evaluated for all
     entries at once and equal to it bit for bit.
     """
-    if rows is None:
-        rows = table.columns
-    if rows > table.columns:
-        raise ValueError(f"{rows} rows need {rows} columns, table has {table.columns}")
-    bands = _transform_bands(table.values, table.p, j, rows, C)
-    return BandedHessenberg(table.p, rows, tuple(bands))
+    bands = _transform_bands(table.values, table.p, j, C)
+    return BandedHessenberg(table.p, table.columns, tuple(bands))
 
 
 def theorem1_diagram(
@@ -479,7 +471,7 @@ def theorem1_diagram(
 
     direct = evolve_toda(J0, C, dt, steps).data
     traj_table = evolve_kdv(table0, dt, steps)
-    recon = [_transform_bands(traj_table.data, p, j, rows, C) for j in range(p + 1)]
+    recon = [_transform_bands(traj_table.data, p, j, C) for j in range(p + 1)]
     block = min(max(1, _BLOCK_BYTES // direct[0].nbytes), len(direct))
     diff, res = (_empty((block, p + 1, w_path), t) for t in (complex, float))
 

@@ -37,6 +37,7 @@ from toda_darboux.darboux import (
     sample_parameters,
     table_fill,
 )
+from toda_darboux.lattice import theorem1_diagram
 from toda_darboux.lu import lu_factorize
 
 from oracles import gamma_table_from_json
@@ -534,6 +535,22 @@ def test_parameter_set_validation():
     ps = ParameterSet((np.array([0.5 + 0j, -1.0 + 0j]), np.array([2.0 + 0j])))
     assert ps.p == 3
     assert ParameterSet(()).p == 1
+
+
+def test_parameter_set_copies_the_callers_arrays():
+    a = np.array([1 + 0j, 2 + 0j])
+    ps = ParameterSet((a, np.array([3 + 0j])))
+    a[0] = 5  # the caller's array stays writeable
+    assert ps.alphas[0].tolist() == [1, 2]
+    assert not ps.alphas[0].flags.writeable
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_one_by_one_matrix_has_no_gamma_table(p):
+    J = random_hessenberg(p, 1, seed=p)
+    for run in (darboux_factorization, theorem1_diagram):
+        with pytest.raises(ValueError, match="n >= 2, got n=1"):
+            run(J)
 
 
 def test_darboux_factors_json_round_trip():

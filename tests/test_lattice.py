@@ -1,6 +1,7 @@
 """Flows, residual checks, and the commuting-diagram verification."""
 
 import tracemalloc
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
@@ -702,6 +703,24 @@ def test_trajectory_states_are_read_only_and_built_per_access():
             traj.data[0, 0] = 0
 
 
+@pytest.mark.parametrize("mode", ["real", "complex"])
+def test_trajectory_is_its_own_sequence_of_states(mode):
+    J, table = flow_instances(2, mode)
+    for traj in (evolve_toda(J, steps=3), evolve_kdv(table, steps=3)):
+        assert traj.states is traj and isinstance(traj, Sequence)
+
+        def as_array(state):  # the bands of J, or the flat gamma table, as stored
+            a = np.stack(state.bands) if traj.kind == "toda" else state.values
+            assert a.dtype == np.complex128 and state.p == traj.p
+            return a.tolist()
+
+        want = [row.tolist() for row in traj.data]
+        assert len(traj) == 4 and [as_array(s) for s in traj] == want
+        assert [as_array(traj[m]) for m in range(-4, 4)] == want * 2
+        with pytest.raises(IndexError):
+            traj[4]
+
+
 # ---------------------------------------------------------------------------
 # residual verification
 
@@ -790,9 +809,9 @@ def test_reconstruct_transform_matches_direct_assembly():
     factors, table = darboux_factorization(J, C, params=small_params(2, 3, 0.2))
     for j in range(3):
         direct, w = assemble_transform(factors, j)
-        rows = min(w, table.columns)
-        rebuilt = reconstruct_transform(table, j, C, rows=rows)
-        for r in range(rows):
+        rebuilt = reconstruct_transform(table, j, C)
+        assert rebuilt.n == table.columns <= w
+        for r in range(rebuilt.n):
             for c in range(max(0, r - 2), r + 1):
                 assert abs(rebuilt.entry(r, c) - direct.entry(r, c)) <= 1e-10
 
@@ -801,15 +820,13 @@ def test_reconstruct_transform_row_bound():
     J = random_hessenberg(1, 6, seed=16)
     _, table = darboux_factorization(J, 0.0, rng=np.random.default_rng(0))
     with pytest.raises(ValueError):
-        reconstruct_transform(table, 0, rows=table.columns + 1)
-    with pytest.raises(ValueError):
         reconstruct_transform(table, 2)
 
 
-def scalar_transform_bands(table, j, C, rows):
-    """Bands of J^(j) entry by entry through the scalar closed form."""
+def scalar_transform_bands(table, j, C):
+    """Bands of J^(j) entry by entry through the scalar closed form, one row per column."""
     return [
-        [backlund_entry(table, j, i - d, d, C) for i in range(d, rows)]
+        [backlund_entry(table, j, i - d, d, C) for i in range(d, table.columns)]
         for d in range(table.p + 1)
     ]
 
@@ -821,14 +838,17 @@ def test_transform_kernel_equals_backlund_entry_exactly(p, mode):
     columns = 7
     shape = (3, (p + 1) * columns)
     values = rng.normal(size=shape) + (1j * rng.normal(size=shape) if mode == "complex" else 0)
-    tables = [GammaTable(p, columns, v) for v in values]
     C = 0.2 - 0.3j if mode == "complex" else 0.2
     for j in range(p + 1):
+        full = _transform_bands(values, p, j, C)
         for rows in (1, columns - 1, columns):
-            stacked = _transform_bands(values, p, j, rows, C)
-            for m, table in enumerate(tables):
-                single = reconstruct_transform(table, j, C, rows)
-                for d, want in enumerate(scalar_transform_bands(table, j, C, rows)):
+            # the leading rows of a transform read only the leading columns
+            leading = values[:, : (p + 1) * rows]
+            stacked = _transform_bands(leading, p, j, C)
+            assert stacked.tolist() == full[..., :rows].tolist()
+            for m, table in enumerate(GammaTable(p, rows, v) for v in leading):
+                single = reconstruct_transform(table, j, C)
+                for d, want in enumerate(scalar_transform_bands(table, j, C)):
                     assert stacked[m, d, :d].tolist() == [0j] * min(d, rows)
                     assert stacked[m, d, d:].tolist() == want
                     assert single.bands[d][d:].tolist() == want
@@ -860,7 +880,7 @@ def test_commuting_diagram_equals_per_state_scalar_route(p):
     for j in range(p + 1):
         data = np.zeros((len(traj_table), p + 1, rows), dtype=np.complex128)
         for m, tb in enumerate(traj_table.states):
-            for d, entries in enumerate(scalar_transform_bands(tb, j, C, rows)):
+            for d, entries in enumerate(scalar_transform_bands(tb, j, C)):
                 data[m, d, d:] = entries
         recon[j] = Trajectory(data, dt, p)
 
