@@ -183,16 +183,18 @@ def cmd_evolve(cfg: RunConfig, args) -> int:
     else:
         traj = evolve_kdv(_factorize(cfg)[2], cfg.dt, cfg.steps)
     ids, samples = _entry_table(traj)
-    lines = ["t,entry_id,re,im\n"]
-    for t, values in zip(traj.times.tolist(), samples):
-        t = repr(t)
-        rows = zip(ids, values.real.tolist(), values.imag.tolist())
-        lines.append("".join([f"{t},{eid},{re!r},{im!r}\n" for eid, re, im in rows]))
-    text = "".join(lines)
+    heads = [f",{eid}," for eid in ids]
+    with open(cfg.out, "w") as fh:
+        fh.write("t,entry_id,re,im\n")
+        for t, values in zip(map(repr, traj.times.tolist()), samples):
+            if np.isrealobj(values):  # a float64 entry's imaginary part reads 0.0
+                rows = [f"{t}{h}{re!r},0.0\n" for h, re in zip(heads, values.tolist())]
+            else:
+                rows = zip(heads, values.real.tolist(), values.imag.tolist())
+                rows = [f"{t}{h}{re!r},{im!r}\n" for h, re, im in rows]
+            fh.write("".join(rows))
     config = cfg.as_dict()
     manifest = {k: config[k] for k in ("dt", "steps", "p", "n", "C", "seed")}
-    with open(cfg.out, "w") as fh:
-        fh.write(text)
     with open(cfg.out + ".manifest.json", "w") as fh:
         fh.write(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     log.info("wrote %s (%d samples)", cfg.out, len(traj))

@@ -23,10 +23,12 @@ right hand side, so residuals of honest solutions shrink like dt^2.
 A ``Trajectory`` is one array over the time axis, float64 for real states
 and complex128 otherwise, filled in place by RK4, swept by the verifiers in
 blocks of samples (a NaN residual fails), and read as a sequence of states.
-A right-hand side is a kernel built per array shape (per RK4 trajectory,
-per verifier sweep) that owns a zero-padded input, where RK4 writes each
-stage's argument and a sweep copies each block.  Every array lattice allocates starts on a 64-byte
-boundary, as one inside a cache line splits vector loads across two lines.
+A real evolved table stays float64 through the diagram's reconstruction,
+path comparison and toda[j] sweeps.  A right-hand side is a kernel built per
+array shape (per RK4 trajectory, per verifier sweep) that owns a zero-padded
+input, where RK4 writes each stage's argument and a sweep copies each
+block.  Every array lattice allocates starts on a 64-byte boundary, as one
+inside a cache line splits vector loads across two lines.
 Truncation is handled by windows: the bottom rows of a finite Toda
 truncation and the top indices of a finite gamma table feel the missing
 neighbors immediately, so equations are only checked where the full
@@ -70,6 +72,11 @@ def _empty(shape: tuple, dtype, zero: bool = False) -> np.ndarray:
     raw = (np.zeros if zero else np.empty)(nbytes + 64, np.uint8)
     start = -raw.ctypes.data % 64  # the first cache-line boundary in raw
     return raw[start : start + nbytes].view(dtype).reshape(shape)
+
+
+def _real(x) -> bool:
+    """Whether x is real or every imaginary part is +0.0, so float64 gives its real parts."""
+    return np.isrealobj(x) or not np.asarray(x).imag.view(np.uint64).any()  # +0.0 is all 0 bits
 
 
 class BlowUp(RuntimeError):
@@ -247,7 +254,7 @@ def _rk4(y0: np.ndarray, kernel, dt: float, steps: int, p: int) -> Trajectory:
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
-    if not (y0.imag.any() or np.signbit(y0.imag).any()):
+    if _real(y0):
         y0 = y0.real
     out = _empty((steps + 1,) + y0.shape, y0.dtype)
     out[0] = y0
@@ -312,14 +319,12 @@ def _worst(residual, lo: int, hi: int, block: int):
     sample swept again changes nothing; a NaN is worse than any number.
     The location is () while nothing exceeds zero.
     """
-    worst, arg, outside = 0.0, (), None
+    worst, arg = 0.0, ()
     for m0 in range(lo, hi, block):
         m0 = min(m0, hi - block)
         res = residual(m0)
-        if res.ndim == 3:
-            if outside is None:
-                outside = np.tri(*res.shape[1:], -1, dtype=bool)
-            res[:, outside] = 0
+        for d in range(1, res.shape[1] if res.ndim == 3 else 0):
+            res[:, d, :d] = 0
         if res.size:
             k = int(np.argmax(res))  # argmax stops at the first NaN
             v = float(res.flat[k])
@@ -395,34 +400,41 @@ def _transform_bands(values: np.ndarray, p: int, j: int, C=0.0) -> np.ndarray:
     its first factor.  Column i of band k reads gamma_{i (p+1) + o} for an
     offset o fixed by the tuple coordinate, so each factor is one strided
     slice of the zero-padded table, for all columns and all stacked tables
-    at once.  Complex products are spelled out in real arithmetic: numpy's
-    complex multiply may fuse a multiply and an add, Python's does not.
+    at once.  A real table and C (every imaginary part +0.0) give float64
+    bands, the complex route's real parts, as a +0 accumulator absorbs the
+    sign of a zero product; others give complex128, products spelled out in
+    real arithmetic: numpy's complex multiply may fuse a multiply and an
+    add, Python's does not.
     """
     if not 0 <= j <= p:
         raise ValueError(f"transform index {j} outside 0..{p}")
     lead, size = values.shape[:-1], values.shape[-1]
     rows = size // (p + 1)
+    real = _real(values) and _real(C)
+    parts = (values.real,) if real else (values.real, values.imag)
     # gamma_n sits at index n + p, so gamma_{n <= 0} reads the zero padding
-    parts = []
-    for part in (values.real, values.imag):
-        padded = np.zeros(lead + (p + 1 + size,))
-        padded[..., p + 1 :] = part
-        parts.append(padded)
+    padded = np.zeros((len(parts),) + lead + (p + 1 + size,))
+    for pad, part in zip(padded, parts):
+        pad[..., p + 1 :] = part
 
     def factor(o, cols):
-        # gamma_{i (p+1) + o} for columns i = 0..cols-1, as (real, imag)
-        return [a[..., o + p :: p + 1][..., :cols] for a in parts]
+        # gamma_{i (p+1) + o} for columns i = 0..cols-1, one array per part
+        return [a[..., o + p :: p + 1][..., :cols] for a in padded]
 
-    bands = np.zeros(lead + (p + 1, rows), dtype=np.complex128)
-    bands[..., 0, :] = C
+    bands = np.zeros(lead + (p + 1, rows), dtype=float if real else complex)
+    bands[..., 0, :] = np.real(C) if real else C
     for k in range(min(p + 1, rows)):
-        acc_re, acc_im = bands.real[..., k, k:], bands.imag[..., k, k:]
+        accs = [b[..., k, k:] for b in ((bands,) if real else (bands.real, bands.imag))]
         for t in enumerate_indices(j, k, p):
-            (pr, pi), *rest = (factor(r * p + idx, rows - k) for r, idx in enumerate(t, -1))
-            for g_re, g_im in rest:
-                pr, pi = pr * g_re - pi * g_im, pr * g_im + pi * g_re
-            acc_re += pr
-            acc_im += pi
+            prod, *rest = (factor(r * p + idx, rows - k) for r, idx in enumerate(t, -1))
+            for g in rest:
+                if real:
+                    prod = [prod[0] * g[0]]
+                else:
+                    (pr, pi), (g_re, g_im) = prod, g
+                    prod = [pr * g_re - pi * g_im, pr * g_im + pi * g_re]
+            for acc, x in zip(accs, prod):
+                acc += x
     return bands
 
 
@@ -452,18 +464,18 @@ def theorem1_diagram(
     factors J0 - C I at time zero, evolves the gamma table under the KdV
     lattice, and reassembles every transformed matrix J^(0) .. J^(p)
     from the evolved table through the closed-form entries, evaluated
-    for the whole trajectory in one vectorised pass per transform.
+    for the whole trajectory in one vectorised pass per transform, in
+    float64 when the evolved table is real, as are then the comparisons.
 
     Reports, keyed by name: "path" compares the reassembled J^(0)
     against the directly evolved J0 inside a window shrunk by p + 2 rows
     (both routes are truncations, and their boundary pollution creeps
     inward over time; a margin of p + 2 keeps it below tol_path for short
-    horizons at desk scale).  "toda[j]" runs
-    the central-difference Toda check on each reassembled trajectory,
-    which is pollution-free on its certified rows because the identity
-    between the two flows is pointwise algebra.  "kdv" checks the
-    evolved table itself.  With fewer than three samples only "path" is
-    produced.
+    horizons at desk scale).  "toda[j]" runs the central-difference Toda
+    check on each reassembled trajectory, which is pollution-free on its
+    certified rows because the identity between the two flows is pointwise
+    algebra.  "kdv" checks the evolved table itself.  With fewer than three
+    samples only "path" is produced.
     """
     factors, table0 = darboux_factorization(J0, C, params=params, rng=rng)
     p, rows = J0.p, table0.columns
@@ -473,7 +485,8 @@ def theorem1_diagram(
     traj_table = evolve_kdv(table0, dt, steps)
     recon = [_transform_bands(traj_table.data, p, j, C) for j in range(p + 1)]
     block = min(max(1, _BLOCK_BYTES // direct[0].nbytes), len(direct))
-    diff, res = (_empty((block, p + 1, w_path), t) for t in (complex, float))
+    dtype = np.result_type(direct, recon[0])
+    diff, res = (_empty((block, p + 1, w_path), t) for t in (dtype, float))
 
     def path_residual(m0):
         m1 = m0 + block

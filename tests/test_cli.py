@@ -407,6 +407,8 @@ def test_evolve_csv_bytes_equal_per_state_formatting(lattice, tmp_path, capsys):
         J = graded_scale(random_hessenberg(p, n, seed=seed, mode=mode), scale)
         if lattice == "toda":
             traj = evolve_toda(J, 0j, dt, steps)
+            # float64 data writes a constant imaginary part, complex data its repr
+            assert traj.data.dtype == (np.float64 if mode == "real" else np.complex128)
         else:
             _, table = darboux_factorization(J, 0j, rng=np.random.default_rng(seed))
             traj = evolve_kdv(table, dt, steps)

@@ -854,6 +854,42 @@ def test_transform_kernel_equals_backlund_entry_exactly(p, mode):
                     assert single.bands[d][d:].tolist() == want
 
 
+def with_negative_zero_imag(values):
+    """values cast to complex with every imaginary part -0.0, which takes the complex route."""
+    cast = values.astype(np.complex128)
+    cast.imag = -0.0
+    return cast
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_real_table_transform_is_the_complex_routes_real_part(p):
+    rng = np.random.default_rng(30 + p)
+    columns = 6
+    # three stacked tables with negative gammas, exact zeros of both signs
+    stacked = rng.normal(size=(3, (p + 1) * columns))
+    stacked[0, ::3] = 0.0
+    stacked[1, 1::4] = -0.0
+    # factorize's extended table: a table, its last pivot u_{n-1}, then p zeros
+    extended = np.concatenate((stacked[2], rng.normal(size=1), np.zeros(p)))
+    for values in (stacked, extended):
+        forced = with_negative_zero_imag(values)
+        for j in range(p + 1):
+            for C in (0.2, -0.0):
+                real = _transform_bands(values, p, j, C)
+                cplx = _transform_bands(forced, p, j, C)
+                assert (real.dtype, cplx.dtype) == (np.float64, np.complex128)
+                assert real.tobytes() == np.ascontiguousarray(cplx.real).tobytes()
+                size = values.shape[-1]
+                for v, w in zip(values.reshape(-1, size), forced.reshape(-1, size)):
+                    cols = size // (p + 1)
+                    a = reconstruct_transform(GammaTable(p, cols, v), j, C)
+                    b = reconstruct_transform(GammaTable(p, cols, w), j, C)
+                    assert a.data.dtype == np.complex128
+                    assert a.data.tobytes() == b.data.tobytes()
+            for C in (0.2 - 0.1j, complex(0.2, -0.0)):
+                assert _transform_bands(values, p, j, C).dtype == np.complex128
+
+
 @pytest.mark.parametrize("p,jseed,pseed", [(1, 101, 0), (2, 107, 207), (3, 107, 207)])
 def test_commuting_diagram_passes_on_tame_instance(p, jseed, pseed):
     J = graded_scale(random_hessenberg(p, 8, seed=jseed), 0.15)
@@ -911,9 +947,12 @@ def test_commuting_diagram_reports_do_not_depend_on_the_block_size(monkeypatch):
 
     want = reports()
     # one byte puts every sample in its own block; the other size holds three
-    # samples of a reassembled transform, complex (p + 1, 16), leaving a last
-    # block of one of the 19 interior samples
-    for block in (1, 3 * 16 * (p + 1) * 16):
+    # samples of a reassembled transform, (p + 1, 15) in the data's dtype (float64
+    # for this real table), leaving a last block of one of the 19 interior samples
+    _, table = darboux_factorization(J, 0.015, params=params)
+    sample = _transform_bands(evolve_kdv(table, steps=0).data[0], p, 0, 0.015)
+    assert sample.shape == (p + 1, 15)
+    for block in (1, 3 * sample.nbytes):
         monkeypatch.setattr(lattice, "_BLOCK_BYTES", block)
         assert reports() == want
 
