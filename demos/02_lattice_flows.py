@@ -2,9 +2,11 @@
 """Integrate the two lattices and check the residuals scale like dt^2.
 
 The matrix flow moves the band entries of J; the gamma flow moves the
-interlaced sequence of factor entries.  Both run on fixed-step RK4, and
-the central-difference verifier reports a worst residual that drops by
-~4x each time dt is halved.
+interlaced sequence of factor entries.  Both are finite systems, with
+entries past the matrix or the table read as zero, and the verifiers
+check every entry.  Both run on fixed-step RK4, and the
+central-difference verifier reports a worst residual that drops by ~4x
+each time dt is halved.
 """
 
 import numpy as np
@@ -14,6 +16,7 @@ from toda_darboux import (
     darboux_factorization,
     evolve_kdv,
     evolve_toda,
+    factors_to_table,
     graded_scale,
     random_hessenberg,
     verify_kdv,
@@ -33,7 +36,7 @@ def main():
 
     print("\ngamma flow on the factor entries of a tamer p = 1 instance:")
     J1 = graded_scale(random_hessenberg(1, N, seed=101), 0.15)
-    _, table = darboux_factorization(J1, 0.0, params=ParameterSet(()))
+    table = factors_to_table(darboux_factorization(J1, 0.0, params=ParameterSet(()))[0])
     for dt, steps in [(2e-3, 50), (1e-3, 100)]:
         traj = evolve_kdv(table, dt=dt, steps=steps)
         rep = verify_kdv(traj, tol=1e-5)

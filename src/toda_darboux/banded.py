@@ -15,12 +15,9 @@ complex double precision, even when the input data is real.  A band with
 offset d holds the entries (i, i - d) indexed by row i, so offset -1 is
 the superdiagonal, and slots that have no matrix entry hold zero.
 
-Finite matrices stand in for truncations of semi-infinite ones, and the
-leading rows are the only part of a truncation that can be trusted once
-truncations are multiplied: a factor that reaches above the diagonal
-pulls one uncertified row into the product.  ``multiply`` returns the
-count of certified leading rows with every product, and ``residual``
-compares matrices band by band inside such a window only.
+An n x n matrix is a finite system in its own right: ``multiply`` gives
+the product of the n x n matrices on every row, and ``residual`` compares
+two matrices band by band on every row.
 """
 
 from __future__ import annotations
@@ -136,21 +133,12 @@ def BandedHessenberg(p: int, n: int, bands) -> Banded:
 # operations
 
 
-def multiply(a: Banded, b: Banded, window_b: int = None):
-    """Banded product with window tracking.
+def multiply(a: Banded, b: Banded) -> Banded:
+    """Banded product of two n x n matrices.
 
-    Returns (product, rows), rows the count of certified leading rows.
     The product has min(a.p + b.p, n - 1) subdiagonals and a.hi + b.hi
     superdiagonals; the partial products accumulate band by band, offsets
-    of a outer and offsets of b inner.  Inside those rows the entries of
-    the product agree with the product of the corresponding semi-infinite
-    matrices: rows below them may be polluted by the truncation.  Only the left factor's
-    reach above the diagonal consumes certified rows, one per
-    superdiagonal: its last certified row would need a row of the right
-    factor that lies outside the right factor's certified region, and the
-    last row of the truncated product is missing a term for the same
-    reason.  ``window_b`` counts the right factor's certified rows (all
-    by default); the left factor is taken as exact.
+    of a outer and offsets of b inner.
     """
     if a.n != b.n:
         raise ShapeError(f"size mismatch: {a.n} vs {b.n}")
@@ -164,37 +152,26 @@ def multiply(a: Banded, b: Banded, window_b: int = None):
             lo, top = max(0, da, d), n + min(0, da, d)
             if d <= p and lo < top:
                 out[hi + d, lo:top] += ba[lo:top] * b.band(db)[lo - da : top - da]
-
-    wb = n if window_b is None else min(window_b, n)
-    return Banded(p, hi, out), max(0, wb - a.hi)
+    return Banded(p, hi, out)
 
 
-def multiply_chain(factors: Sequence[Banded]):
-    """Product of a list of factors, folded right to left.
-
-    Folding from the right keeps unit lower factors on the left of every
-    intermediate multiplication, so a single upper bidiagonal factor in
-    the chain costs one certified row exactly once.
-    """
+def multiply_chain(factors: Sequence[Banded]) -> Banded:
+    """Product of a list of factors, folded right to left."""
     if not factors:
         raise ShapeError("empty factor chain")
-    acc, acc_w = factors[-1], factors[-1].n
+    acc = factors[-1]
     for f in reversed(factors[:-1]):
-        acc, acc_w = multiply(f, acc, window_b=acc_w)
-    return acc, acc_w
+        acc = multiply(f, acc)
+    return acc
 
 
-def residual(a: Banded, b: Banded, window: int = None) -> float:
-    """Largest entry modulus of a - b over the leading window square, band by band."""
+def residual(a: Banded, b: Banded) -> float:
+    """Largest entry modulus of a - b, band by band."""
     if a.n != b.n:
         raise ShapeError(f"size mismatch: {a.n} vs {b.n}")
-    w = a.n if window is None else min(window, a.n)
-    worst = [0.0]
-    for d in range(-max(a.hi, b.hi), max(a.p, b.p) + 1):
-        # the square holds the entries (i, i - d) of rows max(d, 0) .. min(w, w + d) - 1
-        lo, top = max(d, 0), min(w, w + d)
-        if lo < top:
-            worst.append(np.abs(a.band(d)[lo:top] - b.band(d)[lo:top]).max())
+    # slots without a matrix entry hold zero on both sides
+    offsets = range(-max(a.hi, b.hi), max(a.p, b.p) + 1)
+    worst = [np.abs(a.band(d) - b.band(d)).max() for d in offsets]
     return float(np.max(worst))  # np.max propagates NaN
 
 

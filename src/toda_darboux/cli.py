@@ -27,7 +27,6 @@ import numpy as np
 from .banded import graded_scale, random_hessenberg, residual, to_json_dict
 from .darboux import (
     DarbouxFactors,
-    GammaTable,
     PeelBreakdown,
     SamplingFailed,
     assemble_transform,
@@ -116,8 +115,8 @@ def _emit(payload: dict, cfg: RunConfig, reports=()) -> int:
 
 def _factorize(cfg: RunConfig):
     J = _instance(cfg)
-    factors, table = darboux_factorization(J, cfg.C, rng=np.random.default_rng(cfg.seed))
-    return J, factors, table
+    factors = darboux_factorization(J, cfg.C, rng=np.random.default_rng(cfg.seed))[0]
+    return J, factors, factors_to_table(factors)
 
 
 def cmd_factorize(cfg: RunConfig, args) -> int:
@@ -125,13 +124,9 @@ def cmd_factorize(cfg: RunConfig, args) -> int:
     log.info("factorized p=%d n=%d into %d lower factors", cfg.p, cfg.n, len(factors.factors))
     # both relative to max|J|, which is at least 1
     jmax = np.abs(J.data).max()
-    product, rows = assemble_transform(factors, 0)
-    rt = residual(product, J, rows) / jmax
-    # the table drops the last pivot, which row n - 1 of J reads; with it and p zeros
-    # the j = 0 closed form gives all n rows, and every gamma reaches one of them
-    extended = np.concatenate((table.values, factors.U.band(0)[-1:], np.zeros(cfg.p)))
-    closed = reconstruct_transform(GammaTable(cfg.p, cfg.n, extended), 0, cfg.C)
-    uniq = residual(closed, J) / jmax
+    rt = residual(assemble_transform(factors, 0), J) / jmax
+    # the j = 0 closed form of the n-column table gives all n rows of J
+    uniq = residual(reconstruct_transform(table, 0, cfg.C), J) / jmax
     reports = [
         _report("factorization round trip", rt, ("product vs J", 0), cfg.tol_verify),
         _report("table cross-construction", uniq, ("gamma table", 0), cfg.tol_verify),
@@ -154,24 +149,20 @@ def cmd_transform(cfg: RunConfig, args) -> int:
         factors = DarbouxFactors.from_json_dict(data)
     else:
         factors = _factorize(cfg)[1]
-    table = factors_to_table(factors)
     i = args.i
-    # J^(i) is certified on n - 1 rows (n for i = 0), every row the table's closed form has
-    Ji = assemble_transform(factors, i)[0]
-    closed = reconstruct_transform(table, i, factors.C)
-    wcmp = closed.n
+    Ji = assemble_transform(factors, i)
+    closed = reconstruct_transform(factors_to_table(factors), i, factors.C)
     # relative to max|J^(i)|; hypot is Python's abs(complex) bit for bit, where
     # np.abs may round differently; max propagates NaN, so a NaN entry fails
-    diff = np.stack(Ji.bands)[:, :wcmp] - np.stack(closed.bands)
+    diff = np.stack(Ji.bands) - np.stack(closed.bands)
     scale = np.max(np.hypot(Ji.data.real, Ji.data.imag))
     worst = float(np.max(np.hypot(diff.real, diff.imag), initial=0.0) / scale)
     label = f"transform {i} product vs closed form"
-    reports = [_report(label, worst, (f"rows 0..{wcmp - 1}", 0), cfg.tol_verify)]
+    reports = [_report(label, worst, (f"rows 0..{Ji.n - 1}", 0), cfg.tol_verify)]
     payload = {
         "config": cfg.as_dict(),
         "i": i,
         "matrix": to_json_dict(Ji),
-        "window": wcmp,
         "reports": [asdict(r) for r in reports],
     }
     return _emit(payload, cfg, reports)

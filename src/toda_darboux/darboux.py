@@ -25,7 +25,10 @@ machinery here makes that parameter count concrete:
   would divide by zero.
   The best of four draws is kept once it clears the margin.  The dense
   minors of ``hyperplane_determinant`` bound the same set, as an oracle.
-* ``factors_to_table`` reads the gamma table off the factors.
+* ``factors_to_table`` reads the gamma table off the n x n factors: n
+  columns, the last holding the last pivot u_{n-1} and p zeros, as no
+  factor has a row n.  This table is the whole finite system, and its
+  closed form gives every transformed matrix on all n rows.
   ``table_fill`` recovers the same table from the pivots, the free
   parameters and the matrix entries alone, one anti-diagonal at a time,
   without forming any factor; it stays only as the reference of the
@@ -35,7 +38,8 @@ machinery here makes that parameter count concrete:
 
       J^(i) = C I + L^(i+1) ... L^(p) U L^(1) ... L^(i),
 
-  the discrete Darboux chain connecting J^(0) = J to J^(p).
+  the discrete Darboux chain connecting J^(0) = J to J^(p), as products
+  of the n x n factors.
 * ``backlund_entry`` evaluates any entry of any J^(i) directly from the
   gamma table as an explicit sum over weakly decreasing index tuples,
   never touching a matrix product.
@@ -468,30 +472,32 @@ def darboux_factorization(J: Banded, C=0.0, params=None, rng=None):
 
     LU first, then the bidiagonal splitting of the L factor, with
     parameters drawn by ``sample_parameters`` in the field of each stage
-    matrix unless ``params`` are given; the gamma table is read off the
-    factors (``factors_to_table``).  A gamma table needs n >= 2 rows.
+    matrix unless ``params`` are given.  The table returned is the
+    leading n - 1 columns of ``factors_to_table(factors)``, which drops
+    the last column (u_{n-1} and p zeros), so it needs n >= 2 rows; the
+    benchmark's generated tables have those n - 1 columns.
     """
     if J.n < 2:
         raise ValueError(f"a gamma table needs n >= 2, got n={J.n}")
     L, U = lu_factorize(J, C)
     factors = DarbouxFactors(U, darboux_factorize(L, params, rng), complex(C))
-    return factors, factors_to_table(factors)
+    table = factors_to_table(factors)
+    return factors, GammaTable(table.p, table.columns - 1, table.values[: -(table.p + 1)])
 
 
 def factors_to_table(factors: DarbouxFactors) -> GammaTable:
-    """Read the gamma table directly off the factor bands.
+    """Read the n-column gamma table directly off the factor bands.
 
     Column m takes the U pivot u_m and the subdiagonal entries (m+1, m)
-    of each lower factor; the last pivot has no matching subdiagonal
-    entries and is dropped, giving n - 1 full columns.
+    of each lower factor.  The n x n factors have no entries (n, n-1), so
+    the last column is (u_{n-1}, 0, ..., 0).
     """
     p, n = factors.p, factors.n
-    columns = n - 1
-    vals = np.zeros((p + 1) * columns, dtype=np.complex128)
-    vals[0 :: p + 1] = factors.U.band(0)[: n - 1]
-    for r in range(1, p + 1):
-        vals[r :: p + 1] = factors.factors[r - 1].band(1)[1:]
-    return GammaTable(p, columns, vals)
+    cols = np.zeros((n, p + 1), dtype=np.complex128)
+    cols[:, 0] = factors.U.band(0)
+    for r, f in enumerate(factors.factors, start=1):
+        cols[:-1, r] = f.band(1)[1:]
+    return GammaTable(p, n, cols.reshape(-1))
 
 
 # ---------------------------------------------------------------------------
@@ -576,22 +582,20 @@ def table_fill(u_diag, params: ParameterSet, J: Banded, C=0.0) -> GammaTable:
 # transformed matrices
 
 
-def assemble_transform(factors: DarbouxFactors, i: int):
-    """J^(i) = C I + L^(i+1) .. L^(p) U L^(1) .. L^(i), with its certified rows.
+def assemble_transform(factors: DarbouxFactors, i: int) -> Banded:
+    """J^(i) = C I + L^(i+1) .. L^(p) U L^(1) .. L^(i), a product of n x n factors.
 
-    Returns (J^(i), rows).  The chain is multiplied right to left, so the
-    single upper factor costs one certified row once and the result is
-    certified on n - 1 rows for every i (all n rows for i = 0, where U is
-    the rightmost factor and truncation commutes with the product exactly).
+    It equals the closed form of the n-column table (``factors_to_table``)
+    on all n rows, for every i.
     """
     p = factors.p
     if not 0 <= i <= p:
         raise ValueError(f"transform index {i} outside 0..{p}")
     chain = list(factors.factors[i:]) + [factors.U] + list(factors.factors[:i])
-    prod, rows = multiply_chain(chain)
+    prod = multiply_chain(chain)
     data = prod.data.copy()
     data[prod.hi] += factors.C
-    return Banded(prod.p, prod.hi, data), rows
+    return Banded(prod.p, prod.hi, data)
 
 
 def backlund_entry(table: GammaTable, j: int, i: int, k: int, C=0.0) -> complex:

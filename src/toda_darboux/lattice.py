@@ -29,11 +29,11 @@ array shape (per RK4 trajectory, per verifier sweep) that owns a zero-padded
 input, where RK4 writes each stage's argument and a sweep copies each
 block.  Every array lattice allocates starts on a 64-byte boundary, as one
 inside a cache line splits vector loads across two lines.
-Truncation is handled by windows: the bottom rows of a finite Toda
-truncation and the top indices of a finite gamma table feel the missing
-neighbors immediately, so equations are only checked where the full
-stencil is available, and cross-route comparisons only inside the
-certified rows.
+Both flows are finite systems: entries past the matrix or the table read
+as zero.  The n x n Toda lattice and the KdV lattice of the n-column
+table (``factors_to_table``, last column (u_{n-1}, 0, ..., 0)) are then
+conjugate exactly, on all n rows (the factorization solution of Kostant
+and Symes), so every check covers every entry.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .banded import Banded, BandedHessenberg
-from .darboux import GammaTable, darboux_factorization, enumerate_indices
+from .darboux import GammaTable, darboux_factorization, enumerate_indices, factors_to_table
 
 __all__ = [
     "BlowUp",
@@ -218,10 +218,8 @@ def _kdv_kernel(shape: tuple, dtype, p: int):
 def toda_rhs(J: Banded) -> tuple:
     """Band derivatives of the Toda flow, one array per offset 0..p.
 
-    Entries that the truncation cannot see (row n, column -1, offsets
-    beyond p) are read as zero.  Only rows whose downward neighbor exists
-    carry the exact semi-infinite derivative, so row n - 1 is trustworthy
-    for the truncated system only; windows account for that downstream.
+    Entries outside the n x n band pattern (row n, column -1, offsets
+    beyond p) are read as zero, which is the finite system's equation.
     """
     arg, rhs = _toda_kernel((J.p + 1, J.n), np.complex128, J.p)
     np.copyto(arg, J.bands)
@@ -232,9 +230,8 @@ def kdv_rhs(table: GammaTable) -> np.ndarray:
     """Flat derivative array of the discrete KdV lattice.
 
     Indices below the table read zero, which is the true boundary of the
-    lattice; indices above the table also read zero, which is the
-    truncation, so only entries with the full upper stencil inside the
-    table carry the semi-infinite derivative.
+    lattice, and so do indices above it, which is the finite system's
+    equation.
     """
     arg, rhs = _kdv_kernel(table.values.shape, table.values.dtype, table.p)
     np.copyto(arg, table.values)
@@ -335,8 +332,8 @@ def _worst(residual, lo: int, hi: int, block: int):
     return worst, arg
 
 
-def _central(data: np.ndarray, dt: float, kernel, p: int, cap: int):
-    """_worst of central differences against kernel's rhs, entries below cap on the last axis.
+def _central(data: np.ndarray, dt: float, kernel, p: int):
+    """_worst of central differences against kernel's rhs, over every entry.
 
     One kernel and its block buffers are built per sweep; each block
     computes (a - b) / (2 dt) - rhs, then abs, in that order.
@@ -353,7 +350,7 @@ def _central(data: np.ndarray, dt: float, kernel, p: int, cap: int):
         np.divide(diff, 2 * dt, out=diff)
         np.copyto(arg, data[m0:m1])
         rhs(slope)
-        return np.abs(np.subtract(diff, slope, out=diff), out=res)[..., :cap]
+        return np.abs(np.subtract(diff, slope, out=diff), out=res)
 
     return _worst(residual, 1, len(data) - 1, shape[0])
 
@@ -361,23 +358,20 @@ def _central(data: np.ndarray, dt: float, kernel, p: int, cap: int):
 def verify_toda(traj: Trajectory, tol: float) -> ResidualReport:
     """Central-difference check of the Toda equations along a trajectory.
 
-    Residuals are taken at interior sample times over every entry whose
-    full stencil (the neighbor one row down) lies inside the matrix, so
-    on rows 0..n-2; with an exact flow they scale like dt^2.
+    Residuals are taken at interior sample times over every entry of the
+    n x n system; with an exact flow they scale like dt^2.
     """
-    worst, arg = _central(traj.data, traj.dt, _toda_kernel, traj.p, traj.data.shape[2] - 1)
+    worst, arg = _central(traj.data, traj.dt, _toda_kernel, traj.p)
     return _report("toda residual", worst, arg, tol)
 
 
 def verify_kdv(traj: Trajectory, tol: float) -> ResidualReport:
     """Central-difference check of the KdV equations along a trajectory.
 
-    Only indices with the full upper stencil inside the table are
-    checked; the lower boundary is exact by the gamma_{n<=0} = 0
-    convention.
+    Every entry of the table is checked, the finite system's equation
+    with zeros read past both ends.
     """
-    p, size = traj.p, traj.data.shape[1]
-    worst, arg = _central(traj.data, traj.dt, _kdv_kernel, p, size - p)
+    worst, arg = _central(traj.data, traj.dt, _kdv_kernel, traj.p)
     return _report("kdv residual", worst, arg, tol)
 
 
@@ -461,36 +455,33 @@ def theorem1_diagram(
     """Run both routes around the factorization square and compare.
 
     Route one evolves J0 under the Toda flow directly.  Route two
-    factors J0 - C I at time zero, evolves the gamma table under the KdV
-    lattice, and reassembles every transformed matrix J^(0) .. J^(p)
-    from the evolved table through the closed-form entries, evaluated
-    for the whole trajectory in one vectorised pass per transform, in
-    float64 when the evolved table is real, as are then the comparisons.
+    factors J0 - C I at time zero, evolves the n-column gamma table
+    (``factors_to_table``) under the KdV lattice, and reassembles every
+    transformed matrix J^(0) .. J^(p) from the evolved table through the
+    closed-form entries, evaluated for the whole trajectory in one
+    vectorised pass per transform, in float64 when the evolved table is
+    real, as are then the comparisons.
 
-    Reports, keyed by name: "path" compares the reassembled J^(0)
-    against the directly evolved J0 inside a window shrunk by p + 2 rows
-    (both routes are truncations, and their boundary pollution creeps
-    inward over time; a margin of p + 2 keeps it below tol_path for short
-    horizons at desk scale).  "toda[j]" runs the central-difference Toda
-    check on each reassembled trajectory, which is pollution-free on its
-    certified rows because the identity between the two flows is pointwise
-    algebra.  "kdv" checks the evolved table itself.  With fewer than three
-    samples only "path" is produced.
+    Reports, keyed by name, each over all n rows or the whole table:
+    "path" compares the reassembled J^(0) against the directly evolved
+    J0, which differ by the integrators' errors only.  "toda[j]" runs the
+    central-difference Toda check on each reassembled trajectory.  "kdv"
+    checks the evolved table itself.  With fewer than three samples only
+    "path" is produced.
     """
-    factors, table0 = darboux_factorization(J0, C, params=params, rng=rng)
-    p, rows = J0.p, table0.columns
-    w_path = max(1, rows - (p + 2))
+    factors = darboux_factorization(J0, C, params=params, rng=rng)[0]
+    p = J0.p
 
     direct = evolve_toda(J0, C, dt, steps).data
-    traj_table = evolve_kdv(table0, dt, steps)
+    traj_table = evolve_kdv(factors_to_table(factors), dt, steps)
     recon = [_transform_bands(traj_table.data, p, j, C) for j in range(p + 1)]
     block = min(max(1, _BLOCK_BYTES // direct[0].nbytes), len(direct))
     dtype = np.result_type(direct, recon[0])
-    diff, res = (_empty((block, p + 1, w_path), t) for t in (dtype, float))
+    diff, res = (_empty(direct[:block].shape, t) for t in (dtype, float))
 
     def path_residual(m0):
         m1 = m0 + block
-        np.subtract(direct[m0:m1, :, :w_path], recon[0][m0:m1, :, :w_path], out=diff)
+        np.subtract(direct[m0:m1], recon[0][m0:m1], out=diff)
         return np.abs(diff, out=res)
 
     worst, arg = _worst(path_residual, 0, len(direct), block)
@@ -498,7 +489,7 @@ def theorem1_diagram(
 
     if len(traj_table) >= 3:
         for j in range(p + 1):
-            worst, arg = _central(recon[j], dt, _toda_kernel, p, rows - 1)
+            worst, arg = _central(recon[j], dt, _toda_kernel, p)
             label = f"toda residual of transform {j}"
             reports[f"toda[{j}]"] = _report(label, worst, arg, tol_verify)
         reports["kdv"] = verify_kdv(traj_table, tol_verify)

@@ -30,15 +30,11 @@ def truncate(m: Banded, size: int) -> Banded:
     return Banded(m.p, m.hi, m.data[:, :size])
 
 
-def dense_residual(a: Banded, b: Banded, window: int = None) -> float:
-    """Largest entry modulus of a - b over the leading window square, on dense copies."""
+def dense_residual(a: Banded, b: Banded) -> float:
+    """Largest entry modulus of a - b, on dense copies."""
     if a.n != b.n:
         raise ShapeError(f"size mismatch: {a.n} vs {b.n}")
-    w = a.n if window is None else min(window, a.n)
-    if w <= 0:
-        return 0.0
-    diff = a.to_dense()[:w, :w] - b.to_dense()[:w, :w]
-    return float(np.max(np.abs(diff)))
+    return float(np.max(np.abs(a.to_dense() - b.to_dense())))
 
 
 def gamma_table_from_json(payload: Mapping) -> GammaTable:

@@ -108,8 +108,7 @@ def test_criterion_lu_round_trip(gate):
                 L, U = lu_factorize(J, 0.0)
             except SingularLeadingMinor:
                 continue
-            prod, w = multiply(L, U)
-            r = residual(prod, J, w)
+            r = residual(multiply(L, U), J)
             assert r <= 1e-10, f"instance {done}: residual {r:.3e}"
             worst = max(worst, r)
             done += 1
@@ -150,8 +149,7 @@ def test_criterion_darboux_round_trip(gate):
             J = random_hessenberg(p, 12, seed=100 + k)
             L, _ = lu_factorize(J, 0.0)
             out = darboux_factorize(L, rng=np.random.default_rng(k))
-            prod, w = multiply_chain(list(out))
-            r = residual(prod, L, w)
+            r = residual(multiply_chain(list(out)), L)
             assert r <= 1e-10, f"instance {k}: residual {r:.3e}"
             worst = max(worst, r)
         return f"50/50 instances, worst residual {worst:.2e}"
@@ -168,7 +166,8 @@ def test_criterion_uniqueness_cross_construction(gate):
             factors, _ = darboux_factorization(J, 0.2, rng=np.random.default_rng(k))
             peeled = factors_to_table(factors)
             fill = table_fill(factors.U.band(0), factors.parameters(), J, 0.2)
-            gap = float(np.abs(peeled.values - fill.values).max())
+            # the fill gives the leading n - 1 columns
+            gap = float(np.abs(peeled.values[: fill.size] - fill.values).max())
             assert gap <= 1e-9, f"instance {k}: entry gap {gap:.3e}"
             worst = max(worst, gap)
         return f"20/20 instances, worst entry gap {worst:.2e}"
@@ -182,13 +181,11 @@ def test_criterion_backlund_equality(gate):
         for p, jseed, rseed in [(1, 400, 0), (2, 409, 0), (3, 412, 1)]:
             J = random_hessenberg(p, 10, seed=jseed)
             C = 0.15
-            factors, table = darboux_factorization(
-                J, C, rng=np.random.default_rng(rseed)
-            )
+            factors, _ = darboux_factorization(J, C, rng=np.random.default_rng(rseed))
+            table = factors_to_table(factors)
             for j in range(p + 1):
-                Jj, w = assemble_transform(factors, j)
-                rows = min(w, table.columns)
-                for r in range(rows):
+                Jj = assemble_transform(factors, j)
+                for r in range(table.columns):
                     for c in range(max(0, r - p), r + 1):
                         gap = abs(backlund_entry(table, j, c, r - c, C) - Jj.entry(r, c))
                         assert gap <= 1e-10, f"p={p} j={j} ({r},{c}): gap {gap:.3e}"
@@ -278,8 +275,7 @@ def test_criterion_sampling_robustness(gate):
             J = random_hessenberg(p, n, seed=seed)
             L, U = lu_factorize(graded_scale(J, scale), 0.0)
             out = darboux_factorize(L, rng=np.random.default_rng(seed))
-            prod, window = assemble_transform(DarbouxFactors(U, out), 0)
-            assert window == n
+            prod = assemble_transform(DarbouxFactors(U, out), 0)
             err = float(np.abs(graded_scale(prod, 1 / scale).data - J.data).max())
             assert err <= 1e-10, (p, n, scale, seed, err)
             worst = max(worst, err)

@@ -1,4 +1,4 @@
-"""Band storage, windowed products, and the truncation-soundness oracle."""
+"""Band storage, products of finite matrices, and how truncation affects them."""
 
 import json
 import tracemalloc
@@ -93,14 +93,13 @@ def test_truncate_size_errors():
 
 
 # ---------------------------------------------------------------------------
-# multiplication and windows
+# multiplication, and the rows on which truncation commutes with it
 
 
 def test_multiply_identity_keeps_window():
     B = random_hessenberg(2, 6, seed=2)
     eye = Banded(1, 0, [np.ones(6), np.zeros(6)])
-    out, w = multiply(eye, B, window_b=4)
-    assert w == 4
+    out = multiply(eye, B)
     assert np.allclose(out.to_dense(), B.to_dense(), atol=0, rtol=0)
 
 
@@ -108,10 +107,9 @@ def test_multiply_bidiagonal_2x2_closed_form():
     beta, u0, u1 = 0.7, 2.0, 3.0
     low = Banded(1, 0, [[1.0, 1.0], [0.0, beta]])
     up = Banded(0, 1, [[1.0, 1.0], [u0, u1]])
-    out, w = multiply(low, up)
+    out = multiply(low, up)
     expect = np.array([[u0, 1.0], [beta * u0, beta + u1]])
     assert np.array_equal(out.to_dense(), expect)
-    assert w == 2
 
 
 @pytest.mark.parametrize("p,n", [(1, 6), (2, 8), (3, 10), (4, 12)])
@@ -120,7 +118,7 @@ def test_band_closure_unit_lower_times_upper(p, n, seed):
     rng = np.random.default_rng(seed)
     L = random_unit_lower(p, n, rng)
     U = random_upper(n, rng)
-    out, w = multiply(L, U)
+    out = multiply(L, U)
     assert (out.p, out.hi) == (p, 1)
     assert np.array_equal(out.band(-1)[: n - 1], np.ones(n - 1))
     oracle = dense_product(L.to_dense(), U.to_dense())
@@ -133,9 +131,9 @@ def test_mixed_products_match_dense(seed):
     n = 7
     J = random_hessenberg(2, n, seed=seed)
     D = random_lower_bidiagonal(n, rng)
-    out, _ = multiply(D, J)
+    out = multiply(D, J)
     assert np.abs(out.to_dense() - dense_product(D.to_dense(), J.to_dense())).max() <= 1e-13
-    out2, _ = multiply(D, random_unit_lower(3, n, rng))
+    out2 = multiply(D, random_unit_lower(3, n, rng))
     assert (out2.p, out2.hi) == (4, 0)
     assert np.array_equal(out2.band(0), np.ones(n))
 
@@ -150,18 +148,18 @@ def test_mixed_products_match_dense(seed):
 ], ids=["upper-upper", "hessenberg-hessenberg", "lower-hessenberg", "upper-lower", "clipped", "hi2-left"])
 def test_general_product_matches_dense_on_its_window(shape_a, shape_b):
     # the product of two truncations is the dense product of the truncations;
-    # inside the window it is also the padded (semi-infinite) product
+    # its leading n - a.hi rows are also the padded (semi-infinite) product,
+    # as a left factor's reach above the diagonal reads rows of b past n
     rng = np.random.default_rng(80)
     n, pad = 6, 4
     big_a, big_b = random_banded(*shape_a, n + pad, rng), random_banded(*shape_b, n + pad, rng)
     a, b = truncate(big_a, n), truncate(big_b, n)
-    out, w = multiply(a, b)
+    out = multiply(a, b)
     assert (out.p, out.hi) == (min(a.p + b.p, n - 1), a.hi + b.hi)
-    assert w == n - a.hi
     dense = dense_product(a.to_dense(), b.to_dense())
     assert np.abs(out.to_dense() - dense).max() <= 1e-13 * np.abs(dense).max()
     truth = dense_product(big_a.to_dense(), big_b.to_dense())[:n, :n]
-    k = w
+    k = n - a.hi
     assert np.abs(out.to_dense()[:k, :k] - truth[:k, :k]).max() <= 1e-13 * np.abs(truth).max()
 
 
@@ -180,8 +178,8 @@ def _padded_chain(builders, n, pad):
 
 @pytest.mark.parametrize("seed", range(5))
 def test_window_soundness_vs_padded_truth(seed):
-    # entries inside the claimed window must match the same chain computed
-    # at a larger truncation, which is the ground truth for these rows
+    # a chain with one upper factor agrees with the same chain computed at a
+    # larger truncation, the ground truth for these rows, on n - 1 rows
     rng = np.random.default_rng(30 + seed)
     n, p = 9, 2
     pad = p + 2
@@ -195,10 +193,9 @@ def test_window_soundness_vs_padded_truth(seed):
         lambda m: Banded(1, 0, [np.ones(m), fixed[p + 2][:m]]),
     ]
     small, big = _padded_chain(builders, n, pad)
-    got, w = multiply_chain(small)
-    truth, _ = multiply_chain(big)
-    k = w
-    assert k >= n - 1  # a single upper-reach factor costs at most one row
+    got = multiply_chain(small)
+    truth = multiply_chain(big)
+    k = n - 1
     diff = np.abs(got.to_dense()[:k, :k] - truth.to_dense()[:k, :k])
     scale = max(1.0, np.abs(truth.to_dense()[:k, :k]).max())
     assert diff.max() <= 1e-12 * scale
@@ -206,11 +203,14 @@ def test_window_soundness_vs_padded_truth(seed):
 
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_bidiagonal_chain_window_bound(p):
+    # with the upper factor rightmost, truncation commutes with the chain on all n rows
     rng = np.random.default_rng(50 + p)
-    n = 10
-    factors = [random_lower_bidiagonal(n, rng) for _ in range(p)] + [random_upper(n, rng)]
-    _, w = multiply_chain(factors)
-    assert w >= n - (p + 1)
+    n, pad = 10, 3
+    big = [random_lower_bidiagonal(n + pad, rng) for _ in range(p)] + [random_upper(n + pad, rng)]
+    got = multiply_chain([truncate(f, n) for f in big])
+    truth = truncate(multiply_chain(big), n)
+    assert (got.p, got.hi) == (truth.p, truth.hi) == (p, 1)
+    assert np.abs(got.to_dense() - truth.to_dense()).max() <= 1e-13 * np.abs(truth.data).max()
 
 
 def test_truncate_multiply_commutes_inside_window():
@@ -218,10 +218,10 @@ def test_truncate_multiply_commutes_inside_window():
     n, m = 9, 6
     L = random_unit_lower(2, n, rng)
     U = random_upper(n, rng)
-    whole, w = multiply(L, U)
-    part, wp = multiply(truncate(L, m), truncate(U, m))
-    k = min(w, wp, m)
-    assert np.array_equal(truncate(whole, m).to_dense()[:k, :k], part.to_dense()[:k, :k])
+    whole = multiply(L, U)
+    part = multiply(truncate(L, m), truncate(U, m))
+    # the left factor reaches no row above the diagonal, so all m rows agree
+    assert np.array_equal(truncate(whole, m).to_dense(), part.to_dense())
 
 
 # ---------------------------------------------------------------------------
@@ -230,23 +230,13 @@ def test_truncate_multiply_commutes_inside_window():
 
 def test_residual_of_equal_matrices_is_zero():
     J = random_hessenberg(2, 5, seed=3)
-    assert residual(J, J, J.n) == 0.0
+    assert residual(J, J) == 0.0
 
 
 def test_residual_unit_difference():
     ones = BandedHessenberg(1, 2, (np.ones(2), np.zeros(2)))
     zeros = BandedHessenberg(1, 2, (np.zeros(2), np.zeros(2)))
-    assert residual(ones, zeros, ones.n) == 1.0
-
-
-def test_residual_ignores_rows_outside_window():
-    diag = np.zeros(5)
-    bumped = diag.copy()
-    bumped[4] = 7.0
-    a = BandedHessenberg(1, 5, (diag, np.zeros(5)))
-    b = BandedHessenberg(1, 5, (bumped, np.zeros(5)))
-    assert residual(a, b, 3) == 0.0
-    assert residual(a, b, a.n) == 7.0
+    assert residual(ones, zeros) == 1.0
 
 
 @pytest.mark.parametrize("shape_a,shape_b", [
@@ -255,7 +245,7 @@ def test_residual_ignores_rows_outside_window():
     ((0, 1), (2, 2)),  # upper reaches that differ
     ((3, 0), (0, 1)),
     ((0, 0), (1, 0)),  # diagonal only on one side
-    ((2, 2), (6, 3)),  # bands wider than the window square
+    ((2, 2), (6, 3)),  # bands wider than the matrix
 ])
 @pytest.mark.parametrize("mode", ["real", "complex"])
 def test_residual_equals_the_dense_comparison(shape_a, shape_b, mode):
@@ -270,9 +260,8 @@ def test_residual_equals_the_dense_comparison(shape_a, shape_b, mode):
 
     a, b = draw(*shape_a), draw(*shape_b)
     near = Banded(a.p, a.hi, a.data * (1 + 1e-9 * signed(n, rng)))
-    for w in (None, 0, 1, n - 1, n, n + 3):
-        for x, y in ((a, b), (b, a), (a, near), (a, a)):
-            assert residual(x, y, w) == dense_residual(x, y, w), (w, x, y)
+    for x, y in ((a, b), (b, a), (a, near), (a, a)):
+        assert residual(x, y) == dense_residual(x, y), (x, y)
 
 
 def test_residual_propagates_nan():
@@ -280,7 +269,6 @@ def test_residual_propagates_nan():
     data = a.data.copy()
     data[2, 3] = np.nan
     assert np.isnan(residual(a, Banded(a.p, a.hi, data)))
-    assert residual(a, Banded(a.p, a.hi, data), 3) == 0.0  # row 3 lies outside
 
 
 def test_residual_allocates_no_dense_matrix():

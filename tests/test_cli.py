@@ -66,19 +66,19 @@ def test_factorize_gamma_row_count(capsys):
 
 
 def test_factorize_cross_construction_is_the_closed_form_gap(capsys):
-    # the table, extended by the last pivot and p zeros, gives all n rows of
-    # J^(0) = J by the closed form; the report is the largest entry gap,
-    # relative to max|J|
+    # the n-column table, whose last column is the last pivot and p zeros,
+    # gives all n rows of J^(0) = J by the closed form; the report is the
+    # largest entry gap, relative to max|J|
     p, n = 3, 1024
     code, payload = run_json(["factorize", "--p", str(p), "--n", str(n), "--seed", "1"], capsys)
     assert code == 0
     factors = DarbouxFactors.from_json_dict(payload["factors"])
     table = gamma_table_from_json(payload["table"])
     assert np.array_equal(table.values, factors_to_table(factors).values)
+    assert table.columns == n
+    assert table.values[-(p + 1) :].tolist() == [factors.U.entry(n - 1, n - 1)] + [0j] * p
     J = random_hessenberg(p, n, seed=1)
-    u_last = factors.U.entry(n - 1, n - 1)
-    extended = GammaTable(p, n, np.concatenate((table.values, [u_last], np.zeros(p))))
-    diffs = np.array([backlund_entry(extended, 0, i, k) - J.entry(i + k, i)
+    diffs = np.array([backlund_entry(table, 0, i, k) - J.entry(i + k, i)
                       for k in range(p + 1) for i in range(n - k)])
     gap = np.abs(diffs).max()
     (report,) = [r for r in payload["reports"] if r["label"] == "table cross-construction"]
@@ -97,22 +97,22 @@ def cross_construction(argv, capsys):
 @pytest.mark.parametrize("scale", ["1", "0.15"])
 @pytest.mark.parametrize("p", [1, 2, 3, 4])
 def test_cross_construction_detects_every_perturbed_gamma(p, scale, monkeypatch, capsys):
-    # the last p gammas are the lower factors' entries (n - 1, n - 2), which
-    # reach row n - 1 of J only: a check on n - 1 rows cannot see them
+    # the lower factors' entries (n - 1, n - 2) in column n - 2 and the last
+    # pivot u_{n-1} reach row n - 1 of J only: a check on n - 1 rows cannot see them
     n = 32
     argv = ["factorize", "--p", str(p), "--n", str(n), "--scale", scale]
     honest = cross_construction(argv, capsys)
-    original = cli.darboux_factorization
+    original = cli.factors_to_table
     size = (p + 1) * (n - 1)
-    for idx in (size // 2, size // 2 + 1, *range(size - p + 1, size + 1)):
+    for idx in (size // 2, size // 2 + 1, *range(size - p + 1, size + 2)):
 
-        def perturbed(*args, **kwargs):
-            factors, table = original(*args, **kwargs)
+        def perturbed(factors):
+            table = original(factors)
             values = table.values.copy()
             values[idx - 1] *= 1 + 1e-8
-            return factors, GammaTable(table.p, table.columns, values)
+            return GammaTable(table.p, table.columns, values)
 
-        monkeypatch.setattr(cli, "darboux_factorization", perturbed)
+        monkeypatch.setattr(cli, "factors_to_table", perturbed)
         mutant = cross_construction(argv, capsys)
         assert mutant > 0 and mutant >= 100 * honest, (idx, honest, mutant)
 
@@ -220,9 +220,9 @@ def test_transform_residual_is_the_entrywise_scalar_maximum(tmp_path, capsys):
     table = factors_to_table(factors)
     for i in range(4):
         code, payload = run_json(["transform", "--factors", str(fpath), "--i", str(i)], capsys)
-        Ji, window = assemble_transform(factors, i)
+        Ji = assemble_transform(factors, i)
         worst = 0.0
-        for row in range(min(window, table.columns)):
+        for row in range(table.columns):
             for col in range(max(0, row - 3), row + 1):
                 closed = backlund_entry(table, i, col, row - col, factors.C)
                 worst = max(worst, abs(Ji.entry(row, col) - closed))
@@ -410,8 +410,8 @@ def test_evolve_csv_bytes_equal_per_state_formatting(lattice, tmp_path, capsys):
             # float64 data writes a constant imaginary part, complex data its repr
             assert traj.data.dtype == (np.float64 if mode == "real" else np.complex128)
         else:
-            _, table = darboux_factorization(J, 0j, rng=np.random.default_rng(seed))
-            traj = evolve_kdv(table, dt, steps)
+            factors, _ = darboux_factorization(J, 0j, rng=np.random.default_rng(seed))
+            traj = evolve_kdv(factors_to_table(factors), dt, steps)
         assert out.read_bytes() == per_state_csv(traj).encode()
 
 
@@ -438,17 +438,44 @@ def test_verify_samples_parameters_for_longer_matrices(n, capsys):
     assert payload["reports"]["path"]["passed"]
 
 
+def verify_path(argv, capsys):
+    _, payload = run_json(["verify", *argv, "--seed", "1"], capsys)
+    return payload["reports"]["path"]
+
+
+@pytest.mark.parametrize("p,n", [(2, 8), (2, 16), (2, 64), (3, 16)])
+def test_verify_path_agrees_on_all_rows_to_round_off(p, n, capsys):
+    # both routes run the same finite system, so they differ by the two
+    # integrators' errors only, on every one of the n rows
+    path = verify_path(["--p", str(p), "--n", str(n)], capsys)
+    assert path["passed"] and path["max_residual"] <= 2e-12
+
+
+@pytest.mark.parametrize("p", [3, 4])
+def test_verify_path_converges_with_dt_on_all_rows(p, capsys):
+    # at n = 32 the integrators' errors dominate the path gap: halving dt at
+    # fixed t = 0.1 cuts it tenfold or more (RK4 gives about 16)
+    argv = ["--p", str(p), "--n", "32"]
+    coarse = verify_path(argv, capsys)
+    fine = verify_path([*argv, "--dt", "5e-4", "--steps", "200"], capsys)
+    assert coarse["passed"] and fine["passed"]
+    assert 0 < 10 * fine["max_residual"] <= coarse["max_residual"]
+
+
 @pytest.mark.parametrize("argv, empty", [
-    # at n = 2 no row has the row below it that a Toda check needs
-    (["--p", "1", "--n", "2"], {"toda[0]", "toda[1]"}),
-    # the one-row path window agrees exactly at every sample
-    (["--p", "2", "--n", "6"], {"path"}),
+    # path compares both rows, and toda[j] checks row 1, the last, by its finite equation
+    (["--p", "1", "--n", "2"], set()),
+    # path compares all six rows
+    (["--p", "2", "--n", "6"], set()),
+    # J = C I plus the unit superdiagonal is a fixed point of both flows
+    (["--p", "1", "--n", "2", "--scale", "0", "--C-re", "1"], {"path", "kdv", "toda[0]", "toda[1]"}),
 ])
 def test_verify_names_no_location_where_nothing_exceeds_zero(argv, empty, tmp_path, capsys):
     out = tmp_path / "verify.json"
-    main(["verify", *argv, "--out", str(out)])
+    assert main(["verify", *argv, "--out", str(out)]) == 0
     lines = capsys.readouterr().out.splitlines()
     reports = json.loads(out.read_text())["reports"]
+    assert reports["path"]["max_residual"] <= 1e-15
     assert {k for k, r in reports.items() if r["max_residual"] == 0} == empty
     for key, r in reports.items():
         line = next(s for s in lines if f"] {r['label']}:" in s)

@@ -37,7 +37,7 @@ from toda_darboux.darboux import (
     sample_parameters,
     table_fill,
 )
-from toda_darboux.lattice import theorem1_diagram
+from toda_darboux.lattice import reconstruct_transform, theorem1_diagram
 from toda_darboux.lu import lu_factorize
 
 from oracles import gamma_table_from_json
@@ -320,8 +320,7 @@ def test_peel_hand_case_dense():
     D, A = peel(T, alpha)
     assert A.p == 1
     assert D.band(1)[1] == alpha[0]
-    prod, w = multiply(D, A)
-    assert residual(prod, T, w) <= 1e-13
+    assert residual(multiply(D, A), T) <= 1e-13
 
 
 @pytest.mark.parametrize("p,seed", [(2, 0), (3, 1), (4, 2)])
@@ -329,9 +328,7 @@ def test_peel_reconstructs_randomly_sampled_stage(p, seed):
     T = random_unit_lower(p, 12, seed=30 + seed)
     D, A = sample_parameters(T, np.random.default_rng(seed))
     assert A.p == p - 1
-    prod, w = multiply(D, A)
-    assert w == 12
-    assert residual(prod, T, w) <= 1e-10
+    assert residual(multiply(D, A), T) <= 1e-10
 
 
 def test_peel_breakdown_on_vanishing_denominator():
@@ -361,9 +358,7 @@ def test_darboux_factorize_round_trip(p, seed, mode):
     L, _ = lu_factorize(J, 0.0)
     out = darboux_factorize(L, rng=np.random.default_rng(seed))
     assert len(out) == p
-    prod, w = multiply_chain(list(out))
-    assert w == 12
-    assert residual(prod, L, w) <= 1e-10
+    assert residual(multiply_chain(list(out)), L) <= 1e-10
 
 
 def test_darboux_factorize_rejects_params_and_rng_together():
@@ -423,9 +418,12 @@ def test_table_fill_agrees_with_peeled_factors(p, mode):
         C = 0.3 - 0.2j if mode == "complex" else 0.25
         factors, table = darboux_factorization(J, C, rng=np.random.default_rng(seed))
         direct = factors_to_table(factors)
-        assert np.array_equal(table.values, direct.values)
+        # the returned table is the leading n - 1 columns; the last holds u_{n-1} and p zeros
+        assert (table.columns, direct.columns) == (9, 10)
+        assert np.array_equal(table.values, direct.values[: table.size])
+        assert direct.values[table.size :].tolist() == [factors.U.entry(9, 9)] + [0j] * p
         fill = table_fill(factors.U.band(0), factors.parameters(), J, C)
-        assert np.abs(direct.values - fill.values).max() <= 1e-9
+        assert np.abs(direct.values[: fill.size] - fill.values).max() <= 1e-9
 
 
 def test_classical_tridiagonal_relation():
@@ -614,26 +612,23 @@ def test_darboux_factors_reject_structural_bands_that_are_not_unit():
 
 def test_assemble_transform_zero_is_the_input():
     J, factors, _ = pipeline(2, 8, seed=16, C=0.4)
-    J0, w = assemble_transform(factors, 0)
-    assert w == 8
-    assert residual(J0, J, w) <= 1e-10
+    assert residual(assemble_transform(factors, 0), J) <= 1e-10
 
 
 def test_assemble_transform_p1_dense_oracle():
     J, factors, _ = pipeline(1, 4, seed=17, C=0.2)
-    J1, w = assemble_transform(factors, 1)
+    J1 = assemble_transform(factors, 1)
     dense = factors.U.to_dense() @ factors.factors[0].to_dense() + 0.2 * np.eye(4)
-    assert np.abs(J1.to_dense()[:w, :w] - dense[:w, :w]).max() <= 1e-12
+    assert np.abs(J1.to_dense() - dense).max() <= 1e-12
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_transforms_are_banded_hessenberg_with_unit_superdiagonal(p):
     J, factors, _ = pipeline(p, 9, seed=18 + p, C=0.1)
     for i in range(p + 1):
-        Ji, w = assemble_transform(factors, i)
-        assert Ji.p == p
+        Ji = assemble_transform(factors, i)
+        assert (Ji.p, Ji.hi, Ji.n) == (p, 1, 9)
         assert np.array_equal(Ji.band(-1)[: Ji.n - 1], np.ones(Ji.n - 1))
-        assert w == (9 if i == 0 else 8)
 
 
 def test_backlund_p1_pinned_entries():
@@ -648,14 +643,34 @@ def test_backlund_p1_pinned_entries():
 def test_backlund_equals_product_route_everywhere(p, mode):
     C = 0.15 - 0.1j if mode == "complex" else 0.15
     J = random_hessenberg(p, 10, seed=70 + p, mode=mode)
-    factors, table = darboux_factorization(J, C, rng=np.random.default_rng(p))
+    factors, _ = darboux_factorization(J, C, rng=np.random.default_rng(p))
+    table = factors_to_table(factors)
     for j in range(p + 1):
-        Jj, w = assemble_transform(factors, j)
-        rows = min(w, table.columns)
-        for r in range(rows):
+        Jj = assemble_transform(factors, j)
+        for r in range(table.columns):
             for c in range(max(0, r - p), r + 1):
                 got = backlund_entry(table, j, c, r - c, C)
                 assert abs(got - Jj.entry(r, c)) <= 1e-10
+
+
+@pytest.mark.parametrize("n", [8, 33, 256])
+@pytest.mark.parametrize("mode", ["real", "complex"])
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_product_route_equals_the_closed_form_on_all_rows(p, mode, n):
+    # the n x n factors and their n-column table are one finite system: every
+    # J^(j) of the product route is the table's closed form on all n rows,
+    # row n - 1 included, relative to the band scale of J^(j)
+    J = graded_scale(random_hessenberg(p, n, seed=n + p, mode=mode), 0.5)
+    C = 0.1 - 0.05j if mode == "complex" else 0.1
+    factors, _ = darboux_factorization(J, C, rng=np.random.default_rng(p))
+    table = factors_to_table(factors)
+    assert table.columns == n
+    for j in range(p + 1):
+        product = assemble_transform(factors, j)
+        closed = reconstruct_transform(table, j, C)
+        assert product.n == closed.n == n
+        gap = residual(product, closed) / np.abs(product.data).max()
+        assert gap <= 1e-12, (j, gap)
 
 
 def test_backlund_entry_out_of_table_raises():

@@ -17,6 +17,7 @@ from toda_darboux.darboux import (
     ParameterSet,
     backlund_entry,
     darboux_factorization,
+    factors_to_table,
 )
 from toda_darboux import lattice
 from toda_darboux.lattice import (
@@ -293,10 +294,10 @@ def test_lattice_buffers_start_on_a_cache_line(mode, monkeypatch):
         assert all(a.ctypes.data % 64 == 0 for a in made)
     made.clear()
     theorem1_diagram(J, 0.05, rng=np.random.default_rng(4), steps=4)
-    # the path check's complex difference and float64 residual, on rows above the p + 2 margin
+    # the path check's complex difference and float64 residual, on all n rows
     shapes = [(a.dtype, a.shape) for a in made]
-    window = (5, 4, table.columns - 5)
-    assert (np.complex128, window) in shapes and (np.float64, window) in shapes
+    block = (5, 4, J.n)
+    assert (np.complex128, block) in shapes and (np.float64, block) in shapes
     assert all(a.ctypes.data % 64 == 0 for a in made)
 
 
@@ -473,13 +474,13 @@ def per_state_rk4(state, dt, steps):
 
 
 def per_state_verify_toda(states, dt):
-    cap, p = states[0].n - 1, states[0].p
+    p = states[0].p
     worst, arg = 0.0, ()
     for m in range(1, len(states) - 1):
         rhs = per_state_toda_rhs(states[m])
         for d in range(p + 1):
             diff = (states[m + 1].bands[d] - states[m - 1].bands[d]) / (2 * dt)
-            res = np.abs(diff - rhs[d])[d:cap]
+            res = np.abs(diff - rhs[d])[d:]
             if res.size and res.max() > worst:
                 i = d + int(np.argmax(res))
                 worst, arg = float(res.max()), (f"a[{i},{i - d}]", m)
@@ -487,11 +488,10 @@ def per_state_verify_toda(states, dt):
 
 
 def per_state_verify_kdv(states, dt):
-    cap = states[0].size - states[0].p
     worst, arg = 0.0, ()
     for m in range(1, len(states) - 1):
         diff = (states[m + 1].values - states[m - 1].values) / (2 * dt)
-        res = np.abs(diff - per_state_kdv_rhs(states[m]))[:cap]
+        res = np.abs(diff - per_state_kdv_rhs(states[m]))
         if res.size and res.max() > worst:
             worst, arg = float(res.max()), (f"gamma[{int(np.argmax(res)) + 1}]", m)
     return worst, arg
@@ -806,11 +806,12 @@ def test_reconstruct_transform_matches_direct_assembly():
     from toda_darboux.darboux import assemble_transform
     J = graded_scale(random_hessenberg(2, 8, seed=15), 0.3)
     C = 0.05
-    factors, table = darboux_factorization(J, C, params=small_params(2, 3, 0.2))
+    factors, _ = darboux_factorization(J, C, params=small_params(2, 3, 0.2))
+    table = factors_to_table(factors)
     for j in range(3):
-        direct, w = assemble_transform(factors, j)
+        direct = assemble_transform(factors, j)
         rebuilt = reconstruct_transform(table, j, C)
-        assert rebuilt.n == table.columns <= w
+        assert rebuilt.n == table.columns == direct.n == 8
         for r in range(rebuilt.n):
             for c in range(max(0, r - 2), r + 1):
                 assert abs(rebuilt.entry(r, c) - direct.entry(r, c)) <= 1e-10
@@ -908,9 +909,8 @@ def test_commuting_diagram_equals_per_state_scalar_route(p):
     C, dt, steps = 0.015, 1e-3, 20
     out = theorem1_diagram(J, C=C, params=params, dt=dt, steps=steps)
 
-    _, table0 = darboux_factorization(J, C, params=params)
+    table0 = factors_to_table(darboux_factorization(J, C, params=params)[0])
     rows = table0.columns
-    w_path = rows - (p + 2)
     traj_table = evolve_kdv(table0, dt, steps)
     recon = {}
     for j in range(p + 1):
@@ -923,7 +923,7 @@ def test_commuting_diagram_equals_per_state_scalar_route(p):
     worst, arg = 0.0, ()
     for m, direct in enumerate(evolve_toda(J, C, dt, steps).states):
         for d in range(p + 1):
-            res = np.abs(direct.bands[d][:w_path] - recon[0].states[m].bands[d][:w_path])[d:]
+            res = np.abs(direct.bands[d] - recon[0].states[m].bands[d])[d:]
             if res.size and res.max() > worst:
                 i = d + int(np.argmax(res))
                 worst, arg = float(res.max()), (f"a[{i},{i - d}]", m)
@@ -947,11 +947,11 @@ def test_commuting_diagram_reports_do_not_depend_on_the_block_size(monkeypatch):
 
     want = reports()
     # one byte puts every sample in its own block; the other size holds three
-    # samples of a reassembled transform, (p + 1, 15) in the data's dtype (float64
+    # samples of a reassembled transform, (p + 1, 16) in the data's dtype (float64
     # for this real table), leaving a last block of one of the 19 interior samples
-    _, table = darboux_factorization(J, 0.015, params=params)
+    table = factors_to_table(darboux_factorization(J, 0.015, params=params)[0])
     sample = _transform_bands(evolve_kdv(table, steps=0).data[0], p, 0, 0.015)
-    assert sample.shape == (p + 1, 15)
+    assert sample.shape == (p + 1, 16)
     for block in (1, 3 * sample.nbytes):
         monkeypatch.setattr(lattice, "_BLOCK_BYTES", block)
         assert reports() == want

@@ -75,9 +75,7 @@ def test_lu_matches_dense_doolittle(p, n, mode, C, seed):
     assert np.abs(L.to_dense() - Ld).max() <= 1e-11
     assert np.abs(U.to_dense() - Ud).max() <= 1e-11
     shifted = BandedHessenberg(p, n, (J.bands[0] - C,) + J.bands[1:])
-    prod, w = multiply(L, U)
-    assert w == n
-    assert residual(prod, shifted, w) <= 1e-12 * np.abs(Ud).max()
+    assert residual(multiply(L, U), shifted) <= 1e-12 * np.abs(Ud).max()
 
 
 @pytest.mark.parametrize("m", [3, 7])
