@@ -301,11 +301,17 @@ def test_lattice_buffers_start_on_a_cache_line(mode, monkeypatch):
     assert all(a.ctypes.data % 64 == 0 for a in made)
 
 
+def python_number(x):
+    """Whether x is a Python int, float or complex, which numpy converts on every call."""
+    return isinstance(x, (int, float, complex)) and not isinstance(x, np.generic)
+
+
 class CountingNumpy:
-    """numpy, with every call of a numpy function or ufunc counted."""
+    """numpy, with every call of a numpy function or ufunc counted, and apart
+    from that every call with a Python number among its operands."""
 
     def __init__(self):
-        self.calls = 0
+        self.calls = self.scalar_calls = 0
 
     def __getattr__(self, name):
         attr = getattr(np, name)
@@ -314,9 +320,20 @@ class CountingNumpy:
 
         def counted(*args, **kwargs):
             self.calls += 1
+            self.scalar_calls += any(map(python_number, (*args, *kwargs.values())))
             return attr(*args, **kwargs)
 
         return counted
+
+
+def extra_step_calls(counting, evolve, state):
+    """Calls, and calls with a Python number, of steps=2 less those of steps=1."""
+    counts = []
+    for steps in (1, 2):
+        counting.calls = counting.scalar_calls = 0
+        evolve(state, dt=1e-2, steps=steps)
+        counts.append((counting.calls, counting.scalar_calls))
+    return counts[1][0] - counts[0][0], counts[1][1] - counts[0][1]
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4])
@@ -324,21 +341,25 @@ def test_rk4_step_numpy_call_budget(p, monkeypatch):
     J, table = flow_instances(p, "complex")
     counting = CountingNumpy()
     monkeypatch.setattr(lattice, "np", counting)
-
-    def step_calls(evolve, state):
-        # one more step in the same block of samples costs exactly one step's calls
-        counts = []
-        for steps in (1, 2):
-            counting.calls = 0
-            evolve(state, dt=1e-2, steps=steps)
-            counts.append(counting.calls)
-        return counts[1] - counts[0]
-
-    # per step: copy y into the kernel's input, 13 RK4 passes, four right-hand sides;
+    # one more step in the same block of samples costs exactly one step's calls.
+    # Per step: copy y into the kernel's input, 13 RK4 passes, four right-hand sides;
     # a Toda rhs copies the diagonal twice and makes 4 passes, a KdV rhs p - 1 window
     # adds and 2 passes
-    assert step_calls(evolve_toda, J) <= 14 + 4 * 6
-    assert step_calls(evolve_kdv, table) <= 14 + 4 * (p + 1)
+    assert extra_step_calls(counting, evolve_toda, J)[0] <= 14 + 4 * 6
+    assert extra_step_calls(counting, evolve_kdv, table)[0] <= 14 + 4 * (p + 1)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+@pytest.mark.parametrize("mode", ["real", "complex"])
+def test_rk4_step_passes_no_python_number_to_numpy(p, mode, monkeypatch):
+    J, table = flow_instances(p, mode)
+    counting = CountingNumpy()
+    monkeypatch.setattr(lattice, "np", counting)
+    # numpy converts a Python number operand on every call, about 0.5 us of a
+    # 128-entry pass; the RK4 coefficients are cast to the state's dtype once
+    for evolve, state in ((evolve_toda, J), (evolve_kdv, table)):
+        calls, scalar_calls = extra_step_calls(counting, evolve, state)
+        assert calls > 0 and scalar_calls == 0
 
 
 # ---------------------------------------------------------------------------
@@ -497,18 +518,32 @@ def per_state_verify_kdv(states, dt):
     return worst, arg
 
 
+def negative_zero_imag(x):
+    """Real parts of x as complex128, every imaginary part -0.0."""
+    out = np.asarray(x).real.astype(np.complex128)
+    out.imag = -0.0
+    return out
+
+
 def flow_instances(p, mode):
-    J = graded_scale(random_hessenberg(p, 9, seed=40 + p, mode=mode), 0.4)
+    """A Toda state and a gamma table: real ("real", every imaginary part +0.0),
+    "complex", or "negative-zero-imag", the real ones with every imaginary part
+    -0.0, as the parameter sampler leaves some of them, so RK4 runs in complex128."""
+    sampled = "complex" if mode == "complex" else "real"
+    J = graded_scale(random_hessenberg(p, 9, seed=40 + p, mode=sampled), 0.4)
     rng = np.random.default_rng(50 + p)
     size = (p + 1) * 6
     values = rng.uniform(0.5, 1.5, size).astype(np.complex128)
     if mode == "complex":
         values += 1j * rng.uniform(-0.5, 0.5, size)
+    if mode == "negative-zero-imag":
+        J = BandedHessenberg(p, J.n, tuple(map(negative_zero_imag, J.bands)))
+        values = negative_zero_imag(values)
     return J, GammaTable(p, 6, values)
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4])
-@pytest.mark.parametrize("mode", ["real", "complex"])
+@pytest.mark.parametrize("mode", ["real", "complex", "negative-zero-imag"])
 def test_array_flows_equal_per_state_route_bit_for_bit(p, mode, monkeypatch):
     J, table = flow_instances(p, mode)
     assert np.stack(toda_rhs(J)).tobytes() == np.stack(per_state_toda_rhs(J)).tobytes()
@@ -516,6 +551,9 @@ def test_array_flows_equal_per_state_route_bit_for_bit(p, mode, monkeypatch):
     dt, steps = 1e-2, 30
     toda = evolve_toda(J, dt=dt, steps=steps)
     kdv = evolve_kdv(table, dt=dt, steps=steps)
+    # evolve --lattice kdv and verify integrate the sampler's -0.0 imaginary parts
+    # in complex128; real states go through float64
+    assert toda.data.dtype == kdv.data.dtype == (np.float64 if mode == "real" else np.complex128)
     toda_states = per_state_rk4(J, dt, steps)
     kdv_states = per_state_rk4(table, dt, steps)
     assert (np.asarray(toda.data, complex).tobytes()
