@@ -217,6 +217,10 @@ def _pair(z) -> list:
     return [float(z.real), float(z.imag)]
 
 
+def _pairs(arr: np.ndarray) -> list:
+    return np.stack((arr.real, arr.imag), -1).tolist()
+
+
 def _from_pair(pair) -> complex:
     # JSON numbers only: bool is an int subclass, and None or a string is no number
     numbers = isinstance(pair, (list, tuple)) and all(
@@ -234,7 +238,7 @@ def _from_pair(pair) -> complex:
 
 
 def _encode_band(arr: np.ndarray, n: int, d: int) -> list:
-    return [_pair(z) for z in (arr[d:] if d >= 0 else arr[: n + d])]
+    return _pairs(arr[d:] if d >= 0 else arr[: max(n + d, 0)])
 
 
 def to_json_dict(m: Banded) -> dict:

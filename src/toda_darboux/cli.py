@@ -1,11 +1,11 @@
 """Command line front end for batch experiments and reproducible fixtures.
 
-Every run is driven by one seed; outputs are strict JSON (sorted keys,
-so identical configs produce byte-identical files apart from the
-timestamp field; a NaN or infinite value fails the run with a
-ValueError) and CSV for trajectories.  Exit code 0 means every residual
-report in the run passed its tolerance.  Module errors surface as a
-one-line machine-readable JSON object on stdout and a nonzero exit.
+Every run is driven by one seed.  Results are strict one-line JSON with
+sorted keys (``python -m json.tool`` indents them), so identical configs
+give byte-identical files apart from the timestamp; a NaN or infinite
+value fails the run with a ValueError.  Trajectories are CSV.  Exit code
+0 means every residual report in the run passed its tolerance.  Module
+errors surface as a one-line JSON object on stdout and a nonzero exit.
 
 Set TODA_DARBOUX_LOG=DEBUG (or INFO, ...) for progress logging on
 stderr.
@@ -45,6 +45,8 @@ from .lattice import (
 from .lu import SingularLeadingMinor
 
 log = logging.getLogger("toda_darboux.cli")
+# one line, no indent: json runs its C encoder only when indent is None
+_dumps = functools.partial(json.dumps, sort_keys=True, allow_nan=False)
 
 # ValueError covers ShapeError, InsufficientSamples and json.JSONDecodeError
 _MODULE_ERRORS = (
@@ -99,7 +101,7 @@ def _instance(cfg: RunConfig):
 
 def _emit(payload: dict, cfg: RunConfig, reports=()) -> int:
     payload["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    text = _dumps(payload) + "\n"
     if cfg.out:
         with open(cfg.out, "w") as fh:
             fh.write(text)
@@ -187,7 +189,7 @@ def cmd_evolve(cfg: RunConfig, args) -> int:
     config = cfg.as_dict()
     manifest = {k: config[k] for k in ("dt", "steps", "p", "n", "C", "seed")}
     with open(cfg.out + ".manifest.json", "w") as fh:
-        fh.write(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+        fh.write(_dumps(manifest) + "\n")
     log.info("wrote %s (%d samples)", cfg.out, len(traj))
     return 0
 
@@ -272,8 +274,7 @@ def main(argv=None) -> int:
         return args.func(cfg, args)
     except _MODULE_ERRORS as exc:
         log.debug("command failed", exc_info=True)
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)},
-                         sort_keys=True))
+        print(_dumps({"error": type(exc).__name__, "message": str(exc)}))
         return 1
 
 

@@ -53,7 +53,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .banded import Banded, ShapeError, _from_pair, _pair, multiply_chain
+from .banded import Banded, ShapeError, _from_pair, _pair, _pairs, multiply_chain
 from .banded import from_json_dict as matrix_from_json, to_json_dict as matrix_json
 from .lu import BREAKDOWN_RATIO, lu_factorize
 
@@ -162,7 +162,7 @@ class GammaTable:
         return {
             "p": self.p,
             "columns": self.columns,
-            "gamma": [_pair(z) for z in self.values],
+            "gamma": _pairs(self.values),
         }
 
     def __repr__(self):

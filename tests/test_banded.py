@@ -1,6 +1,7 @@
 """Band storage, products of finite matrices, and how truncation affects them."""
 
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -10,6 +11,8 @@ from toda_darboux.banded import (
     Banded,
     BandedHessenberg,
     ShapeError,
+    _pair,
+    _pairs,
     from_json_dict,
     graded_scale,
     multiply,
@@ -353,6 +356,35 @@ def test_json_round_trip_of_every_pipeline_shape(p, hi, mode):
     assert sorted(map(int, payload["bands"])) == list(range(-hi, p + 1))
     again = from_json_dict(json.loads(json.dumps(payload)))
     assert (again.p, again.hi) == (p, hi)
+    assert again.data.tobytes() == m.data.tobytes()
+
+
+def signed_bits(pairs):
+    # == reads -0.0 and 0.0 as equal; copysign tells them apart
+    return [[(x, math.copysign(1.0, x)) for x in pair] for pair in pairs]
+
+
+@pytest.mark.parametrize("arr", [
+    np.array([1.5, -0.0, 0.0, -2.25, 1e-300]),
+    np.array([complex(1.5, -0.0), complex(-0.0, -0.0), complex(0.0, 0.0), -2.25 + 1e-300j]),
+    np.zeros(0, dtype=np.complex128),
+], ids=["float64", "complex128", "empty"])
+def test_pairs_match_the_per_entry_route_bit_for_bit(arr):
+    got = _pairs(arr)
+    assert all(type(x) is float for pair in got for x in pair)
+    assert signed_bits(got) == signed_bits([_pair(z) for z in arr])
+
+
+def test_json_keeps_signed_zeros_and_writes_bands_beyond_n_empty():
+    n = 2
+    data = np.full((7, n), complex(-0.0, -0.0))
+    data[3] = [complex(1.0, -0.0), complex(-0.0, 2.0)]
+    m = Banded(3, 3, data)  # offsets -3..3 of a 2 x 2 matrix: |d| >= 2 holds nothing
+    payload = to_json_dict(m)
+    for d in range(-3, 4):
+        entries = [m.entry(i, i - d) for i in range(n) if 0 <= i - d < n]
+        assert signed_bits(payload["bands"][str(d)]) == signed_bits(map(_pair, entries)), d
+    again = from_json_dict(json.loads(json.dumps(payload)))
     assert again.data.tobytes() == m.data.tobytes()
 
 

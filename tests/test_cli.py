@@ -496,6 +496,42 @@ def test_output_deterministic_modulo_timestamp(capsys):
     assert strip_timestamp(a) == strip_timestamp(b)
 
 
+def test_every_json_output_is_one_sorted_line_from_the_c_encoder(tmp_path, monkeypatch, capsys):
+    # json builds its pure-Python encoder only when it cannot use the C one,
+    # as with an indent; make that route fail loudly
+    def pure_python_encoder(*args, **kwargs):
+        raise AssertionError("json took the pure-Python encoder")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", pure_python_encoder)
+    out = {name: tmp_path / f"{name}.json" for name in ("factorize", "transform", "verify")}
+    trajectory = tmp_path / "traj.csv"
+    for argv in (
+        ["factorize", "--p", "2", "--out", str(out["factorize"])],
+        ["transform", "--p", "2", "--i", "1", "--out", str(out["transform"])],
+        ["verify", "--out", str(out["verify"])],
+        ["evolve", "--p", "2", "--steps", "5", "--out", str(trajectory)],
+    ):
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+    assert main(["transform", "--p", "2", "--i", "5"]) == 1
+    error_line = capsys.readouterr().out
+    manifest = Path(f"{trajectory}.manifest.json").read_text()
+    texts = [path.read_text() for path in out.values()] + [manifest, error_line]
+    for text in texts:
+        assert text == json.dumps(json.loads(text), sort_keys=True, allow_nan=False) + "\n"
+    assert json.loads(error_line)["error"] == "ValueError"
+
+
+def test_a_non_finite_value_fails_the_run_and_writes_no_file(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "residual", lambda a, b: float("nan"))
+    out = tmp_path / "f.json"
+    assert main(["factorize", "--out", str(out)]) == 1
+    error = json.loads(capsys.readouterr().out)
+    assert error["error"] == "ValueError"
+    assert error["message"].startswith("Out of range float values are not JSON compliant")
+    assert not out.exists()
+
+
 def test_logging_env_routes_to_stderr():
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, TODA_DARBOUX_LOG="INFO", PYTHONPATH=path)

@@ -10,6 +10,7 @@ import pytest
 from toda_darboux.banded import (
     Banded,
     ShapeError,
+    _pair,
     from_json_dict,
     graded_scale,
     multiply,
@@ -500,10 +501,17 @@ def test_gamma_table_reads_and_bounds():
 
 
 def test_gamma_table_json_round_trip():
-    t = GammaTable(2, 3, np.arange(1.0, 10.0) + 0.5j)
-    again = gamma_table_from_json(t.to_json_dict())
+    values = np.arange(1.0, 10.0) + 0.5j
+    values[[1, 4, 7]] = [complex(2.0, -0.0), complex(-0.0, 0.0), complex(-0.0, -0.0)]
+    t = GammaTable(2, 3, values)
+    payload = t.to_json_dict()
+    # the one-tolist encoder gives the per-entry pairs, signs of zero included
+    signs = [[math.copysign(1.0, x) for x in pair] for pair in payload["gamma"]]
+    assert payload["gamma"] == [_pair(z) for z in t.values]
+    assert signs == [[math.copysign(1.0, x) for x in _pair(z)] for z in t.values]
+    again = gamma_table_from_json(json.loads(json.dumps(payload)))
     assert again.p == 2 and again.columns == 3
-    assert np.array_equal(again.values, t.values)
+    assert again.values.tobytes() == t.values.tobytes()
 
 
 @pytest.mark.parametrize("bad", [[None, 1], ["1", 0], [True, 0], [1], [1, 2, 3], 5, {"re": 1},
