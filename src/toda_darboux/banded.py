@@ -10,10 +10,13 @@ and one type, ``Banded``, holds every shape the factorizations need:
   superdiagonal (p = 0, hi = 1), and each L^(i) with a free subdiagonal
   under a unit diagonal (p = 1, hi = 0).
 
-Unit bands are stored as data like any other band.  All entries are
-complex double precision, even when the input data is real.  A band with
-offset d holds the entries (i, i - d) indexed by row i, so offset -1 is
-the superdiagonal, and slots that have no matrix entry hold zero.
+Unit bands are stored as data like any other band.  One rule, ``_field``,
+decides the field of every stored value, here and in the gamma tables,
+parameter rows and shifts of ``darboux``: float64 when every imaginary part
+is zero, of either sign, complex128 otherwise; operations follow the dtype
+of their operands.  A band with offset d holds the entries (i, i - d)
+indexed by row i, so offset -1 is the superdiagonal, and slots that have
+no matrix entry hold zero.
 
 An n x n matrix is a finite system in its own right: ``multiply`` gives
 the product of the n x n matrices on every row, and ``residual`` compares
@@ -43,13 +46,19 @@ class ShapeError(ValueError):
     """Size mismatch, malformed band data, or a factor of the wrong shape."""
 
 
+def _field(x) -> np.ndarray:
+    """A new float64 copy of x when every imaginary part is zero, of either sign, else complex128."""
+    x = np.asarray(x)
+    return x.astype(complex) if np.iscomplexobj(x) and x.imag.any() else x.real.astype(float)
+
+
 @dataclass(frozen=True, eq=False, repr=False)
 class Banded:
     """Band matrix with p subdiagonals and hi superdiagonals.
 
     ``data`` has shape (p + hi + 1, n), and row hi + d holds the band at
-    offset d indexed by row.  It is stored as a read-only complex copy
-    whose slots without a matrix entry are zero.
+    offset d indexed by row.  It is stored as a read-only copy in its
+    field (``_field``) whose slots without a matrix entry are zero.
     """
 
     p: int
@@ -57,7 +66,7 @@ class Banded:
     data: np.ndarray
 
     def __post_init__(self):
-        data = np.array(self.data, dtype=np.complex128)
+        data = _field(self.data)
         if self.p < 0 or self.hi < 0:
             raise ShapeError(f"band counts p={self.p}, hi={self.hi} must be nonnegative")
         if data.ndim != 2 or data.shape[0] != self.p + self.hi + 1 or data.shape[1] < 1:
@@ -85,14 +94,14 @@ class Banded:
         """Band at offset d as a row-indexed length-n view, zeros off band."""
         if -self.hi <= d <= self.p:
             return self.data[self.hi + d]
-        return np.broadcast_to(np.complex128(0), self.n)
+        return np.broadcast_to(np.zeros((), self.data.dtype), self.n)
 
     def entry(self, i: int, j: int) -> complex:
         return complex(self.band(i - j)[i])
 
     def to_dense(self) -> np.ndarray:
         n = self.n
-        out = np.zeros((n, n), dtype=np.complex128)
+        out = np.zeros((n, n), dtype=self.data.dtype)
         flat = out.reshape(-1)
         for d in range(max(-self.hi, 1 - n), min(self.p, n - 1) + 1):
             # entry (i, i - d) sits at flat index i (n + 1) - d
@@ -144,7 +153,7 @@ def multiply(a: Banded, b: Banded) -> Banded:
         raise ShapeError(f"size mismatch: {a.n} vs {b.n}")
     n = a.n
     p, hi = min(a.p + b.p, n - 1), a.hi + b.hi
-    out = np.zeros((p + hi + 1, n), dtype=np.complex128)
+    out = np.zeros((p + hi + 1, n), dtype=np.result_type(a.data, b.data))
     for da in range(-a.hi, a.p + 1):
         ba = a.band(da)
         for db in range(-b.hi, b.p + 1):

@@ -128,7 +128,7 @@ def cmd_factorize(cfg: RunConfig, args) -> int:
     jmax = np.abs(J.data).max()
     rt = residual(assemble_transform(factors, 0), J) / jmax
     # the j = 0 closed form of the n-column table gives all n rows of J
-    uniq = residual(reconstruct_transform(table, 0, cfg.C), J) / jmax
+    uniq = residual(reconstruct_transform(table, 0, factors.C), J) / jmax
     reports = [
         _report("factorization round trip", rt, ("product vs J", 0), cfg.tol_verify),
         _report("table cross-construction", uniq, ("gamma table", 0), cfg.tol_verify),

@@ -53,7 +53,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .banded import Banded, ShapeError, _from_pair, _pair, _pairs, multiply_chain
+from .banded import Banded, ShapeError, _field, _from_pair, _pair, _pairs, multiply_chain
 from .banded import from_json_dict as matrix_from_json, to_json_dict as matrix_json
 from .lu import BREAKDOWN_RATIO, lu_factorize
 
@@ -132,12 +132,11 @@ class GammaTable:
     def __post_init__(self):
         if self.p < 1 or self.columns < 1:
             raise ValueError(f"invalid table shape p={self.p}, columns={self.columns}")
-        vals = np.asarray(self.values, dtype=np.complex128)
+        vals = _field(self.values)
         if vals.shape != ((self.p + 1) * self.columns,):
             raise ValueError(
                 f"table needs {(self.p + 1) * self.columns} entries, got {vals.shape}"
             )
-        vals = vals.copy()
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
@@ -185,7 +184,7 @@ class ParameterSet:
         rows = []
         p = len(self.alphas) + 1
         for s, row in enumerate(self.alphas):
-            arr = np.array(row, dtype=np.complex128)
+            arr = _field(row)
             if arr.shape != (p - s - 1,):
                 raise ValueError(
                     f"stage {s} needs {p - s - 1} parameters, got shape {arr.shape}"
@@ -229,7 +228,7 @@ class DarbouxFactors:
         ns = {f.n for f in (U, *self.factors)}
         if len(ns) != 1:
             raise ShapeError(f"factor sizes disagree: {sorted(ns)}")
-        object.__setattr__(self, "C", complex(self.C))
+        object.__setattr__(self, "C", _field(self.C)[()])
 
     @property
     def p(self) -> int:
@@ -355,8 +354,8 @@ def sample_parameters(T: Banded, rng) -> tuple:
 
     Each of the q - 1 parameters (q = subdiagonal count of T) gets
     modulus uniform in [1, 2] times the median modulus of T's first
-    subdiagonal, and lies in the field of T: a random phase when some
-    entry of T has a nonzero imaginary part, a random sign otherwise.
+    subdiagonal, and lies in the field of T: a random sign when T is
+    stored in float64, a random phase otherwise.
     A draw's margin is the smallest row cancellation ratio of its peel
     (``_peel_ratios``); a draw whose peel divides by an exact zero has
     margin 0.  Of the first four draws the one with the largest margin is
@@ -364,7 +363,7 @@ def sample_parameters(T: Banded, rng) -> tuple:
     further draws, up to SAMPLE_RETRIES in all, are made only while no
     draw has cleared it.
     """
-    d, real = T.p - 1, not T.data.imag.any()
+    d, real = T.p - 1, np.isrealobj(T.data)
     rng = np.random.default_rng(rng)
     scale = _median_modulus(T.band(1)[1:])
     best, split = 0.0, None
@@ -410,9 +409,9 @@ def peel(T: Banded, alphas):
     if alphas.shape != (q - 1,):
         raise ValueError(f"stage needs {q - 1} parameters, got shape {alphas.shape}")
     n = T.n
-    # lists of numpy scalars: the same scalar arithmetic as on arrays,
-    # without the cost of array item access
-    tbands = [list(b) for b in T.bands]
+    # lists of complex numpy scalars: the same scalar arithmetic as on arrays,
+    # without the cost of array item access, and the complex division of lu
+    tbands = [list(b) for b in T.data[T.hi :].astype(np.complex128)]
     zero, one = np.complex128(0), 1.0 + 0j
     d = [zero] * n
     abands = [[zero] * n for _ in range(q - 1)]
@@ -480,7 +479,7 @@ def darboux_factorization(J: Banded, C=0.0, params=None, rng=None):
     if J.n < 2:
         raise ValueError(f"a gamma table needs n >= 2, got n={J.n}")
     L, U = lu_factorize(J, C)
-    factors = DarbouxFactors(U, darboux_factorize(L, params, rng), complex(C))
+    factors = DarbouxFactors(U, darboux_factorize(L, params, rng), C)
     table = factors_to_table(factors)
     return factors, GammaTable(table.p, table.columns - 1, table.values[: -(table.p + 1)])
 
@@ -593,7 +592,7 @@ def assemble_transform(factors: DarbouxFactors, i: int) -> Banded:
         raise ValueError(f"transform index {i} outside 0..{p}")
     chain = list(factors.factors[i:]) + [factors.U] + list(factors.factors[:i])
     prod = multiply_chain(chain)
-    data = prod.data.copy()
+    data = prod.data.astype(np.result_type(prod.data, factors.C))
     data[prod.hi] += factors.C
     return Banded(prod.p, prod.hi, data)
 

@@ -20,19 +20,17 @@ entries gives trajectories of the Toda flow, for every member J^(0),
 Everything is integrated with fixed-step classical RK4 and verified by
 comparing central finite differences of a trajectory against the exact
 right hand side, so residuals of honest solutions shrink like dt^2.
-A ``Trajectory`` is one array over the time axis, float64 for real states
-and complex128 otherwise, filled in place by RK4, swept by the verifiers in
-blocks of samples (a NaN residual fails), and read as a sequence of states.
-A real evolved table stays float64 through the diagram's reconstruction,
-path comparison and toda[j] sweeps.  A right-hand side is a kernel built per
-array shape (per RK4 trajectory, per verifier sweep) that owns a zero-padded
-input, where RK4 writes each stage's argument and a sweep copies each
-block.  A small step costs what its numpy calls cost (6 per Toda rhs, p + 1
-per KdV rhs, 38 per Toda step), so RK4 casts dt/2, dt, 2 and dt/6 once per
-trajectory to 0-d arrays of the state's dtype (as numpy casts a Python number)
-and passes ``out`` positionally: 0.7-0.9 us a 128-entry pass, not 1.2-1.6.
-Every array lattice allocates starts on a 64-byte boundary, as one inside a
-cache line splits vector loads across two lines.
+A ``Trajectory`` is one array over the time axis in the field of its initial
+state, filled in place by RK4, swept by the verifiers in blocks of samples
+(a NaN residual fails), and read as a sequence of states.  A right-hand side
+is a kernel built per array shape (per RK4 trajectory, per verifier sweep)
+that owns a zero-padded input, where RK4 writes each stage's argument and a
+sweep copies each block.  A small step costs what its numpy calls cost (6 per
+Toda rhs, p + 1 per KdV rhs, 38 per Toda step), so RK4 casts dt/2, dt, 2 and
+dt/6 once per trajectory to 0-d arrays of the state's dtype (as numpy casts a
+Python number) and passes ``out`` positionally: 0.7-0.9 us a 128-entry pass,
+not 1.2-1.6.  Every array lattice allocates starts on a 64-byte boundary, as
+one inside a cache line splits vector loads across two lines.
 Both flows are finite systems: entries past the matrix or the table read
 as zero.  The n x n Toda lattice and the KdV lattice of the n-column
 table (``factors_to_table``, last column (u_{n-1}, 0, ..., 0)) are then
@@ -43,6 +41,7 @@ and Symes), so every check covers every entry.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -78,11 +77,6 @@ def _empty(shape: tuple, dtype, zero: bool = False) -> np.ndarray:
     return raw[start : start + nbytes].view(dtype).reshape(shape)
 
 
-def _real(x) -> bool:
-    """Whether x is real or every imaginary part is +0.0, so float64 gives its real parts."""
-    return np.isrealobj(x) or not np.asarray(x).imag.view(np.uint64).any()  # +0.0 is all 0 bits
-
-
 class BlowUp(RuntimeError):
     """A state entry left the representable range during integration."""
 
@@ -101,11 +95,10 @@ class Trajectory(Sequence):
 
     ``data[m]`` is sample m, at time m dt: the row-indexed bands (p + 1, n)
     of J for the Toda flow, or the flat gamma table ((p + 1) columns,) for
-    KdV.  ``data`` is float64 when the states are real (every imaginary
-    part +0.0) and complex128 otherwise.  An array of that dtype is taken
-    over without a copy and made read-only.  The trajectory is the sequence
-    of its states: ``traj[m]`` builds sample m as a complex banded
-    Hessenberg matrix or GammaTable per access.
+    KdV, in the initial state's dtype; a float64 or complex128 array is
+    taken over without a copy and made read-only.  The trajectory is the
+    sequence of its states: ``traj[m]`` builds sample m as a banded Hessenberg
+    matrix or GammaTable per access, and a slice, no integer, raises TypeError.
     """
 
     data: np.ndarray
@@ -134,7 +127,7 @@ class Trajectory(Sequence):
         return len(self.data)
 
     def __getitem__(self, m):
-        data, p = self.data, self.p
+        data, p, m = self.data, self.p, operator.index(m)
         if data.ndim == 3:
             return BandedHessenberg(p, data.shape[2], tuple(data[m]))
         return GammaTable(p, data.shape[1] // (p + 1), data[m])
@@ -225,7 +218,7 @@ def toda_rhs(J: Banded) -> tuple:
     Entries outside the n x n band pattern (row n, column -1, offsets
     beyond p) are read as zero, which is the finite system's equation.
     """
-    arg, rhs = _toda_kernel((J.p + 1, J.n), np.complex128, J.p)
+    arg, rhs = _toda_kernel((J.p + 1, J.n), J.data.dtype, J.p)
     np.copyto(arg, J.bands)
     return tuple(rhs(np.empty_like(arg)))
 
@@ -247,16 +240,13 @@ def kdv_rhs(table: GammaTable) -> np.ndarray:
 
 
 def _rk4(y0: np.ndarray, kernel, dt: float, steps: int, p: int) -> Trajectory:
-    """Fixed-step RK4 from y0, every sample stored in one preallocated array.
+    """Fixed-step RK4 in y0's dtype, every sample stored in one preallocated array.
 
-    A y0 whose imaginary parts are all +0.0 is integrated in float64, which
-    gives the real parts complex arithmetic gives.  Finiteness is checked
-    once per block of samples; BlowUp names the time of the last finite one.
+    Finiteness is checked once per block of samples; BlowUp names the time
+    of the last finite one.
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
-    if _real(y0):
-        y0 = y0.real
     out = _empty((steps + 1,) + y0.shape, y0.dtype)
     out[0] = y0
     arg, rhs = kernel(y0.shape, y0.dtype, p)
@@ -397,17 +387,17 @@ def _transform_bands(values: np.ndarray, p: int, j: int, C=0.0) -> np.ndarray:
     its first factor.  Column i of band k reads gamma_{i (p+1) + o} for an
     offset o fixed by the tuple coordinate, so each factor is one strided
     slice of the zero-padded table, for all columns and all stacked tables
-    at once.  A real table and C (every imaginary part +0.0) give float64
-    bands, the complex route's real parts, as a +0 accumulator absorbs the
-    sign of a zero product; others give complex128, products spelled out in
-    real arithmetic: numpy's complex multiply may fuse a multiply and an
-    add, Python's does not.
+    at once.  A float64 table and a real C give float64 bands, the complex
+    route's real parts, as a +0 accumulator absorbs the sign of a zero
+    product; others give complex128, products spelled out in real
+    arithmetic: numpy's complex multiply may fuse a multiply and an add,
+    Python's does not.
     """
     if not 0 <= j <= p:
         raise ValueError(f"transform index {j} outside 0..{p}")
     lead, size = values.shape[:-1], values.shape[-1]
     rows = size // (p + 1)
-    real = _real(values) and _real(C)
+    real = np.isrealobj(values) and np.isrealobj(C)
     parts = (values.real,) if real else (values.real, values.imag)
     # gamma_n sits at index n + p, so gamma_{n <= 0} reads the zero padding
     padded = np.zeros((len(parts),) + lead + (p + 1 + size,))
@@ -462,8 +452,8 @@ def theorem1_diagram(
     (``factors_to_table``) under the KdV lattice, and reassembles every
     transformed matrix J^(0) .. J^(p) from the evolved table through the
     closed-form entries, evaluated for the whole trajectory in one
-    vectorised pass per transform, in float64 when the evolved table is
-    real, as are then the comparisons.
+    vectorised pass per transform with the stored shift, so a real J and C
+    run every step and comparison in float64.
 
     Reports, keyed by name, each over all n rows or the whole table:
     "path" compares the reassembled J^(0) against the directly evolved
@@ -477,7 +467,7 @@ def theorem1_diagram(
 
     direct = evolve_toda(J0, C, dt, steps).data
     traj_table = evolve_kdv(factors_to_table(factors), dt, steps)
-    recon = [_transform_bands(traj_table.data, p, j, C) for j in range(p + 1)]
+    recon = [_transform_bands(traj_table.data, p, j, factors.C) for j in range(p + 1)]
     block = min(max(1, _BLOCK_BYTES // direct[0].nbytes), len(direct))
     dtype = np.result_type(direct, recon[0])
     diff, res = (_empty(direct[:block].shape, t) for t in (dtype, float))

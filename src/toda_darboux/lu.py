@@ -59,7 +59,8 @@ def lu_factorize(J: Banded, C=0.0):
     row.  Raises SingularLeadingMinor(m, |u_m|) when the pivot u_m = a_mm -
     C - l_{m,m-1} has |u_m| <= BREAKDOWN_RATIO (|a_mm| + |C| + |l_{m,m-1}|).
     """
-    n, p, bands = J.n, J.p, J.bands
+    # complex scratch and bands: complex division rounds unlike float, mixed scalars are slow
+    n, p, bands = J.n, J.p, tuple(J.data[J.hi :].astype(np.complex128))
     lbands = [np.zeros(n, dtype=np.complex128) for _ in range(p)]
     u = np.zeros(n, dtype=np.complex128)
 

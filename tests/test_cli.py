@@ -1,5 +1,6 @@
 """Command line entry points, exit codes, and artifact formats."""
 
+import collections
 import csv
 import inspect
 import json
@@ -207,6 +208,86 @@ def test_transform_round_trip_via_saved_factors(tmp_path, capsys):
     code, payload = run_json(["transform", "--factors", str(fpath), "--i", "2"], capsys)
     assert code == 0
     assert payload["reports"][0]["passed"]
+
+
+def test_factors_written_with_negative_zero_imaginary_parts_load_as_float64(tmp_path, capsys):
+    # earlier versions wrote the sampler's -0.0 imaginary parts as [x, -0.0] pairs
+    path = tmp_path / "factors.json"
+    assert main(["factorize", "--p", "3", "--n", "16", "--out", str(path)]) == 0
+    text = path.read_text()
+    assert "-0.0]" not in text  # a real run writes every imaginary part as 0.0
+    payload = json.loads(text)
+    factors = payload["factors"]
+    pairs = [pair for m in (factors["U"], *factors["factors"]) for band in m["bands"].values()
+             for pair in band]
+    for pair in pairs[::2]:
+        pair[1] = -0.0
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(payload))
+    assert old.read_text().count("-0.0]") == len(pairs[::2])
+    want = DarbouxFactors.from_json_dict(json.loads(text)["factors"])
+    got = DarbouxFactors.from_json_dict(factors)
+    for a, b in zip((got.U, *got.factors), (want.U, *want.factors)):
+        assert a.data.dtype == np.float64 and a.data.tobytes() == b.data.tobytes()
+    assert np.asarray(got.C).dtype == np.float64
+    capsys.readouterr()
+    for i in range(4):
+        argv = ["transform", "--p", "3", "--n", "16", "--i", str(i), "--factors"]
+        code, new = run_json(argv + [str(path)], capsys)
+        old_code, old_out = run_json(argv + [str(old)], capsys)
+        assert (code, strip_timestamp(new)) == (old_code, strip_timestamp(old_out))
+
+
+def spy(monkeypatch, module, name, record):
+    """Wrap module.name so that record(result) runs on every result."""
+    wrapped = getattr(module, name)
+
+    def call(*args, **kwargs):
+        result = wrapped(*args, **kwargs)
+        record(result)
+        return result
+
+    monkeypatch.setattr(module, name, call)
+
+
+@pytest.mark.parametrize("extra,field", [
+    ([], np.float64),
+    (["--mode", "complex"], np.complex128),
+    (["--C-im", "0.3"], np.complex128),
+], ids=["real", "complex", "complex-shift"])
+@pytest.mark.parametrize("argv,calls", [
+    (["verify", "--p", "2", "--n", "16"], {"table": 1, "kdv": 1, "toda": 1, "transform": 3}),
+    (["evolve", "--lattice", "kdv", "--p", "1", "--n", "8"], {"table": 1, "kdv": 1}),
+    (["factorize", "--p", "2", "--n", "16"], {"table": 1, "transform": 1}),
+    (["transform", "--p", "2", "--n", "16", "--i", "1"], {"table": 2, "transform": 1}),
+], ids=["verify", "evolve-kdv", "factorize", "transform"])
+def test_commands_run_in_the_instances_field_end_to_end(argv, calls, extra, field, tmp_path,
+                                                        monkeypatch, capsys):
+    # every factor, table, trajectory and closed-form reconstruction is in the field of
+    # J and C; each closed form reads the stored shift factors.C
+    seen = []
+
+    def factor_dtypes(result):
+        f = result[0]
+        seen.extend(("factors", a.dtype) for a in (f.U.data, *(g.data for g in f.factors)))
+        seen.append(("shift", np.asarray(f.C).dtype))
+
+    for module in (cli, lattice):
+        spy(monkeypatch, module, "darboux_factorization", factor_dtypes)
+        spy(monkeypatch, module, "factors_to_table", lambda t: seen.append(("table", t.values.dtype)))
+    for module, name in ((lattice, "evolve_toda"), (lattice, "evolve_kdv"), (cli, "evolve_kdv")):
+        spy(monkeypatch, module, name, lambda traj: seen.append((traj.kind, traj.data.dtype)))
+    spy(monkeypatch, lattice, "_transform_bands", lambda b: seen.append(("transform", b.dtype)))
+    main(argv + extra + ["--seed", "1", "--out", str(tmp_path / "out")])
+    p = int(argv[argv.index("--p") + 1])
+    names = [name for name, _ in seen]
+    assert collections.Counter(names) == {"factors": p + 1, "shift": 1, **calls}
+    # the Toda flow never reads C, so a real J under a complex shift stays float64,
+    # and a zero shift is real in either mode
+    toda_field = np.complex128 if "complex" in extra else np.float64
+    shift_field = np.complex128 if "--C-im" in extra else np.float64
+    fields = {"toda": toda_field, "shift": shift_field}
+    assert seen == [(name, fields.get(name, field)) for name in names]
 
 
 def test_transform_residual_is_the_entrywise_scalar_maximum(tmp_path, capsys):

@@ -9,6 +9,7 @@ import pytest
 
 from toda_darboux.banded import (
     Banded,
+    BandedHessenberg,
     ShapeError,
     _pair,
     from_json_dict,
@@ -18,7 +19,7 @@ from toda_darboux.banded import (
     random_hessenberg,
     residual,
 )
-from toda_darboux import darboux
+from toda_darboux import banded, darboux
 from toda_darboux.darboux import (
     DarbouxFactors,
     GammaTable,
@@ -166,12 +167,16 @@ def test_hyperplane_determinant_matches_cofactor_oracle(seed):
 @pytest.mark.parametrize("q", [1, 2, 3, 4])
 def test_hyperplane_determinant_equals_det_of_entrywise_submatrix(q):
     n = 16
-    T = random_unit_lower(q, n, seed=30 + q)
-    for r in range(q):
-        for k in range(1, n - q + 2):
-            rows = [q - r - 1] + list(range(q, q + k - 1))
-            sub = np.array([[T.entry(a, b) for b in range(k)] for a in rows])
-            assert hyperplane_determinant(T, r, k) == complex(np.linalg.det(sub))
+    for mode, dtype in (("real", np.float64), ("complex", np.complex128)):
+        T = random_unit_lower(q, n, seed=30 + q, mode=mode)
+        assert T.data.dtype == dtype
+        for r in range(q):
+            for k in range(1, n - q + 2):
+                rows = [q - r - 1] + list(range(q, q + k - 1))
+                # entry by entry in T's field, so a real T takes the real determinant
+                sub = np.array([[T.band(a - b)[a] for b in range(k)] for a in rows])
+                assert sub.dtype == dtype
+                assert hyperplane_determinant(T, r, k) == complex(np.linalg.det(sub))
 
 
 def test_sample_parameters_none_to_sample():
@@ -235,18 +240,19 @@ def test_sample_parameters_complex_mode():
 
 @pytest.mark.parametrize("imag", [0.0, -0.0], ids=["real", "negative-zero-imag"])
 def test_sampler_draws_real_parameters_for_a_real_stage(imag):
-    # a -0.0 imaginary part is real: the draws are replay_draws' signs
-    data = random_unit_lower(3, 16, seed=12).data.copy()
+    # a -0.0 imaginary part is real: T is stored in float64 and the draws are
+    # replay_draws' signs
+    data = random_unit_lower(3, 16, seed=12).data.astype(np.complex128)
     data.imag = imag
     T = Banded(3, 0, data)
-    assert np.signbit(T.data.imag).any() == np.signbit(imag)
+    assert T.data.dtype == np.float64
     seed = 4
     draws = replay_draws(T, seed, 4)
     best = int(np.argmax([m for m, _, _ in draws]))
     D, A = sample_parameters(T, np.random.default_rng(seed))
     assert np.array_equal(D.data, draws[best][1].data)
     assert np.array_equal(A.data, draws[best][2].data)
-    assert not D.band(1)[1:3].imag.any()
+    assert D.data.dtype == A.data.dtype == np.float64
 
 
 def test_sampling_failure_carries_retry_count_and_margin(monkeypatch):
@@ -685,3 +691,93 @@ def test_backlund_entry_out_of_table_raises():
     _, _, table = pipeline(2, 6, seed=20)
     with pytest.raises(IndexError):
         backlund_entry(table, 2, table.columns + 2, 2, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# the field of stored values, decided once by banded._field
+
+
+FIELD_CASES = {
+    # every imaginary part zero, of either sign, is real: stored as float64
+    "plus-zero-imag": [complex(1.5, 0.0), complex(-2.0, 0.0), complex(0.25, 0.0)],
+    "negative-zero-imag": [complex(1.5, -0.0), complex(-2.0, -0.0), complex(0.25, -0.0)],
+    "mixed-zero-imag": [complex(1.5, -0.0), complex(-2.0, 0.0), complex(0.25, -0.0)],
+    "float": [1.5, -2.0, 0.25],
+    # one nonzero imaginary part, however small, keeps complex128
+    "complex": [complex(1.5, -0.0), complex(-2.0, 1e-300), complex(0.25, 0.0)],
+}
+
+
+def stored_values(kind, values):
+    """(stored array, the values it was built from) for each array a constructor stores."""
+    vals = np.array(values)
+    if kind == "Banded":
+        return [(Banded(0, 0, [vals]).data[0], vals)]
+    if kind == "BandedHessenberg":
+        return [(BandedHessenberg(1, 3, (vals, vals[1:])).band(0), vals)]
+    if kind == "from_json_dict":
+        payload = {"p": 0, "n": 3, "bands": {"0": [_pair(z) for z in vals]}}
+        return [(from_json_dict(json.loads(json.dumps(payload))).band(0), vals)]
+    if kind == "GammaTable":
+        return [(GammaTable(2, 1, vals).values, vals)]
+    if kind == "ParameterSet":
+        rows = (vals, vals[:2], vals[:1])
+        return list(zip(ParameterSet(rows).alphas, rows))
+    factors, _ = darboux_factorization(random_hessenberg(2, 6, seed=1), rng=1)
+    return [(np.asarray(DarbouxFactors(factors.U, factors.factors, z).C), np.asarray(z))
+            for z in vals]
+
+
+@pytest.mark.parametrize("case", list(FIELD_CASES))
+@pytest.mark.parametrize("kind", ["Banded", "BandedHessenberg", "from_json_dict",
+                                  "GammaTable", "ParameterSet", "DarbouxFactors.C"])
+def test_every_constructor_stores_float64_exactly_when_every_imaginary_part_is_zero(kind, case):
+    for got, source in stored_values(kind, FIELD_CASES[case]):
+        want = np.complex128 if np.iscomplexobj(source) and source.imag.any() else np.float64
+        assert got.dtype == want
+        # every stored part, with the sign of its zeros
+        parts = [got.real] + ([got.imag] if want is np.complex128 else [])
+        wants = [source.real] + ([source.imag] if want is np.complex128 else [])
+        for a, b in zip(parts, wants):
+            assert [x.hex() for x in np.ravel(a).tolist()] == [x.hex() for x in np.ravel(b).tolist()]
+
+
+def test_banded_stores_a_new_copy_in_either_field():
+    for data in (np.ones((2, 4)), np.full((2, 4), 1 + 1j), np.full((2, 4), complex(1, -0.0))):
+        m = Banded(1, 0, data)
+        assert not np.shares_memory(m.data, data) and not m.data.flags.writeable
+
+
+def test_real_factorization_stores_every_factor_in_float64():
+    J = random_hessenberg(3, 12, seed=2)
+    factors, table = darboux_factorization(J, 0.1, rng=2)
+    stored = [factors.U.data, *(f.data for f in factors.factors), table.values,
+              *factors.parameters().alphas, np.asarray(factors.C)]
+    assert all(a.dtype == np.float64 for a in stored)
+    assert assemble_transform(factors, 1).data.dtype == np.float64
+    # real factors under a complex shift: the diagonal takes the shift's field
+    shifted = assemble_transform(DarbouxFactors(factors.U, factors.factors, 0.5j), 1)
+    assert shifted.data.dtype == np.complex128 and np.all(shifted.band(0).imag == 0.5)
+    # a complex shift makes the factors complex
+    factors, table = darboux_factorization(J, 0.1 + 0.2j, rng=2)
+    assert factors.U.data.dtype == table.values.dtype == np.asarray(factors.C).dtype == np.complex128
+
+
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_real_factors_are_the_all_complex_routes_real_parts(p, monkeypatch):
+    # lu_factorize and peel divide in complex128 in either field: numpy's complex
+    # division rounds through a reciprocal, so float division would move factor bits
+    J = graded_scale(random_hessenberg(p, 64, seed=p), 0.5)
+    real, real_table = darboux_factorization(J, 0.1, rng=p)
+    params = real.parameters()
+
+    def complex_field(x):  # every value complex128, as before the field rule
+        return np.array(x, dtype=np.complex128)
+
+    monkeypatch.setattr(banded, "_field", complex_field)
+    monkeypatch.setattr(darboux, "_field", complex_field)
+    cplx, cplx_table = darboux_factorization(BandedHessenberg(p, J.n, J.bands), 0.1, params=params)
+    pairs = [(a.data, b.data) for a, b in zip((real.U, *real.factors), (cplx.U, *cplx.factors))]
+    for a, b in pairs + [(real_table.values, cplx_table.values)]:
+        assert a.dtype == np.float64 and b.dtype == np.complex128
+        assert a.tobytes() == np.ascontiguousarray(b.real).tobytes()

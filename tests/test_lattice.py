@@ -181,7 +181,7 @@ def test_toda_rhs_of_a_block_equals_its_rows(p, mode):
         B = np.stack(J.bands)
         # -0.0 in the last row and all along band p: their neighbours below are zero
         # slots, the zero tail among them, whose +0 turns the -0 of their product into +0
-        B[:, -1] = B[p, p:] = complex(-0.0, -0.0)
+        B[:, -1] = B[p, p:] = complex(-0.0, -0.0) if mode == "complex" else -0.0
         states.append(BandedHessenberg(p, n, tuple(B)))
     block = np.stack([np.stack(J.bands) for J in states])
     if mode == "real":
@@ -294,10 +294,10 @@ def test_lattice_buffers_start_on_a_cache_line(mode, monkeypatch):
         assert all(a.ctypes.data % 64 == 0 for a in made)
     made.clear()
     theorem1_diagram(J, 0.05, rng=np.random.default_rng(4), steps=4)
-    # the path check's complex difference and float64 residual, on all n rows
+    # the path check's difference in the instance's field and float64 residual, on all n rows
     shapes = [(a.dtype, a.shape) for a in made]
     block = (5, 4, J.n)
-    assert (np.complex128, block) in shapes and (np.float64, block) in shapes
+    assert (dtype, block) in shapes and (np.float64, block) in shapes
     assert all(a.ctypes.data % 64 == 0 for a in made)
 
 
@@ -430,10 +430,10 @@ def per_state_toda_rhs(J):
     for d in range(p + 1):
         b = J.band(d)
         nxt = J.band(d + 1)
-        shifted = np.zeros(n, dtype=np.complex128)
+        shifted = np.zeros(n, dtype=diag.dtype)
         shifted[d:] = diag[: n - d]
         der = (diag - shifted) * b
-        der += np.concatenate([nxt[1:], [0j]])
+        der += np.concatenate([nxt[1:], np.zeros(1, diag.dtype)])
         der -= nxt
         der[:d] = 0
         out.append(der)
@@ -444,7 +444,7 @@ def per_state_kdv_rhs(table):
     g = table.values
     p = table.p
     size = len(g)
-    zeros = np.zeros(p, dtype=np.complex128)
+    zeros = np.zeros(p, dtype=g.dtype)
     padded = np.concatenate([zeros, g, zeros])
 
     def window(lo):
@@ -527,8 +527,8 @@ def negative_zero_imag(x):
 
 def flow_instances(p, mode):
     """A Toda state and a gamma table: real ("real", every imaginary part +0.0),
-    "complex", or "negative-zero-imag", the real ones with every imaginary part
-    -0.0, as the parameter sampler leaves some of them, so RK4 runs in complex128."""
+    "complex", or "negative-zero-imag", the real ones built from complex data
+    with every imaginary part -0.0, which the constructors store in float64."""
     sampled = "complex" if mode == "complex" else "real"
     J = graded_scale(random_hessenberg(p, 9, seed=40 + p, mode=sampled), 0.4)
     rng = np.random.default_rng(50 + p)
@@ -551,15 +551,17 @@ def test_array_flows_equal_per_state_route_bit_for_bit(p, mode, monkeypatch):
     dt, steps = 1e-2, 30
     toda = evolve_toda(J, dt=dt, steps=steps)
     kdv = evolve_kdv(table, dt=dt, steps=steps)
-    # evolve --lattice kdv and verify integrate the sampler's -0.0 imaginary parts
-    # in complex128; real states go through float64
-    assert toda.data.dtype == kdv.data.dtype == (np.float64 if mode == "real" else np.complex128)
+    # -0.0 imaginary parts are real: those states integrate in float64
+    dtype = np.complex128 if mode == "complex" else np.float64
+    assert toda.data.dtype == kdv.data.dtype == dtype
     toda_states = per_state_rk4(J, dt, steps)
     kdv_states = per_state_rk4(table, dt, steps)
-    assert (np.asarray(toda.data, complex).tobytes()
-            == np.stack([np.stack(s.bands) for s in toda_states]).tobytes())
-    assert (np.asarray(kdv.data, complex).tobytes()
-            == np.stack([s.values for s in kdv_states]).tobytes())
+    # the per-state route stores each state in its field
+    want_toda = np.stack([np.stack(s.bands) for s in toda_states])
+    want_kdv = np.stack([s.values for s in kdv_states])
+    assert want_toda.dtype == want_kdv.dtype == dtype
+    assert toda.data.tobytes() == want_toda.tobytes()
+    assert kdv.data.tobytes() == want_kdv.tobytes()
     assert [s.bands[-1].tolist() for s in toda.states] == [s.bands[-1].tolist() for s in toda_states]
     toda_want = per_state_verify_toda(toda_states, dt)
     kdv_want = per_state_verify_kdv(kdv_states, dt)
@@ -629,12 +631,12 @@ def test_complex_flows_blow_up_at_the_per_state_time(block_samples, monkeypatch)
 
 
 def with_negative_zero(state):
-    """The same state with the imaginary part of its first entry set to -0.0."""
+    """The same state built from complex data, the imaginary part of its first entry -0.0."""
     if isinstance(state, GammaTable):
-        values = state.values.copy()
+        values = state.values.astype(np.complex128)
         values[0] = complex(values[0].real, -0.0)
         return GammaTable(state.p, state.columns, values)
-    bands = [b.copy() for b in state.bands]
+    bands = [b.astype(np.complex128) for b in state.bands]
     bands[0][0] = complex(bands[0][0].real, -0.0)
     return BandedHessenberg(state.p, state.n, tuple(bands))
 
@@ -643,18 +645,22 @@ def with_negative_zero(state):
 def test_real_states_integrate_in_float64_like_the_complex_route(p):
     J, table = flow_instances(p, "real")
     Jc, tablec = flow_instances(p, "complex")
-    for state, cstate, evolve in ((J, Jc, evolve_toda), (table, tablec, evolve_kdv)):
+    cases = ((J, Jc, evolve_toda, lattice._toda_kernel), (table, tablec, evolve_kdv, lattice._kdv_kernel))
+    for state, cstate, evolve, kernel in cases:
         real = evolve(state, dt=1e-2, steps=30)
-        forced = evolve(with_negative_zero(state), dt=1e-2, steps=30)
-        assert real.data.dtype == np.float64
+        # a -0.0 imaginary part is real: the state is stored and integrated in float64
+        signed = evolve(with_negative_zero(state), dt=1e-2, steps=30)
+        assert real.data.dtype == signed.data.dtype == np.float64
+        assert real.data.tobytes() == signed.data.tobytes()
+        # the complex route, entered by casting the initial array
+        forced = lattice._rk4(real.data[0].astype(np.complex128), kernel, 1e-2, 30, p)
         assert forced.data.dtype == evolve(cstate, dt=1e-2, steps=30).data.dtype == np.complex128
-        # same real parts bit for bit; past the initial sample every stored
-        # imaginary part of the complex route is +0.0
+        # same real parts bit for bit; every stored imaginary part of the complex route is +0.0
         assert real.data.tobytes() == np.ascontiguousarray(forced.data.real).tobytes()
-        assert not forced.data.imag[1:].view(np.uint64).any()
-        # states stay complex
+        assert not forced.data.imag.view(np.uint64).any()
+        # states are float64
         first = real.states[0]
-        assert np.asarray(getattr(first, "bands", None) or first.values).dtype == np.complex128
+        assert np.asarray(getattr(first, "bands", None) or first.values).dtype == np.float64
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4])
@@ -749,14 +755,19 @@ def test_trajectory_is_its_own_sequence_of_states(mode):
 
         def as_array(state):  # the bands of J, or the flat gamma table, as stored
             a = np.stack(state.bands) if traj.kind == "toda" else state.values
-            assert a.dtype == np.complex128 and state.p == traj.p
+            assert a.dtype == traj.data.dtype and state.p == traj.p
             return a.tolist()
 
         want = [row.tolist() for row in traj.data]
         assert len(traj) == 4 and [as_array(s) for s in traj] == want
         assert [as_array(traj[m]) for m in range(-4, 4)] == want * 2
+        assert [as_array(traj[np.int64(m)]) for m in range(4)] == want
         with pytest.raises(IndexError):
             traj[4]
+        # a state is indexed by an integer; a slice is no state
+        for index in (slice(1, 3), 1.0):
+            with pytest.raises(TypeError):
+                traj[index]
 
 
 # ---------------------------------------------------------------------------
@@ -894,7 +905,8 @@ def test_transform_kernel_equals_backlund_entry_exactly(p, mode):
 
 
 def with_negative_zero_imag(values):
-    """values cast to complex with every imaginary part -0.0, which takes the complex route."""
+    """values cast to complex with every imaginary part -0.0, which takes the complex route
+    of _transform_bands; GammaTable stores them in float64."""
     cast = values.astype(np.complex128)
     cast.imag = -0.0
     return cast
@@ -923,7 +935,7 @@ def test_real_table_transform_is_the_complex_routes_real_part(p):
                     cols = size // (p + 1)
                     a = reconstruct_transform(GammaTable(p, cols, v), j, C)
                     b = reconstruct_transform(GammaTable(p, cols, w), j, C)
-                    assert a.data.dtype == np.complex128
+                    assert a.data.dtype == b.data.dtype == np.float64
                     assert a.data.tobytes() == b.data.tobytes()
             for C in (0.2 - 0.1j, complex(0.2, -0.0)):
                 assert _transform_bands(values, p, j, C).dtype == np.complex128
