@@ -74,10 +74,13 @@ class Banded:
                 f"p={self.p}, hi={self.hi} needs data of shape ({self.p + self.hi + 1}, n >= 1),"
                 f" got {data.shape}"
             )
-        # column i - d of the entry that row i of band d would hold
+        # row i of band d holds entry (i, i - d): zero the rows whose column is off the matrix
         n = data.shape[1]
-        cols = np.arange(n) - np.arange(-self.hi, self.p + 1)[:, None]
-        data[(cols < 0) | (cols >= n)] = 0
+        for row, d in zip(data, range(-self.hi, self.p + 1)):
+            if d > 0:
+                row[:d] = 0
+            elif d < 0:
+                row[max(n + d, 0) :] = 0
         data.flags.writeable = False
         object.__setattr__(self, "data", data)
 
@@ -125,9 +128,10 @@ def BandedHessenberg(p: int, n: int, bands) -> Banded:
         raise ShapeError(f"size n={n} must be at least 1")
     if len(bands) != p + 1:
         raise ShapeError(f"expected {p + 1} bands, got {len(bands)}")
-    data = np.ones((p + 2, n), dtype=np.complex128)
-    for d, values in enumerate(bands):
-        v = np.asarray(values, dtype=np.complex128)
+    bands = [np.asarray(values) for values in bands]
+    # filled in the bands' field, so a real matrix is never copied through complex128
+    data = np.ones((p + 2, n), dtype=np.result_type(float, *bands))
+    for d, v in enumerate(bands):
         k = max(n - d, 0)
         if v.shape == (n,):
             data[d + 1] = v

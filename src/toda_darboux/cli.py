@@ -3,9 +3,14 @@
 Every run is driven by one seed.  Results are strict one-line JSON with
 sorted keys (``python -m json.tool`` indents them), so identical configs
 give byte-identical files apart from the timestamp; a NaN or infinite
-value fails the run with a ValueError.  Trajectories are CSV.  Exit code
-0 means every residual report in the run passed its tolerance.  Module
-errors surface as a one-line JSON object on stdout and a nonzero exit.
+value fails the run with a ValueError.  Trajectories are CSV, formatted
+in contiguous chunks of whole samples, one per CPU: forked children
+format every chunk but the first into anonymous files, appended in
+order, so the bytes are those of a serial run.  The writer stays serial
+for small trajectories, while another thread runs, and where the
+platform lacks fork, memfd_create or CPU affinity.  Exit code 0 means
+every residual report in the run passed its tolerance.  Module errors
+surface as a one-line JSON object on stdout and a nonzero exit.
 
 Set TODA_DARBOUX_LOG=DEBUG (or INFO, ...) for progress logging on
 stderr.
@@ -18,7 +23,9 @@ import functools
 import json
 import logging
 import os
+import signal
 import sys
+import threading
 import time
 from dataclasses import asdict, dataclass, fields
 
@@ -29,8 +36,8 @@ from .darboux import (
     DarbouxFactors,
     PeelBreakdown,
     SamplingFailed,
+    _factor,
     assemble_transform,
-    darboux_factorization,
     factors_to_table,
 )
 from .lattice import (
@@ -117,7 +124,7 @@ def _emit(payload: dict, cfg: RunConfig, reports=()) -> int:
 
 def _factorize(cfg: RunConfig):
     J = _instance(cfg)
-    factors = darboux_factorization(J, cfg.C, rng=np.random.default_rng(cfg.seed))[0]
+    factors = _factor(J, cfg.C, rng=np.random.default_rng(cfg.seed))
     return J, factors, factors_to_table(factors)
 
 
@@ -170,22 +177,98 @@ def cmd_transform(cfg: RunConfig, args) -> int:
     return _emit(payload, cfg, reports)
 
 
+# A fork, with the child's exit and reap, costs about 2.5 ms, and repr about
+# 0.65 us per float (2-core x86-64, Python 3.11.7): a worker's share of at
+# least this many entries spends twice its fork's cost in repr.
+_ENTRIES_PER_WORKER = 8000
+
+
+def _workers(samples: np.ndarray) -> int:
+    """Processes that format the CSV: one per CPU, each with enough entries.
+
+    One, so the caller writes serially, where the platform lacks fork,
+    memfd_create or CPU affinity, or where another thread runs, because a
+    forked child holds only the thread that forked it.
+    """
+    needed = ("fork", "memfd_create", "sched_getaffinity")
+    if threading.active_count() > 1 or not all(hasattr(os, name) for name in needed):
+        return 1
+    cpus = len(os.sched_getaffinity(0))
+    return max(1, min(cpus, samples.size // _ENTRIES_PER_WORKER, len(samples)))
+
+
+def _write_rows(fh, times: list, samples: np.ndarray, heads: list) -> None:
+    """Write the CSV rows of consecutive samples to fh, one write per sample."""
+    if np.isrealobj(samples):  # a float64 entry's imaginary part reads 0.0
+        for t, values in zip(map(repr, times), samples):
+            fh.write("".join([f"{t}{h}{re!r},0.0\n" for h, re in zip(heads, values.tolist())]))
+    else:
+        for t, values in zip(map(repr, times), samples):
+            rows = zip(heads, values.real.tolist(), values.imag.tolist())
+            fh.write("".join([f"{t}{h}{re!r},{im!r}\n" for h, re, im in rows]))
+
+
+def _write_chunk(fd: int, times: list, samples: np.ndarray, heads: list) -> None:
+    """In a forked child: write the rows to file fd, then leave through os._exit."""
+    code = 1
+    try:
+        with open(fd, "w", closefd=False) as out:
+            _write_rows(out, times, samples, heads)
+        code = 0
+    except Exception:
+        log.exception("CSV chunk of process %d failed", os.getpid())
+    finally:
+        os._exit(code)
+
+
+def _write_csv(fh, traj) -> None:
+    """Write the trajectory CSV to fh, in chunks of whole samples, one per worker.
+
+    Each chunk after the first is formatted by a forked child into an
+    anonymous file while this process writes the first chunk to fh; the
+    children's files are then appended in order, so the bytes are those of
+    the serial loop.  With one worker the loop runs here alone.
+    """
+    ids, samples = _entry_table(traj)
+    heads = [f",{eid}," for eid in ids]
+    times = traj.times.tolist()
+    workers = _workers(samples)
+    bounds = [len(samples) * k // workers for k in range(workers + 1)]
+    fds, pids = [], []  # of chunks 1.., in order; pids holds the children not yet reaped
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            fds.append(os.memfd_create("toda-darboux-csv"))
+            pid = os.fork()
+            if pid == 0:
+                _write_chunk(fds[-1], times[lo:hi], samples[lo:hi], heads)
+            pids.append(pid)
+        fh.write("t,entry_id,re,im\n")
+        _write_rows(fh, times[: bounds[1]], samples[: bounds[1]], heads)
+        fh.flush()
+        for fd in fds:
+            status = os.waitpid(pids[0], 0)[1]
+            pid = pids.pop(0)
+            if status:
+                code = os.waitstatus_to_exitcode(status)
+                raise ChildProcessError(f"CSV writer process {pid} failed with exit code {code}")
+            size, sent = os.fstat(fd).st_size, 0
+            while sent < size:
+                sent += os.sendfile(fh.fileno(), fd, sent, size - sent)
+    finally:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for fd in fds:
+            os.close(fd)
+
+
 def cmd_evolve(cfg: RunConfig, args) -> int:
     if args.lattice == "toda":
         traj = evolve_toda(_instance(cfg), cfg.C, cfg.dt, cfg.steps)
     else:
         traj = evolve_kdv(_factorize(cfg)[2], cfg.dt, cfg.steps)
-    ids, samples = _entry_table(traj)
-    heads = [f",{eid}," for eid in ids]
     with open(cfg.out, "w") as fh:
-        fh.write("t,entry_id,re,im\n")
-        for t, values in zip(map(repr, traj.times.tolist()), samples):
-            if np.isrealobj(values):  # a float64 entry's imaginary part reads 0.0
-                rows = [f"{t}{h}{re!r},0.0\n" for h, re in zip(heads, values.tolist())]
-            else:
-                rows = zip(heads, values.real.tolist(), values.imag.tolist())
-                rows = [f"{t}{h}{re!r},{im!r}\n" for h, re, im in rows]
-            fh.write("".join(rows))
+        _write_csv(fh, traj)
     config = cfg.as_dict()
     manifest = {k: config[k] for k in ("dt", "steps", "p", "n", "C", "seed")}
     with open(cfg.out + ".manifest.json", "w") as fh:

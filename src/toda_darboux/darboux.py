@@ -466,6 +466,14 @@ def darboux_factorize(L: Banded, params=None, rng=None) -> tuple:
     return tuple(factors)
 
 
+def _factor(J: Banded, C=0.0, params=None, rng=None) -> DarbouxFactors:
+    """The factors of ``darboux_factorization`` without its table."""
+    if J.n < 2:
+        raise ValueError(f"a gamma table needs n >= 2, got n={J.n}")
+    L, U = lu_factorize(J, C)
+    return DarbouxFactors(U, darboux_factorize(L, params, rng), C)
+
+
 def darboux_factorization(J: Banded, C=0.0, params=None, rng=None):
     """Full pipeline: J, C -> (DarbouxFactors with U, GammaTable).
 
@@ -474,12 +482,11 @@ def darboux_factorization(J: Banded, C=0.0, params=None, rng=None):
     matrix unless ``params`` are given.  The table returned is the
     leading n - 1 columns of ``factors_to_table(factors)``, which drops
     the last column (u_{n-1} and p zeros), so it needs n >= 2 rows; the
-    benchmark's generated tables have those n - 1 columns.
+    benchmark's generated tables have those n - 1 columns.  Callers that
+    want the n-column table call ``_factor`` and ``factors_to_table``, and
+    so build the table once.
     """
-    if J.n < 2:
-        raise ValueError(f"a gamma table needs n >= 2, got n={J.n}")
-    L, U = lu_factorize(J, C)
-    factors = DarbouxFactors(U, darboux_factorize(L, params, rng), C)
+    factors = _factor(J, C, params, rng)
     table = factors_to_table(factors)
     return factors, GammaTable(table.p, table.columns - 1, table.values[: -(table.p + 1)])
 
@@ -492,7 +499,9 @@ def factors_to_table(factors: DarbouxFactors) -> GammaTable:
     the last column is (u_{n-1}, 0, ..., 0).
     """
     p, n = factors.p, factors.n
-    cols = np.zeros((n, p + 1), dtype=np.complex128)
+    # in the factors' field, so a real table is never copied through complex128
+    dtype = np.result_type(factors.U.data, *(f.data for f in factors.factors))
+    cols = np.zeros((n, p + 1), dtype=dtype)
     cols[:, 0] = factors.U.band(0)
     for r, f in enumerate(factors.factors, start=1):
         cols[:-1, r] = f.band(1)[1:]

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .banded import Banded, BandedHessenberg
-from .darboux import GammaTable, darboux_factorization, enumerate_indices, factors_to_table
+from .darboux import GammaTable, _factor, enumerate_indices, factors_to_table
 
 __all__ = [
     "BlowUp",
@@ -462,7 +462,7 @@ def theorem1_diagram(
     checks the evolved table itself.  With fewer than three samples only
     "path" is produced.
     """
-    factors = darboux_factorization(J0, C, params=params, rng=rng)[0]
+    factors = _factor(J0, C, params, rng)
     p = J0.p
 
     direct = evolve_toda(J0, C, dt, steps).data

@@ -1,5 +1,6 @@
 """Band storage, products of finite matrices, and how truncation affects them."""
 
+import itertools
 import json
 import math
 import tracemalloc
@@ -431,3 +432,18 @@ def test_entry_reads_outside_band_are_zero_and_superdiagonal_one():
     assert J.entry(0, 2) == 0
     assert J.entry(3, 0) == 0
     assert J.entry(1, 2) == 1.0
+
+
+@pytest.mark.parametrize("field", [float, complex])
+def test_slots_without_a_matrix_entry_are_stored_as_zero(field):
+    # every shape, bands wider than the matrix included; the entries keep their bits
+    rng = np.random.default_rng(5)
+    for p, hi, n in itertools.product(range(5), range(5), range(1, 8)):
+        data = rng.normal(size=(p + hi + 1, n)).astype(field)
+        data[0, 0] = -0.0
+        if field is complex:
+            data += 1j * rng.normal(size=data.shape)
+        cols = np.arange(n) - np.arange(-hi, p + 1)[:, None]  # column of row i of band d
+        want = data.copy()
+        want[(cols < 0) | (cols >= n)] = 0
+        assert Banded(p, hi, data).data.tobytes() == want.tobytes(), (p, hi, n)

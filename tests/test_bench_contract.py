@@ -6,7 +6,8 @@ call, and every declared metric present, finite and in its declared
 unit.  The end-to-end metrics come from a timed run, the per-layer
 metrics from a traced one; a traced function that the library no longer
 defines drops its metrics from the traced result line.  The six runs
-start together and each test waits for its own.  They run from a
+start together, and the fixture reaps all six before the first test, so
+no test leaves a child process behind.  They run from a
 temporary copy of ``bench/*.py`` and ``src/toda_darboux/``, so they
 leave the checkout's ``bench/out/`` as it was.
 """
@@ -32,7 +33,7 @@ def _reject_constant(name):
 
 @pytest.fixture(scope="module")
 def runs(tmp_path_factory):
-    """Every workload's timed and traced run, all started at once."""
+    """Every workload's finished timed and traced run, all started at once."""
     copy = tmp_path_factory.mktemp("checkout")
     (copy / "bench").mkdir()
     for script in (ROOT / "bench").glob("*.py"):
@@ -47,16 +48,22 @@ def runs(tmp_path_factory):
         for workload in WORKLOADS
         for kind, options in OPTIONS.items()
     }
-    yield procs
-    for proc in procs.values():
-        if proc.poll() is None:
-            proc.kill()
-        proc.communicate()
+    done = {}
+    try:
+        for key, proc in procs.items():
+            stdout, stderr = proc.communicate(timeout=300)
+            done[key] = subprocess.CompletedProcess(proc.args, proc.returncode, stdout, stderr)
+    finally:
+        for proc in procs.values():
+            if proc.poll() is None:
+                proc.kill()
+            proc.communicate()
+    return done
 
 
-def _result_line(proc):
-    stdout, stderr = proc.communicate(timeout=300)
-    assert proc.returncode == 0, stderr[-2000:]
+def _result_line(run):
+    stdout, stderr = run.stdout, run.stderr
+    assert run.returncode == 0, stderr[-2000:]
     lines = stdout.strip().splitlines()
     assert lines, stderr[-2000:]
     result = json.loads(lines[-1], parse_constant=_reject_constant)

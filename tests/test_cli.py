@@ -267,13 +267,12 @@ def test_commands_run_in_the_instances_field_end_to_end(argv, calls, extra, fiel
     # J and C; each closed form reads the stored shift factors.C
     seen = []
 
-    def factor_dtypes(result):
-        f = result[0]
+    def factor_dtypes(f):
         seen.extend(("factors", a.dtype) for a in (f.U.data, *(g.data for g in f.factors)))
         seen.append(("shift", np.asarray(f.C).dtype))
 
     for module in (cli, lattice):
-        spy(monkeypatch, module, "darboux_factorization", factor_dtypes)
+        spy(monkeypatch, module, "_factor", factor_dtypes)
         spy(monkeypatch, module, "factors_to_table", lambda t: seen.append(("table", t.values.dtype)))
     for module, name in ((lattice, "evolve_toda"), (lattice, "evolve_kdv"), (cli, "evolve_kdv")):
         spy(monkeypatch, module, name, lambda traj: seen.append((traj.kind, traj.data.dtype)))
@@ -473,27 +472,93 @@ def per_state_csv(traj):
     return "\n".join(lines) + "\n"
 
 
+def evolve_case(lattice, mode, steps, out):
+    """An evolve run at p=2, n=8, seed 4, and its trajectory computed directly."""
+    p, n, seed, dt, scale = 2, 8, 4, 1e-3, 0.15
+    argv = ["evolve", "--lattice", lattice, "--p", str(p), "--n", str(n), "--seed", str(seed),
+            "--steps", str(steps), "--mode", mode, "--out", str(out)]
+    J = graded_scale(random_hessenberg(p, n, seed=seed, mode=mode), scale)
+    if lattice == "toda":
+        return argv, evolve_toda(J, 0j, dt, steps)
+    factors, _ = darboux_factorization(J, 0j, rng=np.random.default_rng(seed))
+    return argv, evolve_kdv(factors_to_table(factors), dt, steps)
+
+
 @pytest.mark.parametrize("lattice", ["toda", "kdv"])
 def test_evolve_csv_bytes_equal_per_state_formatting(lattice, tmp_path, capsys):
     out = tmp_path / "traj.csv"
-    p, n, seed, steps, dt, scale = 2, 8, 4, 12, 1e-3, 0.15
     # real instances integrate in float64 and must still export as complex rows
     for mode in ("real", "complex"):
-        code = main([
-            "evolve", "--lattice", lattice, "--p", str(p), "--n", str(n), "--seed", str(seed),
-            "--steps", str(steps), "--mode", mode, "--out", str(out),
-        ])
+        argv, traj = evolve_case(lattice, mode, 12, out)
+        code = main(argv)
         capsys.readouterr()
         assert code == 0
-        J = graded_scale(random_hessenberg(p, n, seed=seed, mode=mode), scale)
         if lattice == "toda":
-            traj = evolve_toda(J, 0j, dt, steps)
             # float64 data writes a constant imaginary part, complex data its repr
             assert traj.data.dtype == (np.float64 if mode == "real" else np.complex128)
-        else:
-            factors, _ = darboux_factorization(J, 0j, rng=np.random.default_rng(seed))
-            traj = evolve_kdv(factors_to_table(factors), dt, steps)
         assert out.read_bytes() == per_state_csv(traj).encode()
+
+
+def force_cpus(monkeypatch, cpus):
+    """Give the CSV writer cpus CPUs and a worker for every entry; return the forks it makes."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(cli, "_ENTRIES_PER_WORKER", 1)
+    forks, fork = [], os.fork
+
+    def counted_fork():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return forks
+
+
+@pytest.mark.parametrize("steps", [12, 1], ids=["13-samples", "2-samples"])
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("mode", ["real", "complex"])
+@pytest.mark.parametrize("lattice", ["toda", "kdv"])
+def test_evolve_csv_is_the_same_bytes_on_any_cpu_count(lattice, mode, cpus, steps, tmp_path,
+                                                       monkeypatch, capsys):
+    # 13 samples split unevenly over 2 or 3 workers; 2 samples allow 2 workers at most
+    forks = force_cpus(monkeypatch, cpus)
+    argv, traj = evolve_case(lattice, mode, steps, tmp_path / "traj.csv")
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert len(forks) == min(cpus, len(traj)) - 1
+    assert (tmp_path / "traj.csv").read_bytes() == per_state_csv(traj).encode()
+
+
+def test_evolve_csv_stays_serial_while_another_thread_runs(tmp_path, monkeypatch, capsys):
+    forks = force_cpus(monkeypatch, 2)
+    monkeypatch.setattr(cli.threading, "active_count", lambda: 2)
+    argv, traj = evolve_case("toda", "real", 12, tmp_path / "traj.csv")
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert forks == []
+    assert (tmp_path / "traj.csv").read_bytes() == per_state_csv(traj).encode()
+
+
+@pytest.mark.parametrize("where", ["child", "parent"])
+def test_a_failing_csv_chunk_fails_evolve_and_leaves_no_process_or_descriptor(
+        where, tmp_path, monkeypatch, capsys):
+    force_cpus(monkeypatch, 3)
+    parent, write_rows = os.getpid(), cli._write_rows
+
+    def write_or_fail(fh, times, samples, heads):
+        if (os.getpid() == parent) == (where == "parent"):
+            raise ValueError(f"chunk at t={times[0]} failed")
+        write_rows(fh, times, samples, heads)
+
+    monkeypatch.setattr(cli, "_write_rows", write_or_fail)
+    argv, _ = evolve_case("toda", "real", 12, tmp_path / "traj.csv")
+    fds = sorted(os.listdir("/proc/self/fd"))
+    assert main(argv) == 1
+    error = json.loads(capsys.readouterr().out.splitlines()[-1])
+    # a child's exception stays in the child: the parent sees its exit status
+    assert error["error"] == ("ChildProcessError" if where == "child" else "ValueError")
+    assert sorted(os.listdir("/proc/self/fd")) == fds
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_evolve_requires_out():

@@ -781,3 +781,77 @@ def test_real_factors_are_the_all_complex_routes_real_parts(p, monkeypatch):
     for a, b in pairs + [(real_table.values, cplx_table.values)]:
         assert a.dtype == np.float64 and b.dtype == np.complex128
         assert a.tobytes() == np.ascontiguousarray(b.real).tobytes()
+
+
+SIGNED_ZEROS = {
+    "float": [0.0, -0.0, 1.5, -2.0],
+    "int": [0, 1, -2, 3],
+    "zero-imag": [complex(0.0, -0.0), complex(-0.0, 0.0), complex(1.5, -0.0), complex(-2.0, 0.0)],
+    "complex": [complex(-0.0, 1.0), complex(0.0, -0.0), complex(1.5, -0.0), complex(-2.0, 0.5)],
+}
+
+
+def complex_route_hessenberg(p, n, bands):
+    """BandedHessenberg as it was built before: filled in complex128 whatever the bands."""
+    data = np.ones((p + 2, n), dtype=np.complex128)
+    for d, values in enumerate(bands):
+        v = np.asarray(values, dtype=np.complex128)
+        data[d + 1, n - len(v):] = v
+    return Banded(p, 1, data)
+
+
+def complex_route_table(factors):
+    """factors_to_table as it was built before: its columns filled in complex128."""
+    p, n = factors.p, factors.n
+    cols = np.zeros((n, p + 1), dtype=np.complex128)
+    cols[:, 0] = factors.U.band(0)
+    for r, f in enumerate(factors.factors, start=1):
+        cols[:-1, r] = f.band(1)[1:]
+    return GammaTable(p, n, cols.reshape(-1))
+
+
+def filled_dtypes(monkeypatch, module):
+    """Record the dtype of every array module's stores are built from."""
+    seen, field = [], banded._field
+
+    def recording_field(x):
+        seen.append(np.asarray(x).dtype)
+        return field(x)
+
+    monkeypatch.setattr(module, "_field", recording_field)
+    return seen
+
+
+@pytest.mark.parametrize("case", list(SIGNED_ZEROS))
+def test_hessenberg_bands_are_filled_in_their_field_with_the_complex_routes_bits(case, monkeypatch):
+    vals = np.array(SIGNED_ZEROS[case])
+    filled = np.complex128 if np.iscomplexobj(vals) else np.float64
+    n = len(vals)
+    natural = (vals, vals[1:], vals[:2])
+    padded = (vals, vals[::-1], -vals)
+    for bands in (natural, padded):
+        want = complex_route_hessenberg(2, n, bands)
+        seen = filled_dtypes(monkeypatch, banded)
+        got = BandedHessenberg(2, n, bands)
+        monkeypatch.undo()
+        assert seen == [filled]
+        assert got.data.dtype == want.data.dtype
+        assert got.data.tobytes() == want.data.tobytes()  # every bit, signed zeros included
+
+
+@pytest.mark.parametrize("lower", list(SIGNED_ZEROS))
+@pytest.mark.parametrize("upper", ["float", "complex"])
+def test_table_is_filled_in_the_factors_field_with_the_complex_routes_bits(upper, lower, monkeypatch):
+    u, sub = np.array(SIGNED_ZEROS[upper]), np.array(SIGNED_ZEROS[lower])
+    ones = np.ones(len(u))
+    factors = DarbouxFactors(Banded(0, 1, [ones, u]),
+                             (Banded(1, 0, [ones, sub]), Banded(1, 0, [ones, sub[::-1]])))
+    filled = np.result_type(factors.U.data, *(f.data for f in factors.factors))
+    want = complex_route_table(factors)
+    seen = filled_dtypes(monkeypatch, darboux)
+    got = factors_to_table(factors)
+    monkeypatch.undo()
+    assert seen == [filled]
+    assert filled == (np.complex128 if "complex" in (upper, lower) else np.float64)
+    assert got.values.dtype == want.values.dtype
+    assert got.values.tobytes() == want.values.tobytes()

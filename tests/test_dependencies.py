@@ -1,12 +1,15 @@
 """The package depends on numpy alone, as pyproject.toml declares."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-MODULES = sorted((Path(__file__).resolve().parents[1] / "src" / "toda_darboux").glob("*.py"))
+SRC = Path(__file__).resolve().parents[1] / "src"
+MODULES = sorted((SRC / "toda_darboux").glob("*.py"))
 ALLOWED = set(sys.stdlib_module_names) | {"numpy"}
 
 
@@ -29,3 +32,13 @@ def test_import_scan_sees_every_form():
 @pytest.mark.parametrize("path", MODULES, ids=[m.name for m in MODULES])
 def test_module_imports_only_the_standard_library_and_numpy(path):
     assert imported_packages(path.read_text()) <= ALLOWED
+
+
+def test_importing_the_package_loads_no_process_machinery():
+    # the CSV writer forks with os alone: these imports would only add start-up time
+    heavy = ("multiprocessing", "concurrent.futures", "subprocess")
+    code = f"import sys, toda_darboux.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), check=True)
+    assert proc.stdout.strip() == "[]"
