@@ -42,7 +42,6 @@ from .darboux import (
 )
 from .lattice import (
     BlowUp,
-    _entry_table,
     _report,
     evolve_kdv,
     evolve_toda,
@@ -183,7 +182,7 @@ def cmd_transform(cfg: RunConfig, args) -> int:
 _ENTRIES_PER_WORKER = 8000
 
 
-def _workers(samples: np.ndarray) -> int:
+def _workers(samples: int, entries: int) -> int:
     """Processes that format the CSV: one per CPU, each with enough entries.
 
     One, so the caller writes serially, where the platform lacks fork,
@@ -194,16 +193,30 @@ def _workers(samples: np.ndarray) -> int:
     if threading.active_count() > 1 or not all(hasattr(os, name) for name in needed):
         return 1
     cpus = len(os.sched_getaffinity(0))
-    return max(1, min(cpus, samples.size // _ENTRIES_PER_WORKER, len(samples)))
+    return max(1, min(cpus, samples * entries // _ENTRIES_PER_WORKER, samples))
+
+
+def _entry_ids(traj) -> list:
+    """The CSV's entry ids of one sample, in row order: band by band, row by row."""
+    if traj.kind == "kdv":
+        return [f"gamma[{k}]" for k in range(1, traj.data.shape[1] + 1)]
+    bands, n = traj.data.shape[1:]
+    return [f"a[{i},{i - d}]" for d in range(bands) for i in range(d, n)]
 
 
 def _write_rows(fh, times: list, samples: np.ndarray, heads: list) -> None:
-    """Write the CSV rows of consecutive samples to fh, one write per sample."""
+    """Write the CSV rows of consecutive samples to fh, one write per sample.
+
+    Of a Toda sample's bands (p + 1, n), band d's rows d..n-1 are written.
+    """
+    stored = ~np.tri(*samples.shape[1:], -1, dtype=bool) if samples.ndim == 3 else ...
     if np.isrealobj(samples):  # a float64 entry's imaginary part reads 0.0
-        for t, values in zip(map(repr, times), samples):
-            fh.write("".join([f"{t}{h}{re!r},0.0\n" for h, re in zip(heads, values.tolist())]))
+        for t, sample in zip(map(repr, times), samples):
+            values = sample[stored].tolist()
+            fh.write("".join([f"{t}{h}{re!r},0.0\n" for h, re in zip(heads, values)]))
     else:
-        for t, values in zip(map(repr, times), samples):
+        for t, sample in zip(map(repr, times), samples):
+            values = sample[stored]
             rows = zip(heads, values.real.tolist(), values.imag.tolist())
             fh.write("".join([f"{t}{h}{re!r},{im!r}\n" for h, re, im in rows]))
 
@@ -229,10 +242,9 @@ def _write_csv(fh, traj) -> None:
     children's files are then appended in order, so the bytes are those of
     the serial loop.  With one worker the loop runs here alone.
     """
-    ids, samples = _entry_table(traj)
-    heads = [f",{eid}," for eid in ids]
+    samples, heads = traj.data, [f",{eid}," for eid in _entry_ids(traj)]
     times = traj.times.tolist()
-    workers = _workers(samples)
+    workers = _workers(len(samples), len(heads))
     bounds = [len(samples) * k // workers for k in range(workers + 1)]
     fds, pids = [], []  # of chunks 1.., in order; pids holds the children not yet reaped
     try:
@@ -269,10 +281,12 @@ def cmd_evolve(cfg: RunConfig, args) -> int:
         traj = evolve_kdv(_factorize(cfg)[2], cfg.dt, cfg.steps)
     with open(cfg.out, "w") as fh:
         _write_csv(fh, traj)
-    config = cfg.as_dict()
-    manifest = {k: config[k] for k in ("dt", "steps", "p", "n", "C", "seed")}
-    with open(cfg.out + ".manifest.json", "w") as fh:
-        fh.write(_dumps(manifest) + "\n")
+    # a device such as /dev/null takes the CSV but no manifest beside it
+    if os.path.isfile(cfg.out):
+        config = cfg.as_dict()
+        manifest = {k: config[k] for k in ("dt", "steps", "p", "n", "C", "seed")}
+        with open(cfg.out + ".manifest.json", "w") as fh:
+            fh.write(_dumps(manifest) + "\n")
     log.info("wrote %s (%d samples)", cfg.out, len(traj))
     return 0
 

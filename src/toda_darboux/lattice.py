@@ -25,12 +25,15 @@ state, filled in place by RK4, swept by the verifiers in blocks of samples
 (a NaN residual fails), and read as a sequence of states.  A right-hand side
 is a kernel built per array shape (per RK4 trajectory, per verifier sweep)
 that owns a zero-padded input, where RK4 writes each stage's argument and a
-sweep copies each block.  A small step costs what its numpy calls cost (6 per
-Toda rhs, p + 1 per KdV rhs, 38 per Toda step), so RK4 casts dt/2, dt, 2 and
-dt/6 once per trajectory to 0-d arrays of the state's dtype (as numpy casts a
-Python number) and passes ``out`` positionally: 0.7-0.9 us a 128-entry pass,
-not 1.2-1.6.  Every array lattice allocates starts on a 64-byte boundary, as
-one inside a cache line splits vector loads across two lines.
+sweep copies each block.  A small step costs what its numpy calls cost (4 per
+Toda rhs, p + 1 per KdV rhs, 29 per Toda step), so every copy is an array
+assignment, not np.copyto with its Python-level dispatch (0.13 us, not 0.35,
+at 128 entries), the ufuncs are bound once per kernel and per trajectory, and
+RK4 casts dt/2, dt, 2 and dt/6 once per trajectory to 0-d arrays of the
+state's dtype (as numpy casts a Python number) and passes ``out``
+positionally: 0.7-0.9 us a 128-entry pass, not 1.2-1.6.  Every array lattice
+allocates starts on a 64-byte boundary, as one inside a cache line splits
+vector loads across two lines.
 Both flows are finite systems: entries past the matrix or the table read
 as zero.  The n x n Toda lattice and the KdV lattice of the n-column
 table (``factors_to_table``, last column (u_{n-1}, 0, ..., 0)) are then
@@ -46,6 +49,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .banded import Banded, BandedHessenberg
 from .darboux import GammaTable, _factor, enumerate_indices, factors_to_table
@@ -180,12 +184,12 @@ def _toda_kernel(shape: tuple, dtype, p: int):
     wide = _empty((*lead, (p + 1) * (n + 1)), dtype, zero=True)
     rows, shifted = wide.reshape(*lead, p + 1, n + 1)[..., :n], wide[..., :size].reshape(shape)
 
-    def rhs(out):
-        np.copyto(rows, diag)
-        np.copyto(out, diag)
-        np.multiply(np.subtract(out, shifted, out), arg, out)
-        np.add(out, below, out)
-        return np.subtract(out, left, out)
+    def rhs(out, add=np.add, subtract=np.subtract, multiply=np.multiply):
+        rows[...] = diag
+        out[...] = diag
+        multiply(subtract(out, shifted, out), arg, out)
+        add(out, below, out)
+        return subtract(out, left, out)
 
     return arg, rhs
 
@@ -202,12 +206,12 @@ def _kdv_kernel(shape: tuple, dtype, p: int):
     adds = list(zip([terms[0]] + [win] * (p - 2), terms[1:]))  # terms 0 + 1, then win + i
     arg, upper, lower = buf[..., p : p + size], win[..., p + 1 :], win[..., :size]
 
-    def rhs(out):
+    def rhs(out, add=np.add, subtract=np.subtract, multiply=np.multiply):
         for a, b in adds:
-            np.add(a, b, win)
+            add(a, b, win)
         # upper minus lower window, then g * out: complex multiply is not bitwise commutative
-        np.subtract(upper, lower, out)
-        return np.multiply(arg, out, out)
+        subtract(upper, lower, out)
+        return multiply(arg, out, out)
 
     return arg, rhs
 
@@ -255,22 +259,23 @@ def _rk4(y0: np.ndarray, kernel, dt: float, steps: int, p: int) -> Trajectory:
     acc, k = _empty(y0.shape, y0.dtype), _empty(y0.shape, y0.dtype)
     half, full, two, sixth = (np.array(c, y0.dtype) for c in (dt / 2, dt, 2, dt / 6))
     block = max(1, _BLOCK_BYTES // out[0].nbytes)
+    add, multiply = np.add, np.multiply
     with np.errstate(over="ignore", invalid="ignore"):
         for m0 in range(0, steps, block):
             m1 = min(m0 + block, steps)
             for y, y1 in zip(out[m0:m1], out[m0 + 1 : m1 + 1]):
-                np.copyto(arg, y)
+                arg[...] = y
                 rhs(acc)
-                np.add(y, np.multiply(half, acc, arg), arg)
+                add(y, multiply(half, acc, arg), arg)
                 rhs(k)
-                np.add(y, np.multiply(half, k, arg), arg)
-                np.add(acc, np.multiply(two, k, k), acc)
+                add(y, multiply(half, k, arg), arg)
+                add(acc, multiply(two, k, k), acc)
                 rhs(k)
-                np.add(y, np.multiply(full, k, arg), arg)
-                np.add(acc, np.multiply(two, k, k), acc)
+                add(y, multiply(full, k, arg), arg)
+                add(acc, multiply(two, k, k), acc)
                 rhs(k)
-                np.multiply(sixth, np.add(acc, k, acc), acc)
-                np.add(y, acc, y1)
+                multiply(sixth, add(acc, k, acc), acc)
+                add(y, acc, y1)
             finite = np.isfinite(out[m0 + 1 : m1 + 1].view(float).reshape(m1 - m0, -1)).all(1)
             if not finite.all():
                 raise BlowUp((m0 + int(np.argmin(finite))) * dt)
@@ -341,7 +346,7 @@ def _central(data: np.ndarray, dt: float, kernel, p: int):
         m1 = m0 + shape[0]
         np.subtract(data[m0 + 1 : m1 + 1], data[m0 - 1 : m1 - 1], out=diff)
         np.divide(diff, 2 * dt, out=diff)
-        np.copyto(arg, data[m0:m1])
+        arg[...] = data[m0:m1]
         rhs(slope)
         return np.abs(np.subtract(diff, slope, out=diff), out=res)
 
@@ -372,13 +377,15 @@ def verify_kdv(traj: Trajectory, tol: float) -> ResidualReport:
 # the commuting diagram
 
 
-def _transform_bands(values: np.ndarray, p: int, j: int, C=0.0) -> np.ndarray:
+def _transform_bands(values: np.ndarray, p: int, j, C=0.0) -> np.ndarray:
     """Bands 0..p of J^(j), one row per table column, for a stack of gamma tables.
 
     ``values`` has shape (..., size), one flat gamma array of
     rows = size // (p + 1) columns per leading index, and the result has
     shape (..., p + 1, rows), the bands indexed by row like those of a
-    Banded; every gamma read lies inside the table.
+    Banded; every gamma read lies inside the table.  ``j`` is an int, or a
+    nonempty range of consecutive indices inside 0..p whose transforms are
+    stacked on a new leading axis: result[s] is the int form's J^(j[s]).
 
     This is backlund_entry's closed form with the same index tuples, the
     same products and the same accumulation order, so it agrees with the
@@ -387,12 +394,21 @@ def _transform_bands(values: np.ndarray, p: int, j: int, C=0.0) -> np.ndarray:
     its first factor.  Column i of band k reads gamma_{i (p+1) + o} for an
     offset o fixed by the tuple coordinate, so each factor is one strided
     slice of the zero-padded table, for all columns and all stacked tables
-    at once.  A float64 table and a real C give float64 bands, the complex
+    at once.  J^(j + s) reads J^(j)'s gammas shifted by s, as
+    enumerate_indices(j + s, k, p) is enumerate_indices(j, k, p) + s, so a
+    range reads its slices through a view of the table with a leading s
+    axis of stride one element and runs the same products on every j at
+    once.  A float64 table and a real C give float64 bands, the complex
     route's real parts, as a +0 accumulator absorbs the sign of a zero
     product; others give complex128, products spelled out in real
     arithmetic: numpy's complex multiply may fuse a multiply and an add,
     Python's does not.
     """
+    stack = ()
+    if isinstance(j, range):
+        if not j or j.step != 1 or j[-1] > p:
+            raise ValueError(f"transform indices {j} are no nonempty step-1 range up to {p}")
+        j, stack = j[0], (len(j),)
     if not 0 <= j <= p:
         raise ValueError(f"transform index {j} outside 0..{p}")
     lead, size = values.shape[:-1], values.shape[-1]
@@ -403,12 +419,17 @@ def _transform_bands(values: np.ndarray, p: int, j: int, C=0.0) -> np.ndarray:
     padded = np.zeros((len(parts),) + lead + (p + 1 + size,))
     for pad, part in zip(padded, parts):
         pad[..., p + 1 :] = part
+    if stack:
+        # view[:, s, ..., x] is padded[:, ..., x + s]; the last j reads at most index p + size
+        shape = (len(parts), *stack, *lead, p + 2 + size - stack[0])
+        strides = (padded.strides[0], padded.itemsize, *padded.strides[1:])
+        padded = as_strided(padded, shape, strides, writeable=False)
 
     def factor(o, cols):
         # gamma_{i (p+1) + o} for columns i = 0..cols-1, one array per part
         return [a[..., o + p :: p + 1][..., :cols] for a in padded]
 
-    bands = np.zeros(lead + (p + 1, rows), dtype=float if real else complex)
+    bands = np.zeros(stack + lead + (p + 1, rows), dtype=float if real else complex)
     bands[..., 0, :] = np.real(C) if real else C
     for k in range(min(p + 1, rows)):
         accs = [b[..., k, k:] for b in ((bands,) if real else (bands.real, bands.imag))]
@@ -451,8 +472,8 @@ def theorem1_diagram(
     factors J0 - C I at time zero, evolves the n-column gamma table
     (``factors_to_table``) under the KdV lattice, and reassembles every
     transformed matrix J^(0) .. J^(p) from the evolved table through the
-    closed-form entries, evaluated for the whole trajectory in one
-    vectorised pass per transform with the stored shift, so a real J and C
+    closed-form entries, evaluated for the whole trajectory and the whole
+    chain in one vectorised pass with the stored shift, so a real J and C
     run every step and comparison in float64.
 
     Reports, keyed by name, each over all n rows or the whole table:
@@ -467,7 +488,7 @@ def theorem1_diagram(
 
     direct = evolve_toda(J0, C, dt, steps).data
     traj_table = evolve_kdv(factors_to_table(factors), dt, steps)
-    recon = [_transform_bands(traj_table.data, p, j, factors.C) for j in range(p + 1)]
+    recon = _transform_bands(traj_table.data, p, range(p + 1), factors.C)
     block = min(max(1, _BLOCK_BYTES // direct[0].nbytes), len(direct))
     dtype = np.result_type(direct, recon[0])
     diff, res = (_empty(direct[:block].shape, t) for t in (dtype, float))
@@ -487,17 +508,3 @@ def theorem1_diagram(
             reports[f"toda[{j}]"] = _report(label, worst, arg, tol_verify)
         reports["kdv"] = verify_kdv(traj_table, tol_verify)
     return reports
-
-
-# ---------------------------------------------------------------------------
-# export
-
-
-def _entry_table(traj: Trajectory):
-    """Entry ids and the (samples, entries) array of stored entries, in row order."""
-    if traj.kind == "kdv":
-        return [f"gamma[{k}]" for k in range(1, traj.data.shape[1] + 1)], traj.data
-    bands, n = traj.data.shape[1:]
-    ids = [f"a[{i},{i - d}]" for d in range(bands) for i in range(d, n)]
-    return ids, traj.data[:, ~np.tri(bands, n, -1, dtype=bool)]
-

@@ -342,11 +342,10 @@ def test_rk4_step_numpy_call_budget(p, monkeypatch):
     counting = CountingNumpy()
     monkeypatch.setattr(lattice, "np", counting)
     # one more step in the same block of samples costs exactly one step's calls.
-    # Per step: copy y into the kernel's input, 13 RK4 passes, four right-hand sides;
-    # a Toda rhs copies the diagonal twice and makes 4 passes, a KdV rhs p - 1 window
-    # adds and 2 passes
-    assert extra_step_calls(counting, evolve_toda, J)[0] <= 14 + 4 * 6
-    assert extra_step_calls(counting, evolve_kdv, table)[0] <= 14 + 4 * (p + 1)
+    # Per step: 13 RK4 passes and four right-hand sides; a Toda rhs makes 4 passes, a
+    # KdV rhs p - 1 window adds and 2 passes.  Copies are array assignments, no calls
+    assert extra_step_calls(counting, evolve_toda, J)[0] <= 13 + 4 * 4
+    assert extra_step_calls(counting, evolve_kdv, table)[0] <= 13 + 4 * (p + 1)
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4])
@@ -939,6 +938,31 @@ def test_real_table_transform_is_the_complex_routes_real_part(p):
                     assert a.data.tobytes() == b.data.tobytes()
             for C in (0.2 - 0.1j, complex(0.2, -0.0)):
                 assert _transform_bands(values, p, j, C).dtype == np.complex128
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+@pytest.mark.parametrize("mode", ["real", "complex"])
+def test_stacked_transforms_equal_each_transform_bit_for_bit(p, mode):
+    rng = np.random.default_rng(50 + p)
+    # a 2-D stack of samples, each one table of 5 columns
+    shape = (2, 3, (p + 1) * 5)
+    values = rng.normal(size=shape) + (1j * rng.normal(size=shape) if mode == "complex" else 0)
+    for C in (0.2, 0.2 - 0.3j):
+        for a in range(p + 1):
+            for b in range(a + 1, p + 2):
+                stacked = _transform_bands(values, p, range(a, b), C)
+                assert stacked.shape == (b - a, *shape[:-1], p + 1, 5)
+                for i in range(b - a):
+                    single = _transform_bands(values, p, a + i, C)
+                    assert stacked[i].dtype == single.dtype
+                    assert stacked[i].tobytes() == single.tobytes()
+
+
+@pytest.mark.parametrize("js", [range(0), range(1, 1), range(0, 3, 2), range(2, 0, -1),
+                                range(-1, 2), range(1, 4)])
+def test_stacked_transforms_take_a_nonempty_step_one_range_inside_0_to_p(js):
+    with pytest.raises(ValueError):
+        _transform_bands(np.ones(12), 2, js)
 
 
 @pytest.mark.parametrize("p,jseed,pseed", [(1, 101, 0), (2, 107, 207), (3, 107, 207)])
