@@ -24,10 +24,11 @@ import json
 import logging
 import os
 import signal
+import stat
 import sys
 import threading
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict
 
 import numpy as np
 
@@ -66,54 +67,41 @@ _MODULE_ERRORS = (
 )
 
 
-def _check_tolerance(name: str, value: float) -> None:
-    if not (np.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be finite and positive, got {value}")
+# the options a payload's config records, where its subcommand takes them
+_RECORDED = ("p", "n", "seed", "dt", "steps", "mode", "tol_verify", "scale")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    p: int
-    n: int
-    C: complex
-    seed: int
-    dt: float
-    steps: int
-    mode: str
-    tol_verify: float
-    out: str
-    scale: float
-
-    def __post_init__(self):
-        if self.p < 1 or self.n <= self.p:
-            raise ValueError(f"need n > p >= 1, got p={self.p} n={self.n}")
-        for name in ("dt", "C", "scale"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.dt <= 0 or self.steps < 0:
-            raise ValueError("dt must be positive and steps nonnegative")
-        _check_tolerance("tol_verify", self.tol_verify)
-
-    def as_dict(self) -> dict:
-        """Every field but the output path, with C as [re, im]."""
-        config = asdict(self)
-        del config["out"]
-        return {**config, "C": [self.C.real, self.C.imag]}
+def _check(args) -> dict:
+    """Reject options the library cannot run, set args.C, and return the recorded config."""
+    if args.p < 1 or args.n <= args.p:
+        raise ValueError(f"need n > p >= 1, got p={args.p} n={args.n}")
+    args.C = complex(args.C_re, args.C_im)
+    for name in ("dt", "C", "scale"):
+        if name in args and not np.isfinite(getattr(args, name)):
+            raise ValueError(f"{name} must be finite, got {getattr(args, name)}")
+    if "dt" in args and (args.dt <= 0 or args.steps < 0):
+        raise ValueError("dt must be positive and steps nonnegative")
+    for name in ("tol_verify", "tol_path"):
+        if name in args and not (np.isfinite(getattr(args, name)) and getattr(args, name) > 0):
+            raise ValueError(f"{name} must be finite and positive, got {getattr(args, name)}")
+    config = {name: value for name, value in vars(args).items() if name in _RECORDED}
+    return {**config, "C": [args.C.real, args.C.imag]}
 
 
-def _instance(cfg: RunConfig):
-    return graded_scale(random_hessenberg(cfg.p, cfg.n, seed=cfg.seed, mode=cfg.mode), cfg.scale)
+def _instance(args):
+    J = random_hessenberg(args.p, args.n, seed=args.seed, mode=args.mode)
+    return graded_scale(J, args.scale)
 
 
-def _emit(payload: dict, cfg: RunConfig, reports=()) -> int:
+def _emit(payload: dict, out, reports=()) -> int:
     payload["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     text = _dumps(payload) + "\n"
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
+    if out:
+        with open(out, "w") as fh:
             fh.write(text)
         for r in reports:
             print(r.line())
-        log.info("wrote %s", cfg.out)
+        log.info("wrote %s", out)
     else:
         for r in reports:
             log.info("%s", r.line())
@@ -121,34 +109,32 @@ def _emit(payload: dict, cfg: RunConfig, reports=()) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
-def _factorize(cfg: RunConfig):
-    J = _instance(cfg)
-    factors = _factor(J, cfg.C, rng=np.random.default_rng(cfg.seed))
+def _factorize(args):
+    J = _instance(args)
+    factors = _factor(J, args.C, rng=np.random.default_rng(args.seed))
     return J, factors, factors_to_table(factors)
 
 
-def cmd_factorize(cfg: RunConfig, args) -> int:
-    J, factors, table = _factorize(cfg)
-    log.info("factorized p=%d n=%d into %d lower factors", cfg.p, cfg.n, len(factors.factors))
+def cmd_factorize(args) -> int:
+    config = _check(args)
+    J, factors, table = _factorize(args)
+    log.info("factorized p=%d n=%d into %d lower factors", args.p, args.n, len(factors.factors))
     # both relative to max|J|, which is at least 1
     jmax = np.abs(J.data).max()
     rt = residual(assemble_transform(factors, 0), J) / jmax
     # the j = 0 closed form of the n-column table gives all n rows of J
     uniq = residual(reconstruct_transform(table, 0, factors.C), J) / jmax
     reports = [
-        _report("factorization round trip", rt, ("product vs J", 0), cfg.tol_verify),
-        _report("table cross-construction", uniq, ("gamma table", 0), cfg.tol_verify),
+        _report("factorization round trip", rt, ("product vs J", 0), args.tol_verify),
+        _report("table cross-construction", uniq, ("gamma table", 0), args.tol_verify),
     ]
-    payload = {
-        "config": cfg.as_dict(),
-        "factors": factors.to_json_dict(),
-        "table": table.to_json_dict(),
-        "reports": [asdict(r) for r in reports],
-    }
-    return _emit(payload, cfg, reports)
+    payload = {"config": config, "factors": factors.to_json_dict(), "table": table.to_json_dict(),
+               "reports": [asdict(r) for r in reports]}
+    return _emit(payload, args.out, reports)
 
 
-def cmd_transform(cfg: RunConfig, args) -> int:
+def cmd_transform(args) -> int:
+    config = _check(args)
     if args.factors:
         with open(args.factors) as fh:
             data = json.load(fh)
@@ -156,7 +142,7 @@ def cmd_transform(cfg: RunConfig, args) -> int:
             data = data["factors"]
         factors = DarbouxFactors.from_json_dict(data)
     else:
-        factors = _factorize(cfg)[1]
+        factors = _factorize(args)[1]
     i = args.i
     Ji = assemble_transform(factors, i)
     closed = reconstruct_transform(factors_to_table(factors), i, factors.C)
@@ -166,14 +152,10 @@ def cmd_transform(cfg: RunConfig, args) -> int:
     scale = np.max(np.hypot(Ji.data.real, Ji.data.imag))
     worst = float(np.max(np.hypot(diff.real, diff.imag), initial=0.0) / scale)
     label = f"transform {i} product vs closed form"
-    reports = [_report(label, worst, (f"rows 0..{Ji.n - 1}", 0), cfg.tol_verify)]
-    payload = {
-        "config": cfg.as_dict(),
-        "i": i,
-        "matrix": to_json_dict(Ji),
-        "reports": [asdict(r) for r in reports],
-    }
-    return _emit(payload, cfg, reports)
+    reports = [_report(label, worst, (f"rows 0..{Ji.n - 1}", 0), args.tol_verify)]
+    payload = {"config": config, "i": i, "matrix": to_json_dict(Ji),
+               "reports": [asdict(r) for r in reports]}
+    return _emit(payload, args.out, reports)
 
 
 # A fork, with the child's exit and reap, costs about 2.5 ms, and repr about
@@ -274,57 +256,52 @@ def _write_csv(fh, traj) -> None:
             os.close(fd)
 
 
-def cmd_evolve(cfg: RunConfig, args) -> int:
+def cmd_evolve(args) -> int:
+    config = _check(args)
     if args.lattice == "toda":
-        traj = evolve_toda(_instance(cfg), cfg.C, cfg.dt, cfg.steps)
+        traj = evolve_toda(_instance(args), args.C, args.dt, args.steps)
     else:
-        traj = evolve_kdv(_factorize(cfg)[2], cfg.dt, cfg.steps)
-    with open(cfg.out, "w") as fh:
+        traj = evolve_kdv(_factorize(args)[2], args.dt, args.steps)
+    with open(args.out, "w") as fh:
         _write_csv(fh, traj)
-    # a device such as /dev/null takes the CSV but no manifest beside it
-    if os.path.isfile(cfg.out):
-        config = cfg.as_dict()
+    # decided by the path as given, as /dev/stdout links to whatever stdout is:
+    # a device, or a link to a file, takes the CSV but no manifest beside it
+    if stat.S_ISREG(os.lstat(args.out).st_mode):
         manifest = {k: config[k] for k in ("dt", "steps", "p", "n", "C", "seed")}
-        with open(cfg.out + ".manifest.json", "w") as fh:
+        with open(args.out + ".manifest.json", "w") as fh:
             fh.write(_dumps(manifest) + "\n")
-    log.info("wrote %s (%d samples)", cfg.out, len(traj))
+    log.info("wrote %s (%d samples)", args.out, len(traj))
     return 0
 
 
-def cmd_verify(cfg: RunConfig, args) -> int:
-    _check_tolerance("tol_path", args.tol_path)
-    J = _instance(cfg)
-    reports_map = theorem1_diagram(
-        J,
-        cfg.C,
-        rng=np.random.default_rng(cfg.seed),
-        dt=cfg.dt,
-        steps=cfg.steps,
-        tol_path=args.tol_path,
-        tol_verify=cfg.tol_verify,
-    )
+def cmd_verify(args) -> int:
+    config = _check(args)
+    rng = np.random.default_rng(args.seed)
+    reports_map = theorem1_diagram(_instance(args), args.C, rng=rng, dt=args.dt, steps=args.steps,
+                                   tol_path=args.tol_path, tol_verify=args.tol_verify)
     reports = [reports_map[k] for k in sorted(reports_map)]
-    payload = {
-        "config": cfg.as_dict(),
-        "reports": {k: asdict(r) for k, r in reports_map.items()},
-    }
-    return _emit(payload, cfg, reports)
+    payload = {"config": config, "reports": {k: asdict(r) for k, r in reports_map.items()}}
+    return _emit(payload, args.out, reports)
 
 
 @functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--p", type=int, default=1, help="number of subdiagonals")
-    common.add_argument("--n", type=int, default=8, help="truncation size")
-    common.add_argument("--C-re", type=float, default=0.0, help="shift, real part")
-    common.add_argument("--C-im", type=float, default=0.0, help="shift, imaginary part")
-    common.add_argument("--seed", type=int, default=1, help="seed for all randomness")
-    common.add_argument("--dt", type=float, default=1e-3, help="integration step")
-    common.add_argument("--steps", type=int, default=100, help="integration steps")
-    common.add_argument("--mode", choices=("real", "complex"), default="real")
-    common.add_argument("--tol-verify", type=float, default=1e-5,
-                        help="tolerance for residual reports")
-    common.add_argument("--out", default=None, help="output path (JSON, or CSV for evolve)")
+    # parents: the instance flags every subcommand takes, then the flow and the
+    # tolerance flags, each given only to the subcommands that read it
+    instance = argparse.ArgumentParser(add_help=False)
+    instance.add_argument("--p", type=int, default=1, help="number of subdiagonals")
+    instance.add_argument("--n", type=int, default=8, help="truncation size")
+    instance.add_argument("--C-re", type=float, default=0.0, help="shift, real part")
+    instance.add_argument("--C-im", type=float, default=0.0, help="shift, imaginary part")
+    instance.add_argument("--seed", type=int, default=1, help="seed for all randomness")
+    instance.add_argument("--mode", choices=("real", "complex"), default="real")
+    instance.add_argument("--out", default=None, help="output path (JSON, or CSV for evolve)")
+    flow = argparse.ArgumentParser(add_help=False)
+    flow.add_argument("--dt", type=float, default=1e-3, help="integration step")
+    flow.add_argument("--steps", type=int, default=100, help="integration steps")
+    tolerance = argparse.ArgumentParser(add_help=False)
+    tolerance.add_argument("--tol-verify", type=float, default=1e-5,
+                           help="tolerance for residual reports")
 
     parser = argparse.ArgumentParser(
         prog="toda-darboux",
@@ -334,22 +311,24 @@ def _build_parser() -> argparse.ArgumentParser:
     # --scale is declared per subcommand: parents= shares Action objects, so
     # a set_defaults(scale=...) on one subcommand would change every default
 
-    f = sub.add_parser("factorize", parents=[common], help="factor a seeded instance")
+    f = sub.add_parser("factorize", parents=[instance, tolerance], help="factor a seeded instance")
     f.add_argument("--scale", type=float, default=1.0, help="graded scaling of the instance")
     f.set_defaults(func=cmd_factorize)
 
-    t = sub.add_parser("transform", parents=[common], help="assemble one transformed matrix")
+    t = sub.add_parser("transform", parents=[instance, tolerance],
+                       help="assemble one transformed matrix")
     t.add_argument("--i", type=int, required=True, help="transform index, 0..p")
     t.add_argument("--factors", default=None, help="JSON file with factors (from factorize)")
     t.add_argument("--scale", type=float, default=1.0, help="graded scaling of the instance")
     t.set_defaults(func=cmd_transform)
 
-    e = sub.add_parser("evolve", parents=[common], help="integrate a lattice, write CSV")
+    e = sub.add_parser("evolve", parents=[instance, flow], help="integrate a lattice, write CSV")
     e.add_argument("--lattice", choices=("toda", "kdv"), default="toda")
     e.add_argument("--scale", type=float, default=0.15, help="graded scaling of the instance")
     e.set_defaults(func=cmd_evolve)
 
-    v = sub.add_parser("verify", parents=[common], help="run the commuting-diagram checks")
+    v = sub.add_parser("verify", parents=[instance, flow, tolerance],
+                       help="run the commuting-diagram checks")
     v.add_argument("--tol-path", type=float, default=1e-4,
                    help="tolerance for the path comparison")
     v.add_argument("--scale", type=float, default=0.15, help="graded scaling of the instance")
@@ -366,9 +345,7 @@ def main(argv=None) -> int:
     if args.command == "evolve" and not args.out:
         parser.error("evolve requires --out for the CSV path")
     try:
-        given = {f.name: getattr(args, f.name) for f in fields(RunConfig) if f.name != "C"}
-        cfg = RunConfig(C=complex(args.C_re, args.C_im), **given)
-        return args.func(cfg, args)
+        return args.func(args)
     except _MODULE_ERRORS as exc:
         log.debug("command failed", exc_info=True)
         print(_dumps({"error": type(exc).__name__, "message": str(exc)}))

@@ -27,13 +27,12 @@ is a kernel built per array shape (per RK4 trajectory, per verifier sweep)
 that owns a zero-padded input, where RK4 writes each stage's argument and a
 sweep copies each block.  A small step costs what its numpy calls cost (4 per
 Toda rhs, p + 1 per KdV rhs, 29 per Toda step), so every copy is an array
-assignment, not np.copyto with its Python-level dispatch (0.13 us, not 0.35,
-at 128 entries), the ufuncs are bound once per kernel and per trajectory, and
-RK4 casts dt/2, dt, 2 and dt/6 once per trajectory to 0-d arrays of the
-state's dtype (as numpy casts a Python number) and passes ``out``
-positionally: 0.7-0.9 us a 128-entry pass, not 1.2-1.6.  Every array lattice
-allocates starts on a 64-byte boundary, as one inside a cache line splits
-vector loads across two lines.
+assignment, not np.copyto with its Python-level dispatch, the ufuncs are bound
+once per kernel and per trajectory, and RK4 casts dt/2, dt, 2 and dt/6 once
+per trajectory to 0-d arrays of the state's dtype (as numpy casts a Python
+number), so no pass converts a Python number, and passes ``out`` positionally.
+Every array lattice allocates starts on a 64-byte boundary, as one inside a
+cache line splits vector loads across two lines.
 Both flows are finite systems: entries past the matrix or the table read
 as zero.  The n x n Toda lattice and the KdV lattice of the n-column
 table (``factors_to_table``, last column (u_{n-1}, 0, ..., 0)) are then
@@ -43,6 +42,7 @@ and Symes), so every check covers every entry.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from collections.abc import Sequence
@@ -223,7 +223,7 @@ def toda_rhs(J: Banded) -> tuple:
     beyond p) are read as zero, which is the finite system's equation.
     """
     arg, rhs = _toda_kernel((J.p + 1, J.n), J.data.dtype, J.p)
-    np.copyto(arg, J.bands)
+    arg[...] = J.bands
     return tuple(rhs(np.empty_like(arg)))
 
 
@@ -235,7 +235,7 @@ def kdv_rhs(table: GammaTable) -> np.ndarray:
     equation.
     """
     arg, rhs = _kdv_kernel(table.values.shape, table.values.dtype, table.p)
-    np.copyto(arg, table.values)
+    arg[...] = table.values
     return rhs(np.empty_like(arg))
 
 
@@ -414,34 +414,34 @@ def _transform_bands(values: np.ndarray, p: int, j, C=0.0) -> np.ndarray:
     lead, size = values.shape[:-1], values.shape[-1]
     rows = size // (p + 1)
     real = np.isrealobj(values) and np.isrealobj(C)
-    parts = (values.real,) if real else (values.real, values.imag)
+    bands = np.zeros(stack + lead + (p + 1, rows), dtype=float if real else complex)
+    bands[..., 0, :] = np.real(C) if real else C
+    # a number is the tuple of its real parts: on padded's leading axis, and in sums
+    if real:
+        sums, parts = (bands,), (values.real,)
+
+        def times(a, b):
+            return (a[0] * b[0],)
+    else:
+        sums, parts = (bands.real, bands.imag), (values.real, values.imag)
+
+        def times(a, b):
+            return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
     # gamma_n sits at index n + p, so gamma_{n <= 0} reads the zero padding
     padded = np.zeros((len(parts),) + lead + (p + 1 + size,))
-    for pad, part in zip(padded, parts):
-        pad[..., p + 1 :] = part
+    padded[..., p + 1 :] = parts
     if stack:
         # view[:, s, ..., x] is padded[:, ..., x + s]; the last j reads at most index p + size
         shape = (len(parts), *stack, *lead, p + 2 + size - stack[0])
         strides = (padded.strides[0], padded.itemsize, *padded.strides[1:])
         padded = as_strided(padded, shape, strides, writeable=False)
-
-    def factor(o, cols):
-        # gamma_{i (p+1) + o} for columns i = 0..cols-1, one array per part
-        return [a[..., o + p :: p + 1][..., :cols] for a in padded]
-
-    bands = np.zeros(stack + lead + (p + 1, rows), dtype=float if real else complex)
-    bands[..., 0, :] = np.real(C) if real else C
     for k in range(min(p + 1, rows)):
-        accs = [b[..., k, k:] for b in ((bands,) if real else (bands.real, bands.imag))]
+        accs = [s[..., k, k:] for s in sums]
         for t in enumerate_indices(j, k, p):
-            prod, *rest = (factor(r * p + idx, rows - k) for r, idx in enumerate(t, -1))
-            for g in rest:
-                if real:
-                    prod = [prod[0] * g[0]]
-                else:
-                    (pr, pi), (g_re, g_im) = prod, g
-                    prod = [pr * g_re - pi * g_im, pr * g_im + pi * g_re]
-            for acc, x in zip(accs, prod):
+            # factor r of tuple t is gamma_{i (p+1) + r p + t_r}, i = 0..rows-k-1, per part
+            factors = (tuple(padded[..., (r + 1) * p + idx :: p + 1][..., : rows - k])
+                       for r, idx in enumerate(t, -1))
+            for acc, x in zip(accs, functools.reduce(times, factors)):
                 acc += x
     return bands
 

@@ -178,18 +178,40 @@ def test_factorize_writes_file(tmp_path, capsys):
     assert "factors" in payload and "table" in payload
 
 
-CONFIG_KEYS = {"p", "n", "C", "seed", "dt", "steps", "mode", "tol_verify", "scale"}
+INSTANCE_KEYS = {"p", "n", "C", "seed", "mode", "scale"}
+CONFIG_KEYS = {
+    "factorize": INSTANCE_KEYS | {"tol_verify"},
+    "transform": INSTANCE_KEYS | {"tol_verify"},
+    "verify": INSTANCE_KEYS | {"dt", "steps", "tol_verify"},
+}
 
 
-@pytest.mark.parametrize("command", ["factorize", "verify"])
+@pytest.mark.parametrize("command", sorted(CONFIG_KEYS))
 def test_written_config_holds_the_run_fields_but_the_output_path(command, tmp_path, capsys):
     out = tmp_path / "run.json"
-    code = main([command, "--C-re", "0.02", "--C-im", "-0.01", "--out", str(out)])
+    extra = ["--i", "1"] if command == "transform" else []
+    code = main([command, *extra, "--C-re", "0.02", "--C-im", "-0.01", "--out", str(out)])
     capsys.readouterr()
     assert code == 0
     config = json.loads(out.read_text())["config"]
-    assert set(config) == CONFIG_KEYS
+    assert set(config) == CONFIG_KEYS[command]
     assert config["C"] == [0.02, -0.01]
+
+
+@pytest.mark.parametrize("argv", [
+    ["factorize", "--dt", "1e-3"],
+    ["factorize", "--steps", "5"],
+    ["transform", "--i", "0", "--dt", "1e-3"],
+    ["transform", "--i", "0", "--steps", "5"],
+    ["evolve", "--tol-verify", "1e-5"],
+], ids=["factorize-dt", "factorize-steps", "transform-dt", "transform-steps",
+        "evolve-tol-verify"])
+def test_a_subcommand_takes_no_flag_it_does_not_read(argv, tmp_path, capsys):
+    with pytest.raises(SystemExit) as err:
+        main([*argv, "--out", str(tmp_path / "out")])
+    assert err.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_transform_from_fresh_factorization(capsys):
@@ -446,14 +468,21 @@ def test_evolve_csv_and_manifest(tmp_path, capsys):
 
 
 def test_evolve_writes_a_manifest_beside_a_regular_file_only(tmp_path, capsys):
+    # decided by the path as given: /dev/stdout is a link to whatever stdout is,
+    # a regular file when redirected, and gets no manifest either
     argv = ["evolve", "--p", "1", "--n", "6", "--seed", "2", "--steps", "5", "--out"]
     device = tmp_path / "null.csv"
     device.symlink_to(os.devnull)
+    linked = tmp_path / "link.csv"
+    linked.symlink_to(tmp_path / "target.csv")
+    (tmp_path / "target.csv").write_text("")
     assert main([*argv, str(device)]) == 0
+    assert main([*argv, str(linked)]) == 0
     assert main([*argv, str(tmp_path / "traj.csv")]) == 0
     capsys.readouterr()
     assert sorted(path.name for path in tmp_path.iterdir()) == [
-        "null.csv", "traj.csv", "traj.csv.manifest.json"]
+        "link.csv", "null.csv", "target.csv", "traj.csv", "traj.csv.manifest.json"]
+    assert (tmp_path / "target.csv").read_bytes() == (tmp_path / "traj.csv").read_bytes()
     assert (tmp_path / "traj.csv.manifest.json").read_bytes() == (
         b'{"C": [0.0, 0.0], "dt": 0.001, "n": 6, "p": 1, "seed": 2, "steps": 5}\n')
 

@@ -35,7 +35,12 @@ from toda_darboux.lattice import (
     verify_toda,
 )
 
-from oracles import char_poly, check_delta_derivative, check_poly_derivative
+from oracles import (
+    char_poly,
+    check_delta_derivative,
+    check_poly_derivative,
+    complex_step_tangent,
+)
 
 
 def dense_toda_rhs(J):
@@ -963,6 +968,28 @@ def test_stacked_transforms_equal_each_transform_bit_for_bit(p, mode):
 def test_stacked_transforms_take_a_nonempty_step_one_range_inside_0_to_p(js):
     with pytest.raises(ValueError):
         _transform_bands(np.ones(12), 2, js)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [8, 33])
+def test_theorem_identity_by_complex_step(p, n):
+    # the commuting diagram at one instant, with no integrator: along the KdV flow
+    # of a table whose last column is (u, 0, ..., 0), every J^(0..p) of the closed
+    # form moves by the Toda flow, to round-off relative to max|J^(j)|
+    rng = np.random.default_rng(100 * p + n)
+    values, C = rng.normal(size=(p + 1) * n), float(rng.normal())
+
+    def miss(values):
+        table = GammaTable(p, n, values)
+        tangent = complex_step_tangent(table, C)
+        transforms = [reconstruct_transform(table, j, C) for j in range(p + 1)]
+        return max(np.abs(tangent[j] - np.stack(toda_rhs(J))).max() / np.abs(J.data).max()
+                   for j, J in enumerate(transforms))
+
+    # an arbitrary last column is no finite system's table: the check tells them apart
+    assert miss(values) > 1e-3
+    values[-p:] = 0
+    assert miss(values) <= 1e-13
 
 
 @pytest.mark.parametrize("p,jseed,pseed", [(1, 101, 0), (2, 107, 207), (3, 107, 207)])

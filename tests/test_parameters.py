@@ -10,10 +10,8 @@ MODULES = sorted((Path(__file__).resolve().parents[1] / "src" / "toda_darboux").
 
 def allowed(module: str, fn: str, arg: str) -> bool:
     # evolve_toda's C is dead (the flow is shift invariant), but the benchmark passes
-    # it by position; the command handlers share one signature, and some never read args
-    return (module, fn, arg) == ("lattice", "evolve_toda", "C") or (
-        fn.startswith("cmd_") and arg == "args"
-    )
+    # it by position
+    return (module, fn, arg) == ("lattice", "evolve_toda", "C")
 
 
 def unread_parameters(source: str) -> set:
