@@ -32,7 +32,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .banded import graded_scale, random_hessenberg, residual, to_json_dict
+from .banded import _pair, graded_scale, random_hessenberg, residual, to_json_dict
 from .darboux import (
     DarbouxFactors,
     PeelBreakdown,
@@ -43,6 +43,7 @@ from .darboux import (
 )
 from .lattice import (
     BlowUp,
+    _cpus,
     _report,
     evolve_kdv,
     evolve_toda,
@@ -71,9 +72,12 @@ _MODULE_ERRORS = (
 _RECORDED = ("p", "n", "seed", "dt", "steps", "mode", "tol_verify", "scale")
 
 
-def _check(args) -> dict:
-    """Reject options the library cannot run, set args.C, and return the recorded config."""
-    if args.p < 1 or args.n <= args.p:
+def _check(args, instance: bool = True) -> dict:
+    """Reject options the library cannot run, set args.C, and return the recorded config.
+
+    p and n are checked only where they build an instance.
+    """
+    if instance and (args.p < 1 or args.n <= args.p):
         raise ValueError(f"need n > p >= 1, got p={args.p} n={args.n}")
     args.C = complex(args.C_re, args.C_im)
     for name in ("dt", "C", "scale"):
@@ -134,13 +138,15 @@ def cmd_factorize(args) -> int:
 
 
 def cmd_transform(args) -> int:
-    config = _check(args)
+    config = _check(args, instance=not args.factors)
     if args.factors:
         with open(args.factors) as fh:
             data = json.load(fh)
         if isinstance(data, dict) and isinstance(data.get("factors"), dict):
             data = data["factors"]
         factors = DarbouxFactors.from_json_dict(data)
+        # the instance is the loaded one, not the one --p, --n and --C-* describe
+        config.update(p=factors.p, n=factors.n, C=_pair(factors.C))
     else:
         factors = _factorize(args)[1]
     i = args.i
@@ -167,15 +173,15 @@ _ENTRIES_PER_WORKER = 8000
 def _workers(samples: int, entries: int) -> int:
     """Processes that format the CSV: one per CPU, each with enough entries.
 
-    One, so the caller writes serially, where the platform lacks fork,
-    memfd_create or CPU affinity, or where another thread runs, because a
-    forked child holds only the thread that forked it.
+    One, so the caller writes serially, where the platform lacks fork or
+    memfd_create, or where another thread runs, because a forked child holds
+    only the thread that forked it; lattice._cpus gives one where it lacks
+    CPU affinity.
     """
-    needed = ("fork", "memfd_create", "sched_getaffinity")
+    needed = ("fork", "memfd_create")
     if threading.active_count() > 1 or not all(hasattr(os, name) for name in needed):
         return 1
-    cpus = len(os.sched_getaffinity(0))
-    return max(1, min(cpus, samples * entries // _ENTRIES_PER_WORKER, samples))
+    return max(1, min(_cpus(), samples * entries // _ENTRIES_PER_WORKER, samples))
 
 
 def _entry_ids(traj) -> list:

@@ -33,6 +33,10 @@ per trajectory to 0-d arrays of the state's dtype (as numpy casts a Python
 number), so no pass converts a Python number, and passes ``out`` positionally.
 Every array lattice allocates starts on a 64-byte boundary, as one inside a
 cache line splits vector loads across two lines.
+A sweep of two or more blocks, in a process that may run on more than one
+CPU, splits its blocks into contiguous runs, one per CPU, each swept in its
+own thread with its own kernel and buffers (numpy releases the GIL inside its
+loops); the runs are merged in sample order, so its report is the serial one.
 Both flows are finite systems: entries past the matrix or the table read
 as zero.  The n x n Toda lattice and the KdV lattice of the n-column
 table (``factors_to_table``, last column (u_{n-1}, 0, ..., 0)) are then
@@ -42,9 +46,12 @@ and Symes), so every check covers every entry.
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import math
 import operator
+import os
+import threading
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -302,20 +309,20 @@ def evolve_kdv(table0: GammaTable, dt: float = 1e-3, steps: int = 100) -> Trajec
 # verification
 
 
-def _worst(residual, lo: int, hi: int, block: int):
-    """Worst residual over samples lo..hi-1, swept in blocks of samples, and its (entry, sample).
+def _cpus() -> int:
+    """CPUs this process may run on; 1 where the platform lacks CPU affinity."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
-    ``residual(m0)`` gives samples m0..m0+block-1 of Toda band residuals
-    (block, p + 1, rows), whose d slots before band d's first row are
-    zeroed here, or of gamma residuals (block, size).  Every block has
-    block <= hi - lo samples, so the last starts at hi - block and may
-    sweep samples again.  Only a strictly larger entry in C order replaces
-    the worst, so on ties the first sample, then band and row, wins, and a
-    sample swept again changes nothing; a NaN is worse than any number.
-    The location is () while nothing exceeds zero.
-    """
+
+def _worse(v: float, worst: float) -> bool:
+    """Whether v replaces worst: only a strictly larger number, or a first NaN."""
+    return v > worst or (v != v and worst == worst)
+
+
+def _sweep(residual, starts: range, hi: int, block: int):
+    """Worst residual over the blocks that start at starts, and its (entry, sample)."""
     worst, arg = 0.0, ()
-    for m0 in range(lo, hi, block):
+    for m0 in starts:
         m0 = min(m0, hi - block)
         res = residual(m0)
         for d in range(1, res.shape[1] if res.ndim == 3 else 0):
@@ -323,34 +330,90 @@ def _worst(residual, lo: int, hi: int, block: int):
         if res.size:
             k = int(np.argmax(res))  # argmax stops at the first NaN
             v = float(res.flat[k])
-            if v > worst or (v != v and worst == worst):  # the first NaN stays
+            if _worse(v, worst):
                 m, *at = map(int, np.unravel_index(k, res.shape))
                 entry = f"a[{at[1]},{at[1] - at[0]}]" if res.ndim == 3 else f"gamma[{at[0] + 1}]"
                 worst, arg = v, (entry, m0 + m)
     return worst, arg
 
 
+def _worst(residuals, lo: int, hi: int, block: int):
+    """Worst residual over samples lo..hi-1, swept in blocks of samples, and its (entry, sample).
+
+    ``residuals()`` builds a function with its own buffers: ``residual(m0)``
+    gives samples m0..m0+block-1 of Toda band residuals (block, p + 1, rows),
+    whose d slots before band d's first row are zeroed here, or of gamma
+    residuals (block, size).  Every block has block <= hi - lo samples, so
+    the last starts at hi - block and may sweep samples again.  Only a
+    strictly larger entry in C order replaces the worst, so on ties the
+    first sample, then band and row, wins, and a sample swept again changes
+    nothing; a NaN is worse than any number.  The location is () while
+    nothing exceeds zero.
+
+    Two or more blocks on more than one CPU are split into contiguous runs,
+    one per CPU, each swept through its own residual function: the first
+    here, the others in threads that run in a copy of this context, as
+    numpy's error state is a context variable.  Every thread is joined
+    before this raises the first run's exception or merges the runs'
+    results in sample order by the same rule, so the report is the serial
+    one.
+    """
+    starts = range(lo, hi, block)
+    workers = min(_cpus(), len(starts))
+    if workers <= 1:
+        return _sweep(residuals(), starts, hi, block)
+    bounds = [len(starts) * k // workers for k in range(workers + 1)]
+    runs = [starts[a:b] for a, b in zip(bounds, bounds[1:])]
+    results = [None] * workers
+
+    def sweep(k, residual):
+        try:
+            results[k] = _sweep(residual, runs[k], hi, block)
+        except BaseException as exc:
+            results[k] = exc
+
+    threads = []
+    try:
+        for k in range(1, workers):
+            run = contextvars.copy_context().run
+            thread = threading.Thread(target=run, args=(sweep, k, residuals()))
+            thread.start()
+            threads.append(thread)
+        sweep(0, residuals())
+    finally:
+        for thread in threads:
+            thread.join()
+    for result in results:
+        if isinstance(result, BaseException):
+            raise result
+    return functools.reduce(lambda a, b: b if _worse(b[0], a[0]) else a, results)
+
+
 def _central(data: np.ndarray, dt: float, kernel, p: int):
     """_worst of central differences against kernel's rhs, over every entry.
 
-    One kernel and its block buffers are built per sweep; each block
-    computes (a - b) / (2 dt) - rhs, then abs, in that order.
+    Each residual function builds one kernel and its block buffers; each
+    block computes (a - b) / (2 dt) - rhs, then abs, in that order.
     """
     if len(data) < 3:
         raise InsufficientSamples(f"need at least 3 samples, have {len(data)}")
     shape = (min(max(1, _BLOCK_BYTES // data[0].nbytes), len(data) - 2), *data.shape[1:])
-    diff, slope, res = (_empty(shape, t) for t in (data.dtype, data.dtype, float))
-    arg, rhs = kernel(shape, data.dtype, p)
 
-    def residual(m0):
-        m1 = m0 + shape[0]
-        np.subtract(data[m0 + 1 : m1 + 1], data[m0 - 1 : m1 - 1], out=diff)
-        np.divide(diff, 2 * dt, out=diff)
-        arg[...] = data[m0:m1]
-        rhs(slope)
-        return np.abs(np.subtract(diff, slope, out=diff), out=res)
+    def residuals():
+        diff, slope, res = (_empty(shape, t) for t in (data.dtype, data.dtype, float))
+        arg, rhs = kernel(shape, data.dtype, p)
 
-    return _worst(residual, 1, len(data) - 1, shape[0])
+        def residual(m0):
+            m1 = m0 + shape[0]
+            np.subtract(data[m0 + 1 : m1 + 1], data[m0 - 1 : m1 - 1], out=diff)
+            np.divide(diff, 2 * dt, out=diff)
+            arg[...] = data[m0:m1]
+            rhs(slope)
+            return np.abs(np.subtract(diff, slope, out=diff), out=res)
+
+        return residual
+
+    return _worst(residuals, 1, len(data) - 1, shape[0])
 
 
 def verify_toda(traj: Trajectory, tol: float) -> ResidualReport:
@@ -491,14 +554,18 @@ def theorem1_diagram(
     recon = _transform_bands(traj_table.data, p, range(p + 1), factors.C)
     block = min(max(1, _BLOCK_BYTES // direct[0].nbytes), len(direct))
     dtype = np.result_type(direct, recon[0])
-    diff, res = (_empty(direct[:block].shape, t) for t in (dtype, float))
 
-    def path_residual(m0):
-        m1 = m0 + block
-        np.subtract(direct[m0:m1], recon[0][m0:m1], out=diff)
-        return np.abs(diff, out=res)
+    def path_residuals():
+        diff, res = (_empty(direct[:block].shape, t) for t in (dtype, float))
 
-    worst, arg = _worst(path_residual, 0, len(direct), block)
+        def path_residual(m0):
+            m1 = m0 + block
+            np.subtract(direct[m0:m1], recon[0][m0:m1], out=diff)
+            return np.abs(diff, out=res)
+
+        return path_residual
+
+    worst, arg = _worst(path_residuals, 0, len(direct), block)
     reports = {"path": _report("path agreement", worst, arg, tol_path)}
 
     if len(traj_table) >= 3:

@@ -1,14 +1,18 @@
 """Fixtures shared by every test module."""
 
 import os
+import threading
 
 import pytest
 
 
 @pytest.fixture(autouse=True)
 def no_child_process_left():
-    """Fail a test that leaves a child process running or unreaped."""
+    """Fail a test that leaves a child process running or unreaped, or a thread running."""
+    threads = threading.active_count()
     yield
+    if threading.active_count() > threads:
+        pytest.fail(f"the test left {threading.active_count() - threads} more thread(s) running")
     try:
         pid, status = os.waitpid(-1, os.WNOHANG)
     except ChildProcessError:  # no child at all

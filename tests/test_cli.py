@@ -233,6 +233,25 @@ def test_transform_round_trip_via_saved_factors(tmp_path, capsys):
     assert payload["reports"][0]["passed"]
 
 
+def test_transform_from_factors_records_and_checks_the_loaded_instance(tmp_path, capsys):
+    fpath = tmp_path / "factors.json"
+    argv = ["factorize", "--p", "2", "--n", "8", "--seed", "5", "--C-re", "0.02", "--C-im", "-0.01"]
+    assert main([*argv, "--out", str(fpath)]) == 0
+    capsys.readouterr()
+    code, payload = run_json(["transform", "--factors", str(fpath), "--i", "2"], capsys)
+    assert code == 0
+    config = payload["config"]
+    assert (config["p"], config["n"], config["C"]) == (2, 8, [0.02, -0.01])
+    # --p, --n and --C-* build no instance here, so they are neither checked nor recorded
+    loaded = ["transform", "--factors", str(fpath), "--i", "1", "--p", "1", "--n", "1", "--C-re", "3"]
+    code, payload = run_json(loaded, capsys)
+    assert code == 0
+    config = payload["config"]
+    assert (config["p"], config["n"], config["C"]) == (2, 8, [0.02, -0.01])
+    code, payload = run_json(["transform", "--i", "1", "--p", "1", "--n", "1"], capsys)
+    assert code == 1 and payload["message"] == "need n > p >= 1, got p=1 n=1"
+
+
 def test_factors_written_with_negative_zero_imaginary_parts_load_as_float64(tmp_path, capsys):
     # earlier versions wrote the sampler's -0.0 imaginary parts as [x, -0.0] pairs
     path = tmp_path / "factors.json"

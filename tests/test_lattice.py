@@ -1,5 +1,8 @@
 """Flows, residual checks, and the commuting-diagram verification."""
 
+import sys
+import threading
+import time
 import tracemalloc
 from collections.abc import Sequence
 
@@ -596,13 +599,162 @@ def test_verifier_sweep_builds_one_kernel(monkeypatch):
 
     monkeypatch.setattr(lattice, "_toda_kernel", counting(lattice._toda_kernel))
     monkeypatch.setattr(lattice, "_kdv_kernel", counting(lattice._kdv_kernel))
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(lattice, "_cpus", lambda: workers)
+        for traj, verify in ((toda, verify_toda), (kdv, verify_kdv)):
+            # 99 interior samples in blocks of 8: twelve blocks, and a thirteenth
+            # that starts five samples early, through one kernel per worker
+            monkeypatch.setattr(lattice, "_BLOCK_BYTES", 8 * traj.data[0].nbytes)
+            built.clear()
+            verify(traj, 1.0)
+            assert built == [(8, *traj.data.shape[1:])] * workers
+
+
+def test_a_single_block_sweep_starts_no_thread(monkeypatch):
+    J = graded_scale(random_hessenberg(2, 16, seed=6), 0.4)
+    traj = evolve_toda(J, dt=1e-3, steps=100)
+    monkeypatch.setattr(lattice, "_cpus", lambda: 3)
+    started, start = [], threading.Thread.start
+
+    def counted_start(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted_start)
+    # the default block holds all 99 interior samples; one CPU sweeps thirteen serially
+    verify_toda(traj, 1.0)
+    monkeypatch.setattr(lattice, "_BLOCK_BYTES", 8 * traj.data[0].nbytes)
+    monkeypatch.setattr(lattice, "_cpus", lambda: 1)
+    verify_toda(traj, 1.0)
+    assert started == []
+    monkeypatch.setattr(lattice, "_cpus", lambda: 2)
+    verify_toda(traj, 1.0)
+    assert len(started) == 1 and not started[0].is_alive()
+
+
+def fixed_residuals(values, block, seen=None):
+    """A _worst residual factory over stored gamma residuals (samples, size).
+
+    Every residual function copies its blocks into its own buffer; seen, if
+    given, gets the calling thread and numpy's error state per block.
+    """
+    def residuals():
+        buf = np.empty((block, values.shape[1]))
+
+        def residual(m0):
+            if seen is not None:
+                seen.append((threading.current_thread(), np.geterr()))
+            buf[...] = values[m0 : m0 + block]
+            return buf
+
+        return residual
+
+    return residuals
+
+
+def sweep(values, block, workers, monkeypatch):
+    monkeypatch.setattr(lattice, "_cpus", lambda: workers)
+    return lattice._worst(fixed_residuals(values, block), 0, len(values), block)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+@pytest.mark.parametrize("mode", ["real", "complex"])
+def test_parallel_verifier_reports_equal_the_serial_ones(p, mode, monkeypatch):
+    J = graded_scale(random_hessenberg(p, 16, seed=60 + p, mode=mode), 0.3)
+    table = GammaTable(p, 16, kdv_table(p, (p + 1) * 16, mode, seed=70 + p))
+    toda, kdv = evolve_toda(J, dt=1e-3, steps=40), evolve_kdv(table, dt=1e-3, steps=40)
     for traj, verify in ((toda, verify_toda), (kdv, verify_kdv)):
-        # 99 interior samples in blocks of 8: twelve blocks, and a thirteenth
-        # that starts five samples early, all through one kernel
-        monkeypatch.setattr(lattice, "_BLOCK_BYTES", 8 * traj.data[0].nbytes)
-        built.clear()
-        verify(traj, 1.0)
-        assert built == [(8, *traj.data.shape[1:])]
+        # 39 interior samples: thirteen blocks of three, or eight of five whose
+        # last starts one sample early
+        for samples in (3, 5):
+            monkeypatch.setattr(lattice, "_BLOCK_BYTES", samples * traj.data[0].nbytes)
+            reports = []
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(lattice, "_cpus", lambda: workers)
+                rep = verify(traj, 1e-6)
+                reports.append((rep.max_residual, rep.argmax, rep.passed))
+            assert reports[0][0] > 0
+            assert reports[1] == reports[0] and reports[2] == reports[0]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_parallel_sweep_keeps_the_first_of_equal_maxima(workers, monkeypatch):
+    # blocks of two start at samples 0, 2, 4, 6: two or three workers split them
+    # between samples 3 and 4, where equal maxima sit on both sides
+    values = np.zeros((8, 3))
+    values[3, 1] = values[4, 0] = values[7, 2] = 2.0
+    values[1, 2] = 1.0
+    assert sweep(values, 2, workers, monkeypatch) == (2.0, ("gamma[2]", 3))
+    # an odd sample count: the last block starts one early and sweeps sample 6 again
+    assert sweep(values[:7], 2, workers, monkeypatch) == (2.0, ("gamma[2]", 3))
+    assert sweep(np.zeros((8, 3)), 2, workers, monkeypatch) == (0.0, ())
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_parallel_sweep_keeps_the_first_nan(workers, monkeypatch):
+    values = np.zeros((8, 3))
+    values[1, 0] = 5.0
+    values[6, 2] = np.nan  # only in the last worker's run
+    worst, arg = sweep(values, 2, workers, monkeypatch)
+    assert np.isnan(worst) and arg == ("gamma[3]", 6)
+    values[2, 1] = np.nan  # in the first run of two workers, the second of three
+    worst, arg = sweep(values, 2, workers, monkeypatch)
+    assert np.isnan(worst) and arg == ("gamma[2]", 2)
+
+
+def test_many_sweep_threads_switching_every_microsecond_keep_every_result(monkeypatch):
+    # more workers than cores, each run eight one-sample blocks: a lost or
+    # misplaced run result changes the worst entry or the tie it keeps
+    firsts, largest = np.ones((64, 3)), np.ones((64, 3))
+    largest[60, 2] = 2.0
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            assert sweep(firsts, 1, 8, monkeypatch) == (1.0, ("gamma[1]", 0))
+            assert sweep(largest, 1, 8, monkeypatch) == (2.0, ("gamma[3]", 60))
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("failing", [0, 6])
+@pytest.mark.parametrize("workers", [2, 3])
+def test_an_exception_in_a_sweep_run_is_raised_in_the_caller(failing, workers, monkeypatch):
+    # failing at sample 0 is the calling thread's run, at sample 6 a worker thread's;
+    # the other blocks take a while, so an unjoined thread would still run
+    monkeypatch.setattr(lattice, "_cpus", lambda: workers)
+    values = np.ones((8, 3))
+    made = fixed_residuals(values, 2)
+
+    def residuals():
+        residual = made()
+
+        def failing_residual(m0):
+            if m0 == failing:
+                raise ZeroDivisionError(f"block at sample {m0}")
+            time.sleep(0.02)
+            return residual(m0)
+
+        return failing_residual
+
+    threads = threading.active_count()
+    with pytest.raises(ZeroDivisionError, match=f"block at sample {failing}"):
+        lattice._worst(residuals, 0, len(values), 2)
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_sweep_threads_run_under_the_callers_numpy_error_state(workers, monkeypatch):
+    monkeypatch.setattr(lattice, "_cpus", lambda: workers)
+    seen, values = [], np.ones((8, 3))
+    with np.errstate(divide="raise", over="ignore", under="warn", invalid="call"):
+        want = np.geterr()
+        lattice._worst(fixed_residuals(values, 2, seen), 0, len(values), 2)
+    assert want != np.geterr()
+    # four blocks of two samples, the first run's in this thread, the others' not
+    threads = {thread for thread, _ in seen}
+    assert len(seen) == 4 and threading.current_thread() in threads and len(threads) > 1
+    assert all(state == want for _, state in seen)
 
 
 def test_array_flows_blow_up_at_the_per_state_time():
@@ -1046,16 +1198,21 @@ def test_commuting_diagram_reports_do_not_depend_on_the_block_size(monkeypatch):
         out = theorem1_diagram(J, C=0.015, params=params, dt=1e-3, steps=20)
         return {k: (r.max_residual, r.argmax, r.passed) for k, r in out.items()}
 
+    monkeypatch.setattr(lattice, "_cpus", lambda: 1)
     want = reports()
+    assert want["path"][0] > 0
     # one byte puts every sample in its own block; the other size holds three
     # samples of a reassembled transform, (p + 1, 16) in the data's dtype (float64
-    # for this real table), leaving a last block of one of the 19 interior samples
+    # for this real table), leaving a last block of one of the 19 interior samples;
+    # either is swept by one, two or three workers
     table = factors_to_table(darboux_factorization(J, 0.015, params=params)[0])
     sample = _transform_bands(evolve_kdv(table, steps=0).data[0], p, 0, 0.015)
     assert sample.shape == (p + 1, 16)
     for block in (1, 3 * sample.nbytes):
         monkeypatch.setattr(lattice, "_BLOCK_BYTES", block)
-        assert reports() == want
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(lattice, "_cpus", lambda: workers)
+            assert reports() == want
 
 
 def test_commuting_diagram_single_step_is_path_only():
