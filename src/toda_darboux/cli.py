@@ -72,13 +72,8 @@ _MODULE_ERRORS = (
 _RECORDED = ("p", "n", "seed", "dt", "steps", "mode", "tol_verify", "scale")
 
 
-def _check(args, instance: bool = True) -> dict:
-    """Reject options the library cannot run, set args.C, and return the recorded config.
-
-    p and n are checked only where they build an instance.
-    """
-    if instance and (args.p < 1 or args.n <= args.p):
-        raise ValueError(f"need n > p >= 1, got p={args.p} n={args.n}")
+def _check(args) -> dict:
+    """Reject options the library cannot run, set args.C, and return the recorded config."""
     args.C = complex(args.C_re, args.C_im)
     for name in ("dt", "C", "scale"):
         if name in args and not np.isfinite(getattr(args, name)):
@@ -93,6 +88,8 @@ def _check(args, instance: bool = True) -> dict:
 
 
 def _instance(args):
+    if args.p < 1 or args.n <= args.p:
+        raise ValueError(f"need n > p >= 1, got p={args.p} n={args.n}")
     J = random_hessenberg(args.p, args.n, seed=args.seed, mode=args.mode)
     return graded_scale(J, args.scale)
 
@@ -138,15 +135,16 @@ def cmd_factorize(args) -> int:
 
 
 def cmd_transform(args) -> int:
-    config = _check(args, instance=not args.factors)
+    config = _check(args)
     if args.factors:
         with open(args.factors) as fh:
             data = json.load(fh)
         if isinstance(data, dict) and isinstance(data.get("factors"), dict):
             data = data["factors"]
         factors = DarbouxFactors.from_json_dict(data)
-        # the instance is the loaded one, not the one --p, --n and --C-* describe
-        config.update(p=factors.p, n=factors.n, C=_pair(factors.C))
+        # the instance is the loaded one; the instance flags build nothing here
+        config = {"p": factors.p, "n": factors.n, "tol_verify": args.tol_verify,
+                  "C": _pair(factors.C)}
     else:
         factors = _factorize(args)[1]
     i = args.i

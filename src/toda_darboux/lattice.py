@@ -33,10 +33,12 @@ per trajectory to 0-d arrays of the state's dtype (as numpy casts a Python
 number), so no pass converts a Python number, and passes ``out`` positionally.
 Every array lattice allocates starts on a 64-byte boundary, as one inside a
 cache line splits vector loads across two lines.
-A sweep of two or more blocks, in a process that may run on more than one
-CPU, splits its blocks into contiguous runs, one per CPU, each swept in its
-own thread with its own kernel and buffers (numpy releases the GIL inside its
-loops); the runs are merged in sample order, so its report is the serial one.
+A sweep of at least 2 * _RUN_BLOCKS blocks, in a process that may run on
+more than one CPU, splits its blocks into contiguous runs of _RUN_BLOCKS or
+more, at most one per CPU, each swept in its own thread with its own kernel
+and buffers (numpy releases the GIL inside its loops); the runs are merged in
+sample order, so its report is the serial one.  A shorter sweep, or a
+one-CPU process, starts no thread.
 Both flows are finite systems: entries past the matrix or the table read
 as zero.  The n x n Toda lattice and the KdV lattice of the n-column
 table (``factors_to_table``, last column (u_{n-1}, 0, ..., 0)) are then
@@ -337,6 +339,14 @@ def _sweep(residual, starts: range, hi: int, block: int):
     return worst, arg
 
 
+# A worker thread repays its start, its kernel and its fresh block buffers only
+# over a run of at least this many blocks: split in two on two CPUs (x86-64,
+# numpy 2.4, p = 1-3, real and complex), verify_toda and verify_kdv sweeps of
+# 2 blocks took 1.1-1.8x as long as serial ones, of 8 blocks 0.8-1.2x, and of
+# 16-24 blocks 0.6-0.9x.
+_RUN_BLOCKS = 8
+
+
 def _worst(residuals, lo: int, hi: int, block: int):
     """Worst residual over samples lo..hi-1, swept in blocks of samples, and its (entry, sample).
 
@@ -350,18 +360,16 @@ def _worst(residuals, lo: int, hi: int, block: int):
     nothing; a NaN is worse than any number.  The location is () while
     nothing exceeds zero.
 
-    Two or more blocks on more than one CPU are split into contiguous runs,
-    one per CPU, each swept through its own residual function: the first
-    here, the others in threads that run in a copy of this context, as
-    numpy's error state is a context variable.  Every thread is joined
-    before this raises the first run's exception or merges the runs'
-    results in sample order by the same rule, so the report is the serial
-    one.
+    The blocks are split into contiguous runs, at most one per CPU and, if
+    more than one, each of _RUN_BLOCKS blocks or more; every run is swept
+    through its own residual function: the first here, the others in
+    threads that run in a copy of this context, as numpy's error state is a
+    context variable.  Every thread is joined before this raises the first
+    run's exception or merges the runs' results in sample order by the same
+    rule, so the report is the serial one.  A single run starts no thread.
     """
     starts = range(lo, hi, block)
-    workers = min(_cpus(), len(starts))
-    if workers <= 1:
-        return _sweep(residuals(), starts, hi, block)
+    workers = max(1, min(_cpus(), len(starts) // _RUN_BLOCKS))
     bounds = [len(starts) * k // workers for k in range(workers + 1)]
     runs = [starts[a:b] for a, b in zip(bounds, bounds[1:])]
     results = [None] * workers

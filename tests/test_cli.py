@@ -238,16 +238,15 @@ def test_transform_from_factors_records_and_checks_the_loaded_instance(tmp_path,
     argv = ["factorize", "--p", "2", "--n", "8", "--seed", "5", "--C-re", "0.02", "--C-im", "-0.01"]
     assert main([*argv, "--out", str(fpath)]) == 0
     capsys.readouterr()
+    want = {"p": 2, "n": 8, "tol_verify": 1e-5, "C": [0.02, -0.01]}
     code, payload = run_json(["transform", "--factors", str(fpath), "--i", "2"], capsys)
-    assert code == 0
-    config = payload["config"]
-    assert (config["p"], config["n"], config["C"]) == (2, 8, [0.02, -0.01])
-    # --p, --n and --C-* build no instance here, so they are neither checked nor recorded
-    loaded = ["transform", "--factors", str(fpath), "--i", "1", "--p", "1", "--n", "1", "--C-re", "3"]
+    assert code == 0 and payload["config"] == want
+    # the instance flags build no instance here: none is recorded, and --p and
+    # --n are not checked
+    loaded = ["transform", "--factors", str(fpath), "--i", "1", "--p", "1", "--n", "1",
+              "--C-re", "3", "--seed", "9", "--mode", "complex", "--scale", "0.5"]
     code, payload = run_json(loaded, capsys)
-    assert code == 0
-    config = payload["config"]
-    assert (config["p"], config["n"], config["C"]) == (2, 8, [0.02, -0.01])
+    assert code == 0 and payload["config"] == want
     code, payload = run_json(["transform", "--i", "1", "--p", "1", "--n", "1"], capsys)
     assert code == 1 and payload["message"] == "need n > p >= 1, got p=1 n=1"
 

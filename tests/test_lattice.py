@@ -585,6 +585,12 @@ def test_array_flows_equal_per_state_route_bit_for_bit(p, mode, monkeypatch):
         assert (rep.max_residual, rep.argmax) == kdv_want
 
 
+def force_workers(monkeypatch, workers):
+    """Split every sweep of at least `workers` blocks into `workers` runs."""
+    monkeypatch.setattr(lattice, "_cpus", lambda: workers)
+    monkeypatch.setattr(lattice, "_RUN_BLOCKS", 1)
+
+
 def test_verifier_sweep_builds_one_kernel(monkeypatch):
     J = graded_scale(random_hessenberg(2, 16, seed=6), 0.4)
     _, table = darboux_factorization(J, 0.1, rng=np.random.default_rng(6))
@@ -600,7 +606,7 @@ def test_verifier_sweep_builds_one_kernel(monkeypatch):
     monkeypatch.setattr(lattice, "_toda_kernel", counting(lattice._toda_kernel))
     monkeypatch.setattr(lattice, "_kdv_kernel", counting(lattice._kdv_kernel))
     for workers in (1, 2, 3):
-        monkeypatch.setattr(lattice, "_cpus", lambda: workers)
+        force_workers(monkeypatch, workers)
         for traj, verify in ((toda, verify_toda), (kdv, verify_kdv)):
             # 99 interior samples in blocks of 8: twelve blocks, and a thirteenth
             # that starts five samples early, through one kernel per worker
@@ -610,10 +616,7 @@ def test_verifier_sweep_builds_one_kernel(monkeypatch):
             assert built == [(8, *traj.data.shape[1:])] * workers
 
 
-def test_a_single_block_sweep_starts_no_thread(monkeypatch):
-    J = graded_scale(random_hessenberg(2, 16, seed=6), 0.4)
-    traj = evolve_toda(J, dt=1e-3, steps=100)
-    monkeypatch.setattr(lattice, "_cpus", lambda: 3)
+def count_started_threads(monkeypatch):
     started, start = [], threading.Thread.start
 
     def counted_start(thread):
@@ -621,15 +624,38 @@ def test_a_single_block_sweep_starts_no_thread(monkeypatch):
         start(thread)
 
     monkeypatch.setattr(threading.Thread, "start", counted_start)
+    return started
+
+
+def test_a_single_block_sweep_starts_no_thread(monkeypatch):
+    J = graded_scale(random_hessenberg(2, 16, seed=6), 0.4)
+    traj = evolve_toda(J, dt=1e-3, steps=100)
+    force_workers(monkeypatch, 3)
+    started = count_started_threads(monkeypatch)
     # the default block holds all 99 interior samples; one CPU sweeps thirteen serially
     verify_toda(traj, 1.0)
     monkeypatch.setattr(lattice, "_BLOCK_BYTES", 8 * traj.data[0].nbytes)
-    monkeypatch.setattr(lattice, "_cpus", lambda: 1)
+    force_workers(monkeypatch, 1)
     verify_toda(traj, 1.0)
     assert started == []
-    monkeypatch.setattr(lattice, "_cpus", lambda: 2)
+    force_workers(monkeypatch, 2)
     verify_toda(traj, 1.0)
     assert len(started) == 1 and not started[0].is_alive()
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_a_sweep_splits_only_into_runs_of_at_least_run_blocks(cpus, monkeypatch):
+    monkeypatch.setattr(lattice, "_cpus", lambda: cpus)
+    started = count_started_threads(monkeypatch)
+    run = lattice._RUN_BLOCKS
+    # one-sample blocks: one thread per run after the first, each of run blocks or more
+    for blocks, threads in ((1, 0), (2 * run - 1, 0), (2 * run, 1), (3 * run - 1, 1),
+                            (3 * run, cpus - 1), (10 * run, cpus - 1)):
+        seen, values = [], np.ones((blocks, 3))
+        started.clear()
+        residuals = fixed_residuals(values, 1, seen)
+        assert lattice._worst(residuals, 0, blocks, 1) == (1.0, ("gamma[1]", 0))
+        assert len(started) == threads and len({thread for thread, _ in seen}) == threads + 1
 
 
 def fixed_residuals(values, block, seen=None):
@@ -653,7 +679,7 @@ def fixed_residuals(values, block, seen=None):
 
 
 def sweep(values, block, workers, monkeypatch):
-    monkeypatch.setattr(lattice, "_cpus", lambda: workers)
+    force_workers(monkeypatch, workers)
     return lattice._worst(fixed_residuals(values, block), 0, len(values), block)
 
 
@@ -670,7 +696,7 @@ def test_parallel_verifier_reports_equal_the_serial_ones(p, mode, monkeypatch):
             monkeypatch.setattr(lattice, "_BLOCK_BYTES", samples * traj.data[0].nbytes)
             reports = []
             for workers in (1, 2, 3):
-                monkeypatch.setattr(lattice, "_cpus", lambda: workers)
+                force_workers(monkeypatch, workers)
                 rep = verify(traj, 1e-6)
                 reports.append((rep.max_residual, rep.argmax, rep.passed))
             assert reports[0][0] > 0
@@ -722,7 +748,7 @@ def test_many_sweep_threads_switching_every_microsecond_keep_every_result(monkey
 def test_an_exception_in_a_sweep_run_is_raised_in_the_caller(failing, workers, monkeypatch):
     # failing at sample 0 is the calling thread's run, at sample 6 a worker thread's;
     # the other blocks take a while, so an unjoined thread would still run
-    monkeypatch.setattr(lattice, "_cpus", lambda: workers)
+    force_workers(monkeypatch, workers)
     values = np.ones((8, 3))
     made = fixed_residuals(values, 2)
 
@@ -745,7 +771,7 @@ def test_an_exception_in_a_sweep_run_is_raised_in_the_caller(failing, workers, m
 
 @pytest.mark.parametrize("workers", [2, 3])
 def test_sweep_threads_run_under_the_callers_numpy_error_state(workers, monkeypatch):
-    monkeypatch.setattr(lattice, "_cpus", lambda: workers)
+    force_workers(monkeypatch, workers)
     seen, values = [], np.ones((8, 3))
     with np.errstate(divide="raise", over="ignore", under="warn", invalid="call"):
         want = np.geterr()
@@ -1198,7 +1224,7 @@ def test_commuting_diagram_reports_do_not_depend_on_the_block_size(monkeypatch):
         out = theorem1_diagram(J, C=0.015, params=params, dt=1e-3, steps=20)
         return {k: (r.max_residual, r.argmax, r.passed) for k, r in out.items()}
 
-    monkeypatch.setattr(lattice, "_cpus", lambda: 1)
+    force_workers(monkeypatch, 1)
     want = reports()
     assert want["path"][0] > 0
     # one byte puts every sample in its own block; the other size holds three
@@ -1211,7 +1237,7 @@ def test_commuting_diagram_reports_do_not_depend_on_the_block_size(monkeypatch):
     for block in (1, 3 * sample.nbytes):
         monkeypatch.setattr(lattice, "_BLOCK_BYTES", block)
         for workers in (1, 2, 3):
-            monkeypatch.setattr(lattice, "_cpus", lambda: workers)
+            force_workers(monkeypatch, workers)
             assert reports() == want
 
 
