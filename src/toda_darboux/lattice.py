@@ -448,15 +448,13 @@ def verify_kdv(traj: Trajectory, tol: float) -> ResidualReport:
 # the commuting diagram
 
 
-def _transform_bands(values: np.ndarray, p: int, j, C=0.0) -> np.ndarray:
-    """Bands 0..p of J^(j), one row per table column, for a stack of gamma tables.
+def _transform_bands(values: np.ndarray, p: int, C=0.0) -> np.ndarray:
+    """Bands 0..p of every J^(j), one row per table column, for a stack of gamma tables.
 
     ``values`` has shape (..., size), one flat gamma array of
-    rows = size // (p + 1) columns per leading index, and the result has
-    shape (..., p + 1, rows), the bands indexed by row like those of a
-    Banded; every gamma read lies inside the table.  ``j`` is an int, or a
-    nonempty range of consecutive indices inside 0..p whose transforms are
-    stacked on a new leading axis: result[s] is the int form's J^(j[s]).
+    rows = size // (p + 1) columns per leading index; result[j], of shape
+    (..., p + 1, rows), holds the bands of J^(j) indexed by row like those
+    of a Banded, and every gamma read lies inside the table.
 
     This is backlund_entry's closed form with the same index tuples, the
     same products and the same accumulation order, so it agrees with the
@@ -465,27 +463,19 @@ def _transform_bands(values: np.ndarray, p: int, j, C=0.0) -> np.ndarray:
     its first factor.  Column i of band k reads gamma_{i (p+1) + o} for an
     offset o fixed by the tuple coordinate, so each factor is one strided
     slice of the zero-padded table, for all columns and all stacked tables
-    at once.  J^(j + s) reads J^(j)'s gammas shifted by s, as
-    enumerate_indices(j + s, k, p) is enumerate_indices(j, k, p) + s, so a
-    range reads its slices through a view of the table with a leading s
-    axis of stride one element and runs the same products on every j at
-    once.  A float64 table and a real C give float64 bands, the complex
-    route's real parts, as a +0 accumulator absorbs the sign of a zero
-    product; others give complex128, products spelled out in real
-    arithmetic: numpy's complex multiply may fuse a multiply and an add,
-    Python's does not.
+    at once.  J^(j) reads J^(0)'s gammas shifted by j, as
+    enumerate_indices(j, k, p) is enumerate_indices(0, k, p) + j, so the
+    slices are taken of a view with a leading j axis of stride one element.
+    A float64 table and a real C give float64 bands, the complex route's
+    real parts, as a +0 accumulator absorbs the sign of a zero product;
+    others give complex128, products spelled out in real arithmetic:
+    numpy's complex multiply may fuse a multiply and an add, Python's does
+    not.
     """
-    stack = ()
-    if isinstance(j, range):
-        if not j or j.step != 1 or j[-1] > p:
-            raise ValueError(f"transform indices {j} are no nonempty step-1 range up to {p}")
-        j, stack = j[0], (len(j),)
-    if not 0 <= j <= p:
-        raise ValueError(f"transform index {j} outside 0..{p}")
     lead, size = values.shape[:-1], values.shape[-1]
     rows = size // (p + 1)
     real = np.isrealobj(values) and np.isrealobj(C)
-    bands = np.zeros(stack + lead + (p + 1, rows), dtype=float if real else complex)
+    bands = np.zeros((p + 1, *lead, p + 1, rows), dtype=float if real else complex)
     bands[..., 0, :] = np.real(C) if real else C
     # a number is the tuple of its real parts: on padded's leading axis, and in sums
     if real:
@@ -501,14 +491,13 @@ def _transform_bands(values: np.ndarray, p: int, j, C=0.0) -> np.ndarray:
     # gamma_n sits at index n + p, so gamma_{n <= 0} reads the zero padding
     padded = np.zeros((len(parts),) + lead + (p + 1 + size,))
     padded[..., p + 1 :] = parts
-    if stack:
-        # view[:, s, ..., x] is padded[:, ..., x + s]; the last j reads at most index p + size
-        shape = (len(parts), *stack, *lead, p + 2 + size - stack[0])
-        strides = (padded.strides[0], padded.itemsize, *padded.strides[1:])
-        padded = as_strided(padded, shape, strides, writeable=False)
+    # view[:, j, ..., x] is padded[:, ..., x + j]; J^(p) reads at most index p + size
+    shape = (len(parts), p + 1, *lead, size + 1)
+    strides = (padded.strides[0], padded.itemsize, *padded.strides[1:])
+    padded = as_strided(padded, shape, strides, writeable=False)
     for k in range(min(p + 1, rows)):
         accs = [s[..., k, k:] for s in sums]
-        for t in enumerate_indices(j, k, p):
+        for t in enumerate_indices(0, k, p):
             # factor r of tuple t is gamma_{i (p+1) + r p + t_r}, i = 0..rows-k-1, per part
             factors = (tuple(padded[..., (r + 1) * p + idx :: p + 1][..., : rows - k])
                        for r, idx in enumerate(t, -1))
@@ -520,10 +509,14 @@ def _transform_bands(values: np.ndarray, p: int, j, C=0.0) -> np.ndarray:
 def reconstruct_transform(table: GammaTable, j: int, C=0.0) -> Banded:
     """Assemble J^(j) from a gamma table, one row per table column.
 
-    Every entry is the closed form of backlund_entry, evaluated for all
-    entries at once and equal to it bit for bit.
+    Every entry is the closed form of backlund_entry, evaluated for the
+    whole chain J^(0..p) at once and equal to it bit for bit.  A column
+    sums 2^(p+1) - 1 index tuples, each band's built and sorted in full by
+    enumerate_indices, so time and memory grow like 2^p.
     """
-    bands = _transform_bands(table.values, table.p, j, C)
+    if not 0 <= j <= table.p:
+        raise ValueError(f"transform index {j} outside 0..{table.p}")
+    bands = _transform_bands(table.values, table.p, C)[j]
     return BandedHessenberg(table.p, table.columns, tuple(bands))
 
 
@@ -559,7 +552,7 @@ def theorem1_diagram(
 
     direct = evolve_toda(J0, C, dt, steps).data
     traj_table = evolve_kdv(factors_to_table(factors), dt, steps)
-    recon = _transform_bands(traj_table.data, p, range(p + 1), factors.C)
+    recon = _transform_bands(traj_table.data, p, factors.C)
     block = min(max(1, _BLOCK_BYTES // direct[0].nbytes), len(direct))
     dtype = np.result_type(direct, recon[0])
 

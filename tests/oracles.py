@@ -173,4 +173,4 @@ def complex_step_tangent(table: GammaTable, C: float = 0.0, h: float = 1e-30) ->
     (p + 1, p + 1, columns): transform j, then band, then row.
     """
     step = table.values + 1j * h * kdv_rhs(table)
-    return _transform_bands(step, table.p, range(table.p + 1), C).imag / h
+    return _transform_bands(step, table.p, C).imag / h
