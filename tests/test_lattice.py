@@ -1058,6 +1058,22 @@ def test_reconstruct_transform_row_bound():
         assert str(exc.value) == f"transform index {j} outside 0..1"
 
 
+@pytest.mark.parametrize("p", [1, 2, 4])
+@pytest.mark.parametrize("side", ["below", "wrapped", "above"])
+def test_reconstruct_transform_keeps_only_members_0_to_p_of_the_chain(p, side):
+    # numpy would read chain[-1] as J^(p) and chain[-(p + 1)] as J^(0), and fail
+    # chain[p + 1] with an IndexError of its own: the guard names the index instead
+    rng = np.random.default_rng(40 + p)
+    table = GammaTable(p, 5, rng.normal(size=(p + 1) * 5))
+    chain = _transform_bands(table.values, p, 0.2)
+    for j in range(p + 1):
+        assert np.array(reconstruct_transform(table, j, 0.2).bands).tobytes() == chain[j].tobytes()
+    j = {"below": -1, "wrapped": -(p + 1), "above": p + 1}[side]
+    with pytest.raises(ValueError) as exc:
+        reconstruct_transform(table, j, 0.2)
+    assert str(exc.value) == f"transform index {j} outside 0..{p}"
+
+
 def scalar_transform_bands(table, j, C):
     """Bands of J^(j) entry by entry through the scalar closed form, one row per column."""
     return [
