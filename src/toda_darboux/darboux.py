@@ -20,10 +20,11 @@ machinery here makes that parameter count concrete:
   narrowing its bandwidth by one; the free entries of the split factor
   are exactly the parameters of that stage.
 * ``sample_parameters`` draws stage parameters scaled to the stage, in
-  its field, and peels each draw; its margin, the smallest row
-  cancellation ratio of the peel, vanishes exactly where a later peel
-  would divide by zero.
-  The best of four draws is kept once it clears the margin.  The dense
+  its field, and peels each draw into plain rows; its margin, the
+  smallest row cancellation ratio of the peel, read off those rows,
+  vanishes exactly where a later peel would divide by zero.
+  The best of four draws is kept once it clears the margin, and only the
+  kept draw's rows become ``Banded`` factors.  The dense
   minors of ``hyperplane_determinant`` bound the same set, as an oracle.
 * ``factors_to_table`` reads the gamma table off the n x n factors: n
   columns, the last holding the last pivot u_{n-1} and p zeros, as no
@@ -55,7 +56,7 @@ import numpy as np
 
 from .banded import Banded, ShapeError, _field, _from_pair, _pair, _pairs, multiply_chain
 from .banded import from_json_dict as matrix_from_json, to_json_dict as matrix_json
-from .lu import BREAKDOWN_RATIO, lu_factorize
+from .lu import BREAKDOWN_RATIO, _scalar_rows, lu_factorize
 
 __all__ = [
     "DarbouxFactors",
@@ -328,18 +329,21 @@ def hyperplane_determinant(T: Banded, r: int, k: int) -> complex:
     return complex(np.linalg.det(m))
 
 
-def _peel_ratios(T: Banded, D: Banded, A: Banded) -> np.ndarray:
-    """Cancellation ratios of A's deepest band on rows q-1 .. n-1.
+def _peel_ratios(T: Banded, d, abands) -> np.ndarray:
+    """Cancellation ratios of A's deepest band on rows q-1 .. n-1, from the rows of a peel.
 
-    Row i computes A_{q-1}[i] = T_{q-1}[i] - d_i A_{q-2}[i-1] (A_0 is the
-    unit diagonal), and the ratio |A_{q-1}[i]| / (|T_{q-1}[i]| +
+    ``d`` is the subdiagonal of D and ``abands`` the subdiagonals of A at
+    offsets 1 .. q-1, as ``_peel_rows`` returns them or as bands of the
+    factors.  Row i computes A_{q-1}[i] = T_{q-1}[i] - d_i A_{q-2}[i-1]
+    (A_0 is the unit diagonal), and the ratio |A_{q-1}[i]| / (|T_{q-1}[i]| +
     |d_i A_{q-2}[i-1]|) lies in [0, 1]; it is 0 when the entry cancels
     exactly, and such an entry is the peel denominator of row i + 1 (row n
     lies past the truncation).  The ratios are invariant under graded scaling.
     """
     q = T.p
-    num = np.abs(A.band(q - 1)[q - 1 :])
-    den = np.abs(T.band(q - 1)[q - 1 :]) + np.abs(D.band(1)[q - 1 :] * A.band(q - 2)[q - 2 : -1])
+    prev = np.asarray(abands[q - 3][q - 2 : -1]) if q > 2 else 1.0
+    num = np.abs(np.asarray(abands[q - 2][q - 1 :]))
+    den = np.abs(T.band(q - 1)[q - 1 :]) + np.abs(np.asarray(d[q - 1 :]) * prev)
     return np.divide(num, den, out=np.zeros_like(num), where=den > 0)
 
 
@@ -366,7 +370,7 @@ def sample_parameters(T: Banded, rng) -> tuple:
     d, real = T.p - 1, np.isrealobj(T.data)
     rng = np.random.default_rng(rng)
     scale = _median_modulus(T.band(1)[1:])
-    best, split = 0.0, None
+    best, kept = 0.0, None
     for k in range(SAMPLE_RETRIES):
         if k >= 4 and best > SAMPLE_MARGIN:
             break
@@ -376,15 +380,15 @@ def sample_parameters(T: Banded, rng) -> tuple:
         else:
             alphas = mod * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, d))
         try:
-            D, A = peel(T, alphas)
+            rows = _peel_rows(T, alphas)
         except PeelBreakdown:
             continue
         # a NaN margin never beats best, which starts at 0
-        margin = float(_peel_ratios(T, D, A).min(initial=1.0))
+        margin = float(_peel_ratios(T, *rows).min(initial=1.0))
         if margin > best:
-            best, split = margin, (D, A)
+            best, kept = margin, rows
     if best > SAMPLE_MARGIN:
-        return split
+        return _split(*kept)
     raise SamplingFailed(SAMPLE_RETRIES, best)
 
 
@@ -402,6 +406,11 @@ def peel(T: Banded, alphas):
     subtraction, so D A = T holds exactly at every truncation size.  Only
     an exact zero denominator raises PeelBreakdown.
     """
+    return _split(*_peel_rows(T, alphas))
+
+
+def _peel_rows(T: Banded, alphas) -> tuple:
+    """The rows of ``peel``: D's subdiagonal and A's subdiagonals 1 .. q-1, as lists."""
     q = T.p
     if q < 2:
         raise ValueError("peeling needs at least two subdiagonals")
@@ -409,12 +418,11 @@ def peel(T: Banded, alphas):
     if alphas.shape != (q - 1,):
         raise ValueError(f"stage needs {q - 1} parameters, got shape {alphas.shape}")
     n = T.n
-    # lists of complex numpy scalars: the same scalar arithmetic as on arrays,
-    # without the cost of array item access, and the complex division of lu
-    tbands = [list(b) for b in T.data[T.hi :].astype(np.complex128)]
-    zero, one = np.complex128(0), 1.0 + 0j
-    d = [zero] * n
-    abands = [[zero] * n for _ in range(q - 1)]
+    # floats when T is float64 and alphas real (banded._field's rule), where t / u is taken
+    # as t * (1.0 / u), the rounding of numpy's complex division of real operands
+    tbands, alphas, quotient = _scalar_rows(T.data[T.hi :], alphas)
+    d = [0.0] * n
+    abands = [[0.0] * n for _ in range(q - 1)]
     for i in range(1, n):
         if i <= q - 1:
             di = alphas[i - 1]
@@ -422,13 +430,20 @@ def peel(T: Banded, alphas):
             denom = abands[q - 2][i - 1]
             if denom == 0:
                 raise PeelBreakdown(i)
-            di = tbands[q][i] / denom
+            di = quotient(tbands[q][i], denom)
         d[i] = di
-        # A[i, i - dd] = T[i, i - dd] - d_i A[i - 1, i - dd], with A's unit diagonal
-        abands[0][i] = tbands[1][i] - di * one
+        # A[i, i - dd] = T[i, i - dd] - d_i A[i - 1, i - dd], with A's unit diagonal; a
+        # complex d_i times 1.0 is its complex product with 1 + 0j, signed zeros included
+        abands[0][i] = tbands[1][i] - di * 1.0
         for dd in range(2, q if i >= q else i + 1):
             abands[dd - 1][i] = tbands[dd][i] - di * abands[dd - 2][i - 1]
-    return Banded(1, 0, np.vstack([np.ones(n), d])), Banded(q - 1, 0, np.vstack([np.ones(n), *abands]))
+    return d, abands
+
+
+def _split(d, abands) -> tuple:
+    """The factors D and A of a peel from their rows."""
+    n = len(d)
+    return Banded(1, 0, np.vstack([np.ones(n), d])), Banded(len(abands), 0, np.vstack([np.ones(n), *abands]))
 
 
 def darboux_factorize(L: Banded, params=None, rng=None) -> tuple:
@@ -454,7 +469,7 @@ def darboux_factorize(L: Banded, params=None, rng=None) -> tuple:
     for s in range(p - 1):
         if params is not None:
             d, A = peel(current, params.alphas[s])
-            ratio = _peel_ratios(current, d, A)
+            ratio = _peel_ratios(current, d.band(1), A.bands[1:])
             if not np.all(ratio > BREAKDOWN_RATIO):
                 k = int(ratio.argmin())  # a NaN ratio is the first argmin
                 raise PeelBreakdown(current.p + k, float(ratio[k]))

@@ -26,9 +26,11 @@ BREAKDOWN_RATIO of the summed moduli of its terms reports which one.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
-from .banded import Banded
+from .banded import Banded, _field
 
 __all__ = [
     "SingularLeadingMinor",
@@ -59,21 +61,35 @@ def lu_factorize(J: Banded, C=0.0):
     row.  Raises SingularLeadingMinor(m, |u_m|) when the pivot u_m = a_mm -
     C - l_{m,m-1} has |u_m| <= BREAKDOWN_RATIO (|a_mm| + |C| + |l_{m,m-1}|).
     """
-    # complex scratch and bands: complex division rounds unlike float, mixed scalars are slow
-    n, p, bands = J.n, J.p, tuple(J.data[J.hi :].astype(np.complex128))
-    lbands = [np.zeros(n, dtype=np.complex128) for _ in range(p)]
-    u = np.zeros(n, dtype=np.complex128)
-
-    def lentry(i, j):
-        # entry (i, j) strictly below the diagonal
-        d = i - j
-        return lbands[d - 1][i] if d <= p and j >= 0 else 0.0
-
+    n, p = J.n, J.p
+    # floats when J is float64 and C real (banded._field's rule), where t / u is taken as
+    # t * (1.0 / u), the rounding of numpy's complex division of real operands
+    bands, C, quotient = _scalar_rows(J.data[J.hi :], C)
+    lbands = [[0.0] * n for _ in range(p)]
+    u = [0.0] * n
     for i in range(n):
+        left = 0.0  # l_{i,j-1}, zero left of the band
         for j in range(max(0, i - p), i):
-            lbands[i - j - 1][i] = (bands[i - j][i] - lentry(i, j - 1)) / u[j]
-        u[i] = bands[0][i] - C - lentry(i, i - 1)
-        if abs(u[i]) <= BREAKDOWN_RATIO * (abs(bands[0][i]) + abs(C) + abs(lentry(i, i - 1))):
+            left = lbands[i - j - 1][i] = quotient(bands[i - j][i] - left, u[j])
+        u[i] = bands[0][i] - C - left
+        if abs(u[i]) <= BREAKDOWN_RATIO * (abs(bands[0][i]) + abs(C) + abs(left)):
             raise SingularLeadingMinor(i, abs(u[i]))
     return Banded(p, 0, np.vstack([np.ones(n), *lbands])), Banded(0, 1, np.vstack([np.ones(n), u]))
 
+
+def _real_quotient(t: float, u: float) -> float:
+    return t * (1.0 / u)
+
+
+def _scalar_rows(data: np.ndarray, shift) -> tuple:
+    """The rows of data and the shift as lists of scalars of one field, and their quotient.
+
+    Python floats when data is float64 and the shift (C, or a stage's
+    parameters) real, the rule of ``banded._field``, with t / u taken as
+    t * (1.0 / u), which is how numpy's complex division rounds real
+    operands; numpy complex128 scalars and their division otherwise.
+    """
+    shift = _field(shift)
+    if np.isrealobj(data) and np.isrealobj(shift):
+        return data.tolist(), shift.tolist(), _real_quotient
+    return [list(row) for row in data.astype(np.complex128)], shift.astype(np.complex128)[()], operator.truediv

@@ -10,7 +10,10 @@ arrays, the reference for ``residual``'s band-by-band comparison.
 ``gamma_table_from_json`` reads back a written gamma table, routes that
 only the tests need.  ``complex_step_tangent`` differentiates the Darboux
 chain's closed form along the KdV flow, the exact side of the commuting
-diagram at one instant.
+diagram at one instant.  ``reference_lu_factorize``, ``reference_peel``
+and ``reference_sample`` are the factorization's recurrences as they ran
+on numpy complex128 scalars in every field, before real instances ran on
+Python floats; the library must give their bytes.
 """
 
 from collections.abc import Mapping
@@ -18,9 +21,9 @@ from collections.abc import Mapping
 import numpy as np
 
 from toda_darboux.banded import Banded, ShapeError, _from_pair
-from toda_darboux.darboux import GammaTable
+from toda_darboux.darboux import SAMPLE_MARGIN, SAMPLE_RETRIES, GammaTable, PeelBreakdown, _median_modulus
 from toda_darboux.lattice import _transform_bands, kdv_rhs
-from toda_darboux.lu import SingularLeadingMinor
+from toda_darboux.lu import BREAKDOWN_RATIO, SingularLeadingMinor
 
 
 def truncate(m: Banded, size: int) -> Banded:
@@ -174,3 +177,88 @@ def complex_step_tangent(table: GammaTable, C: float = 0.0, h: float = 1e-30) ->
     """
     step = table.values + 1j * h * kdv_rhs(table)
     return _transform_bands(step, table.p, C).imag / h
+
+
+def reference_lu_factorize(J: Banded, C=0.0):
+    """``lu_factorize`` on complex128 scalars, whatever the field of J and C."""
+    # complex scratch and bands: complex division rounds unlike float, mixed scalars are slow
+    n, p, bands = J.n, J.p, tuple(J.data[J.hi :].astype(np.complex128))
+    lbands = [np.zeros(n, dtype=np.complex128) for _ in range(p)]
+    u = np.zeros(n, dtype=np.complex128)
+
+    def lentry(i, j):
+        # entry (i, j) strictly below the diagonal
+        d = i - j
+        return lbands[d - 1][i] if d <= p and j >= 0 else 0.0
+
+    for i in range(n):
+        for j in range(max(0, i - p), i):
+            lbands[i - j - 1][i] = (bands[i - j][i] - lentry(i, j - 1)) / u[j]
+        u[i] = bands[0][i] - C - lentry(i, i - 1)
+        if abs(u[i]) <= BREAKDOWN_RATIO * (abs(bands[0][i]) + abs(C) + abs(lentry(i, i - 1))):
+            raise SingularLeadingMinor(i, abs(u[i]))
+    return Banded(p, 0, np.vstack([np.ones(n), *lbands])), Banded(0, 1, np.vstack([np.ones(n), u]))
+
+
+def reference_peel(T: Banded, alphas):
+    """``peel`` on complex128 scalars, whatever the field of T and the parameters."""
+    q = T.p
+    if q < 2:
+        raise ValueError("peeling needs at least two subdiagonals")
+    alphas = np.asarray(alphas, dtype=np.complex128)
+    if alphas.shape != (q - 1,):
+        raise ValueError(f"stage needs {q - 1} parameters, got shape {alphas.shape}")
+    n = T.n
+    # lists of complex numpy scalars: the same scalar arithmetic as on arrays,
+    # without the cost of array item access, and the complex division of lu
+    tbands = [list(b) for b in T.data[T.hi :].astype(np.complex128)]
+    zero, one = np.complex128(0), 1.0 + 0j
+    d = [zero] * n
+    abands = [[zero] * n for _ in range(q - 1)]
+    for i in range(1, n):
+        if i <= q - 1:
+            di = alphas[i - 1]
+        else:
+            denom = abands[q - 2][i - 1]
+            if denom == 0:
+                raise PeelBreakdown(i)
+            di = tbands[q][i] / denom
+        d[i] = di
+        # A[i, i - dd] = T[i, i - dd] - d_i A[i - 1, i - dd], with A's unit diagonal
+        abands[0][i] = tbands[1][i] - di * one
+        for dd in range(2, q if i >= q else i + 1):
+            abands[dd - 1][i] = tbands[dd][i] - di * abands[dd - 2][i - 1]
+    return Banded(1, 0, np.vstack([np.ones(n), d])), Banded(q - 1, 0, np.vstack([np.ones(n), *abands]))
+
+
+def reference_peel_ratios(T: Banded, D: Banded, A: Banded) -> np.ndarray:
+    """Cancellation ratios of A's deepest band on rows q-1 .. n-1, from the factors."""
+    q = T.p
+    num = np.abs(A.band(q - 1)[q - 1 :])
+    den = np.abs(T.band(q - 1)[q - 1 :]) + np.abs(D.band(1)[q - 1 :] * A.band(q - 2)[q - 2 : -1])
+    return np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+
+
+def reference_sample(T: Banded, rng) -> tuple:
+    """``sample_parameters`` through ``reference_peel``: (margin, alphas, D, A) of the kept draw."""
+    d, real = T.p - 1, np.isrealobj(T.data)
+    rng = np.random.default_rng(rng)
+    scale = _median_modulus(T.band(1)[1:])
+    best, split = 0.0, None
+    for k in range(SAMPLE_RETRIES):
+        if k >= 4 and best > SAMPLE_MARGIN:
+            break
+        mod = scale * rng.uniform(1.0, 2.0, d)
+        if real:
+            alphas = mod * (rng.integers(0, 2, d) * 2.0 - 1.0)
+        else:
+            alphas = mod * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, d))
+        try:
+            D, A = reference_peel(T, alphas)
+        except PeelBreakdown:
+            continue
+        margin = float(reference_peel_ratios(T, D, A).min(initial=1.0))
+        if margin > best:
+            best, split = margin, (alphas, D, A)
+    assert best > SAMPLE_MARGIN, "no draw cleared the margin"
+    return (best, *split)

@@ -441,6 +441,18 @@ def test_non_finite_options_are_rejected(argv, option, capsys):
     assert payload["message"].startswith(f"{option} must be finite")
 
 
+@pytest.mark.parametrize("flow", [["--dt", "0"], ["--dt", "-0.001"], ["--steps", "-1"]],
+                         ids=["dt-zero", "dt-negative", "steps-negative"])
+@pytest.mark.parametrize("command", [["verify"], ["evolve", "--lattice", "toda"], ["evolve", "--lattice", "kdv"]],
+                         ids=["verify", "evolve-toda", "evolve-kdv"])
+def test_nonpositive_dt_and_negative_steps_are_rejected(command, flow, tmp_path, capsys):
+    out = tmp_path / "out"
+    code, payload = run_json(command + ["--p", "2", "--n", "8", "--out", str(out)] + flow, capsys)
+    assert code == 1
+    assert payload == {"error": "ValueError", "message": "dt must be positive and steps nonnegative"}
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag", ["--tol-pivot", "--tol-margin"])
 def test_factorization_thresholds_are_not_options(flag, capsys):
     # the pivot and margin thresholds are worked out by the library

@@ -765,8 +765,8 @@ def test_real_factorization_stores_every_factor_in_float64():
 
 @pytest.mark.parametrize("p", [2, 3, 4])
 def test_real_factors_are_the_all_complex_routes_real_parts(p, monkeypatch):
-    # lu_factorize and peel divide in complex128 in either field: numpy's complex
-    # division rounds through a reciprocal, so float division would move factor bits
+    # a real instance factors on Python floats, each quotient t * (1.0 / u) as numpy's
+    # complex division rounds it: t / u would move factor bits
     J = graded_scale(random_hessenberg(p, 64, seed=p), 0.5)
     real, real_table = darboux_factorization(J, 0.1, rng=p)
     params = real.parameters()

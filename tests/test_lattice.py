@@ -419,6 +419,17 @@ def test_kdv_blowup():
         evolve_kdv(t0, dt=1.0, steps=5)
 
 
+@pytest.mark.parametrize("lattice_name", ["toda", "kdv"])
+@pytest.mark.parametrize("steps", [-1, -5])
+def test_negative_step_count_is_rejected(lattice_name, steps):
+    J = random_hessenberg(2, 8, seed=1)
+    with pytest.raises(ValueError, match="^steps must be nonnegative$"):
+        if lattice_name == "toda":
+            evolve_toda(J, dt=1e-3, steps=steps)
+        else:
+            evolve_kdv(darboux_factorization(J, rng=1)[1], dt=1e-3, steps=steps)
+
+
 def test_trajectory_repr_and_kind():
     J = graded_scale(random_hessenberg(1, 6, seed=6), 0.3)
     traj = evolve_toda(J, dt=1e-3, steps=4)
