@@ -196,19 +196,19 @@ def random_hessenberg(p: int, n: int, seed, mode: str = "real") -> Banded:
     nonzero by construction and the instance is regular.  Passing the same
     seed reproduces the same matrix bit for bit.
     """
+    if mode not in ("real", "complex"):
+        raise ValueError(f"mode must be 'real' or 'complex', got {mode!r}")
     rng = np.random.default_rng(seed)
-    bands = []
-    for d in range(p + 1):
-        k = max(n - d, 0)
-        mod = rng.uniform(1.0, 2.0, k)
-        if mode == "real":
-            phase = rng.integers(0, 2, k) * 2.0 - 1.0
-        elif mode == "complex":
-            phase = np.exp(2j * np.pi * rng.uniform(0.0, 1.0, k))
-        else:
-            raise ValueError(f"mode must be 'real' or 'complex', got {mode!r}")
-        bands.append(mod * phase)
-    return BandedHessenberg(p, n, tuple(bands))
+    bands = [_draw(rng, max(n - d, 0), 1.0, mode == "real") for d in range(p + 1)]
+    return BandedHessenberg(p, n, bands)
+
+
+def _draw(rng, k: int, scale, real: bool) -> np.ndarray:
+    """k values of modulus scale times uniform in [1, 2]: a random sign if real, else a random phase."""
+    mod = scale * rng.uniform(1.0, 2.0, k)
+    if real:
+        return mod * (rng.integers(0, 2, k) * 2.0 - 1.0)
+    return mod * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, k))
 
 
 def graded_scale(m: Banded, factor) -> Banded:
@@ -280,11 +280,11 @@ def from_json_dict(payload: Mapping) -> Banded:
     offsets missing in between read as zero.
     """
     try:
-        p = int(payload["p"])
-        n = int(payload["n"])
-        raw = payload["bands"]
-    except (KeyError, TypeError, ValueError) as exc:
+        p, n, raw = payload["p"], payload["n"], payload["bands"]
+    except (KeyError, TypeError) as exc:
         raise ShapeError(f"malformed matrix payload: {exc}") from None
+    if type(p) is not int or type(n) is not int:  # a JSON integer: no bool, float or string
+        raise ShapeError(f"p={p!r} and n={n!r} must be JSON integers")
     if not isinstance(raw, Mapping):
         raise ShapeError("matrix bands must map offsets to [re, im] lists")
     if n < 1:

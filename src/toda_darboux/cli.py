@@ -43,7 +43,8 @@ from .darboux import (
 )
 from .lattice import (
     BlowUp,
-    _cpus,
+    _bounds,
+    _entry_id,
     _report,
     evolve_kdv,
     evolve_toda,
@@ -168,28 +169,6 @@ def cmd_transform(args) -> int:
 _ENTRIES_PER_WORKER = 8000
 
 
-def _workers(samples: int, entries: int) -> int:
-    """Processes that format the CSV: one per CPU, each with enough entries.
-
-    One, so the caller writes serially, where the platform lacks fork or
-    memfd_create, or where another thread runs, because a forked child holds
-    only the thread that forked it; lattice._cpus gives one where it lacks
-    CPU affinity.
-    """
-    needed = ("fork", "memfd_create")
-    if threading.active_count() > 1 or not all(hasattr(os, name) for name in needed):
-        return 1
-    return max(1, min(_cpus(), samples * entries // _ENTRIES_PER_WORKER, samples))
-
-
-def _entry_ids(traj) -> list:
-    """The CSV's entry ids of one sample, in row order: band by band, row by row."""
-    if traj.kind == "kdv":
-        return [f"gamma[{k}]" for k in range(1, traj.data.shape[1] + 1)]
-    bands, n = traj.data.shape[1:]
-    return [f"a[{i},{i - d}]" for d in range(bands) for i in range(d, n)]
-
-
 def _write_rows(fh, times: list, samples: np.ndarray, heads: list) -> None:
     """Write the CSV rows of consecutive samples to fh, one write per sample.
 
@@ -226,12 +205,15 @@ def _write_csv(fh, traj) -> None:
     Each chunk after the first is formatted by a forked child into an
     anonymous file while this process writes the first chunk to fh; the
     children's files are then appended in order, so the bytes are those of
-    the serial loop.  With one worker the loop runs here alone.
+    the serial loop.  With one worker the loop runs here alone: where the
+    platform lacks fork or memfd_create, or where another thread runs, as a
+    forked child holds only the thread that forked it.
     """
-    samples, heads = traj.data, [f",{eid}," for eid in _entry_ids(traj)]
-    times = traj.times.tolist()
-    workers = _workers(len(samples), len(heads))
-    bounds = [len(samples) * k // workers for k in range(workers + 1)]
+    # a sample's stored entries in row order: band d's rows d..n-1, or every gamma
+    samples, times = traj.data, traj.times.tolist()
+    heads = [f",{_entry_id(at)}," for at in np.ndindex(samples.shape[1:]) if at[-1] >= at[0]]
+    forks = threading.active_count() == 1 and hasattr(os, "fork") and hasattr(os, "memfd_create")
+    bounds = _bounds(len(samples), len(samples) * len(heads) // _ENTRIES_PER_WORKER if forks else 1)
     fds, pids = [], []  # of chunks 1.., in order; pids holds the children not yet reaped
     try:
         for lo, hi in zip(bounds[1:-1], bounds[2:]):

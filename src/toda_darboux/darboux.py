@@ -18,14 +18,14 @@ machinery here makes that parameter count concrete:
 
 * ``peel`` splits one bidiagonal factor off a unit lower banded matrix,
   narrowing its bandwidth by one; the free entries of the split factor
-  are exactly the parameters of that stage.
-* ``sample_parameters`` draws stage parameters scaled to the stage, in
-  its field, and peels each draw into plain rows; its margin, the
-  smallest row cancellation ratio of the peel, read off those rows,
-  vanishes exactly where a later peel would divide by zero.
-  The best of four draws is kept once it clears the margin, and only the
-  kept draw's rows become ``Banded`` factors.  The dense
-  minors of ``hyperplane_determinant`` bound the same set, as an oracle.
+  are exactly the parameters of that stage.  A stage peels into plain
+  rows, whose smallest cancellation ratio (the margin) vanishes exactly
+  where a later peel would divide by zero; only passing rows become factors.
+* ``sample_parameters`` draws parameters scaled to the stage, in its field,
+  as ``random_hessenberg`` draws entries, and keeps the best of four once
+  its margin clears SAMPLE_MARGIN; explicit parameters must keep every ratio
+  above BREAKDOWN_RATIO.  The dense minors of ``hyperplane_determinant``
+  bound the same set, as an oracle.
 * ``factors_to_table`` reads the gamma table off the n x n factors: n
   columns, the last holding the last pivot u_{n-1} and p zeros, as no
   factor has a row n.  This table is the whole finite system, and its
@@ -54,7 +54,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .banded import Banded, ShapeError, _field, _from_pair, _pair, _pairs, multiply_chain
+from .banded import Banded, ShapeError, _draw, _field, _from_pair, _pair, _pairs, multiply_chain
 from .banded import from_json_dict as matrix_from_json, to_json_dict as matrix_json
 from .lu import BREAKDOWN_RATIO, _scalar_rows, lu_factorize
 
@@ -285,10 +285,8 @@ def enumerate_indices(j: int, k: int, p: int) -> list:
     """
     if not 0 <= k <= p:
         raise ValueError(f"band offset k={k} outside 0..{p}")
-    lo, hi = j + k + 1, j + p + 1
-    tuples = [t[::-1] for t in itertools.combinations_with_replacement(range(lo, hi + 1), k + 1)]
-    tuples.sort()
-    return tuples
+    # drawn from a descending range, the tuples are weakly decreasing and come in descending order
+    return list(itertools.combinations_with_replacement(range(j + p + 1, j + k, -1), k + 1))[::-1]
 
 
 def enumerate_indices_tilde(k: int, p: int) -> list:
@@ -332,18 +330,17 @@ def hyperplane_determinant(T: Banded, r: int, k: int) -> complex:
 def _peel_ratios(T: Banded, d, abands) -> np.ndarray:
     """Cancellation ratios of A's deepest band on rows q-1 .. n-1, from the rows of a peel.
 
-    ``d`` is the subdiagonal of D and ``abands`` the subdiagonals of A at
-    offsets 1 .. q-1, as ``_peel_rows`` returns them or as bands of the
-    factors.  Row i computes A_{q-1}[i] = T_{q-1}[i] - d_i A_{q-2}[i-1]
+    ``d`` is D's subdiagonal and ``abands`` A's subdiagonals 1 .. q-1, the rows of
+    ``_peel_rows``.  Row i computes A_{q-1}[i] = T_{q-1}[i] - d_i A_{q-2}[i-1]
     (A_0 is the unit diagonal), and the ratio |A_{q-1}[i]| / (|T_{q-1}[i]| +
-    |d_i A_{q-2}[i-1]|) lies in [0, 1]; it is 0 when the entry cancels
-    exactly, and such an entry is the peel denominator of row i + 1 (row n
-    lies past the truncation).  The ratios are invariant under graded scaling.
+    |d_i A_{q-2}[i-1]|) lies in [0, 1]; it is 0 when the entry cancels exactly,
+    and such an entry is the peel denominator of row i + 1 (row n lies past the
+    truncation).  The ratios are invariant under graded scaling.
     """
     q = T.p
-    prev = np.asarray(abands[q - 3][q - 2 : -1]) if q > 2 else 1.0
-    num = np.abs(np.asarray(abands[q - 2][q - 1 :]))
-    den = np.abs(T.band(q - 1)[q - 1 :]) + np.abs(np.asarray(d[q - 1 :]) * prev)
+    prev = abands[q - 3][q - 2 : -1] if q > 2 else 1.0
+    num = np.abs(abands[q - 2][q - 1 :])
+    den = np.abs(T.band(q - 1)[q - 1 :]) + np.abs(np.multiply(d[q - 1 :], prev))
     return np.divide(num, den, out=np.zeros_like(num), where=den > 0)
 
 
@@ -374,13 +371,8 @@ def sample_parameters(T: Banded, rng) -> tuple:
     for k in range(SAMPLE_RETRIES):
         if k >= 4 and best > SAMPLE_MARGIN:
             break
-        mod = scale * rng.uniform(1.0, 2.0, d)
-        if real:
-            alphas = mod * (rng.integers(0, 2, d) * 2.0 - 1.0)
-        else:
-            alphas = mod * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, d))
         try:
-            rows = _peel_rows(T, alphas)
+            rows = _peel_rows(T, _draw(rng, d, scale, real))
         except PeelBreakdown:
             continue
         # a NaN margin never beats best, which starts at 0
@@ -468,12 +460,12 @@ def darboux_factorize(L: Banded, params=None, rng=None) -> tuple:
     current = L
     for s in range(p - 1):
         if params is not None:
-            d, A = peel(current, params.alphas[s])
-            ratio = _peel_ratios(current, d.band(1), A.bands[1:])
+            rows = _peel_rows(current, params.alphas[s])
+            ratio = _peel_ratios(current, *rows)
             if not np.all(ratio > BREAKDOWN_RATIO):
                 k = int(ratio.argmin())  # a NaN ratio is the first argmin
                 raise PeelBreakdown(current.p + k, float(ratio[k]))
-            current = A
+            d, current = _split(*rows)
         else:
             d, current = sample_parameters(current, rng)
         factors.append(d)

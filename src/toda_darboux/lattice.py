@@ -316,6 +316,17 @@ def _cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
+def _bounds(count: int, limit: int) -> list:
+    """Bounds of count items in contiguous runs, one per CPU but no more than limit, at least one."""
+    runs = max(1, min(_cpus(), limit, count))
+    return [count * k // runs for k in range(runs + 1)]
+
+
+def _entry_id(at: tuple) -> str:
+    """Id of the entry at (d, i) of a sample's Toda bands, or at (k,) of its gamma table."""
+    return f"a[{at[1]},{at[1] - at[0]}]" if len(at) == 2 else f"gamma[{at[0] + 1}]"
+
+
 def _worse(v: float, worst: float) -> bool:
     """Whether v replaces worst: only a strictly larger number, or a first NaN."""
     return v > worst or (v != v and worst == worst)
@@ -334,8 +345,7 @@ def _sweep(residual, starts: range, hi: int, block: int):
             v = float(res.flat[k])
             if _worse(v, worst):
                 m, *at = map(int, np.unravel_index(k, res.shape))
-                entry = f"a[{at[1]},{at[1] - at[0]}]" if res.ndim == 3 else f"gamma[{at[0] + 1}]"
-                worst, arg = v, (entry, m0 + m)
+                worst, arg = v, (_entry_id(at), m0 + m)
     return worst, arg
 
 
@@ -369,10 +379,9 @@ def _worst(residuals, lo: int, hi: int, block: int):
     rule, so the report is the serial one.  A single run starts no thread.
     """
     starts = range(lo, hi, block)
-    workers = max(1, min(_cpus(), len(starts) // _RUN_BLOCKS))
-    bounds = [len(starts) * k // workers for k in range(workers + 1)]
+    bounds = _bounds(len(starts), len(starts) // _RUN_BLOCKS)
     runs = [starts[a:b] for a, b in zip(bounds, bounds[1:])]
-    results = [None] * workers
+    results = [None] * len(runs)
 
     def sweep(k, residual):
         try:
@@ -382,7 +391,7 @@ def _worst(residuals, lo: int, hi: int, block: int):
 
     threads = []
     try:
-        for k in range(1, workers):
+        for k in range(1, len(runs)):
             run = contextvars.copy_context().run
             thread = threading.Thread(target=run, args=(sweep, k, residuals()))
             thread.start()
@@ -511,7 +520,7 @@ def reconstruct_transform(table: GammaTable, j: int, C=0.0) -> Banded:
 
     Every entry is the closed form of backlund_entry, evaluated for the
     whole chain J^(0..p) at once and equal to it bit for bit.  A column
-    sums 2^(p+1) - 1 index tuples, each band's built and sorted in full by
+    sums 2^(p+1) - 1 index tuples, each band's built in full by
     enumerate_indices, so time and memory grow like 2^p.
     """
     if not 0 <= j <= table.p:

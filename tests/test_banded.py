@@ -311,6 +311,11 @@ def test_random_hessenberg_moduli_and_regularity(mode):
         assert np.abs(J.to_dense().imag).max() > 0
 
 
+def test_random_hessenberg_rejects_an_unknown_mode():
+    with pytest.raises(ValueError, match="mode must be 'real' or 'complex', got 'imaginary'"):
+        random_hessenberg(2, 5, seed=1, mode="imaginary")
+
+
 def test_graded_scale_bands_and_superdiagonal():
     J = random_hessenberg(2, 6, seed=6)
     lam = 0.3
@@ -407,6 +412,38 @@ def test_json_rejects_wrong_band_length():
     payload = to_json_dict(random_hessenberg(1, 4, seed=10))
     payload["bands"]["1"] = payload["bands"]["1"][:-1]
     with pytest.raises(ShapeError):
+        from_json_dict(payload)
+
+
+@pytest.mark.parametrize("key", ["p", "n"])
+@pytest.mark.parametrize("value", [2.7, 2.0, "2", True, None, [2]],
+                         ids=["fraction", "float", "string", "bool", "null", "list"])
+def test_json_rejects_p_and_n_that_are_not_integers(key, value):
+    payload = to_json_dict(random_hessenberg(2, 4, seed=9))
+    payload[key] = value
+    with pytest.raises(ShapeError, match="p=.* and n=.* must be JSON integers"):
+        from_json_dict(payload)
+
+
+def drop(key):
+    def edit(payload):
+        del payload[key]
+    return edit
+
+
+@pytest.mark.parametrize("edit,message", [
+    (drop("p"), "malformed matrix payload: 'p'"),
+    (drop("n"), "malformed matrix payload: 'n'"),
+    (drop("bands"), "malformed matrix payload: 'bands'"),
+    (lambda payload: payload.update(n=0), "size n=0 must be at least 1"),
+    (lambda payload: payload.update(n=-3), "size n=-3 must be at least 1"),
+    (lambda payload: payload["bands"].update({"x": []}), "band key 'x' is not an integer offset"),
+    (lambda payload: payload["bands"].update({"1.0": []}), "band key '1.0' is not an integer"),
+], ids=["no-p", "no-n", "no-bands", "n-zero", "n-negative", "key-x", "key-float"])
+def test_json_rejects_a_malformed_matrix_payload(edit, message):
+    payload = to_json_dict(random_hessenberg(2, 4, seed=9))
+    edit(payload)
+    with pytest.raises(ShapeError, match=message):
         from_json_dict(payload)
 
 

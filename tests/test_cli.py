@@ -370,6 +370,22 @@ def test_transform_nan_factor_entry_fails(tmp_path, capsys):
     assert out["message"].startswith("band 1 entry 3: ")
 
 
+@pytest.mark.parametrize("key,value", [("p", 1.9), ("p", 1.0), ("p", "1"), ("p", True),
+                                       ("n", 8.5), ("n", 8.0), ("n", "8")])
+def test_transform_rejects_a_factor_size_that_is_not_a_json_integer(key, value, tmp_path, capsys):
+    fpath = tmp_path / "factors.json"
+    assert main(["factorize", "--p", "2", "--n", "8", "--seed", "5", "--out", str(fpath)]) == 0
+    capsys.readouterr()
+    payload = json.loads(fpath.read_text())
+    payload["factors"]["factors"][0][key] = value
+    fpath.write_text(json.dumps(payload))
+    code = main(["transform", "--factors", str(fpath), "--i", "1"])
+    assert code == 1
+    out = json.loads(capsys.readouterr().out, parse_constant=reject_constant)
+    assert out["error"] == "ShapeError"
+    assert out["message"].endswith("must be JSON integers")
+
+
 def test_transform_index_out_of_range(capsys):
     code, payload = run_json(["transform", "--p", "2", "--i", "5"], capsys)
     assert code == 1

@@ -97,6 +97,21 @@ def test_enumerate_indices_matches_brute_force(p):
             assert len(got) == math.comb(p + 1, k + 1)
 
 
+def reverse_and_sort_indices(j, k, p):
+    """The earlier route of enumerate_indices: reverse every ascending tuple, then sort."""
+    lo, hi = j + k + 1, j + p + 1
+    tuples = [t[::-1] for t in itertools.combinations_with_replacement(range(lo, hi + 1), k + 1)]
+    tuples.sort()
+    return tuples
+
+
+@pytest.mark.parametrize("p", range(1, 10))
+def test_enumerate_indices_is_the_reverse_and_sort_route(p):
+    for j in range(p + 1):
+        for k in range(p + 1):
+            assert enumerate_indices(j, k, p) == reverse_and_sort_indices(j, k, p)
+
+
 def test_enumerate_indices_rejects_bad_band_offset():
     with pytest.raises(ValueError):
         enumerate_indices(3, 3, 2)
@@ -348,6 +363,13 @@ def test_peel_breakdown_on_vanishing_denominator():
     assert err.value.row == 2
 
 
+@pytest.mark.parametrize("count", [0, 1, 3])
+def test_peel_rejects_a_wrong_parameter_count(count):
+    T = random_unit_lower(3, 8, seed=31)
+    with pytest.raises(ValueError, match=rf"stage needs 2 parameters, got shape \({count},\)"):
+        peel(T, np.full(count, 0.5))
+
+
 # ---------------------------------------------------------------------------
 # the full splitting
 
@@ -572,6 +594,28 @@ def test_darboux_factors_json_round_trip():
     assert np.array_equal(again.U.band(0), factors.U.band(0))
     for a, b in zip(again.factors, factors.factors):
         assert np.array_equal(a.band(1), b.band(1))
+
+
+@pytest.mark.parametrize("key", ["C", "U", "factors"])
+def test_factor_payload_without_a_key_is_rejected(key):
+    _, factors, _ = pipeline(2, 6, seed=15)
+    payload = factors.to_json_dict()
+    del payload[key]
+    with pytest.raises(ValueError, match=f"malformed factor payload: '{key}'"):
+        DarbouxFactors.from_json_dict(payload)
+
+
+@pytest.mark.parametrize("p,columns,size,message", [
+    (0, 2, 2, "invalid table shape p=0, columns=2"),
+    (1, 0, 0, "invalid table shape p=1, columns=0"),
+    (2, 2, 5, r"table needs 6 entries, got \(5,\)"),
+    (1, 2, 5, r"table needs 4 entries, got \(5,\)"),
+])
+def test_gamma_table_rejects_a_bad_shape(p, columns, size, message):
+    with pytest.raises(ValueError, match=message):
+        GammaTable(p, columns, np.ones(size))
+    with pytest.raises(ValueError, match=message):
+        gamma_table_from_json({"p": p, "columns": columns, "gamma": [[1, 0]] * size})
 
 
 def test_factor_payload_without_U_is_rejected():

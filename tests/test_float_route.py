@@ -57,7 +57,7 @@ def assert_factorizations_match_reference(J, C, seed, field):
         T = rA
     assert_same(factors[-1], T)
 
-    # explicit: the kept parameters peeled again, through peel and the stage guard
+    # explicit: the kept parameters peeled again into rows, through the stage guard
     params = ParameterSet(tuple(kept))
     explicit, T = darboux_factorize(L, params), L
     for D, alphas in zip(explicit, params.alphas):
