@@ -43,7 +43,6 @@ from .darboux import (
 )
 from .lattice import (
     BlowUp,
-    _bounds,
     _entry_id,
     _report,
     evolve_kdv,
@@ -167,6 +166,17 @@ def cmd_transform(args) -> int:
 # 0.65 us per float (2-core x86-64, Python 3.11.7): a worker's share of at
 # least this many entries spends twice its fork's cost in repr.
 _ENTRIES_PER_WORKER = 8000
+
+
+def _cpus() -> int:
+    """CPUs this process may run on; 1 where the platform lacks CPU affinity."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _bounds(count: int, limit: int) -> list:
+    """Bounds of count items in contiguous runs, one per CPU but no more than limit, at least one."""
+    runs = max(1, min(_cpus(), limit, count))
+    return [count * k // runs for k in range(runs + 1)]
 
 
 def _write_rows(fh, times: list, samples: np.ndarray, heads: list) -> None:

@@ -266,7 +266,10 @@ class DarbouxFactors:
             raise ValueError("factor payload has no U")
         if not isinstance(fs, list):
             raise ValueError("factor payload needs a list of lower factors")
-        return cls(matrix_from_json(u), tuple(matrix_from_json(f) for f in fs), c)
+        factors = cls(matrix_from_json(u), tuple(matrix_from_json(f) for f in fs), c)
+        if factors.n <= factors.p:  # the product then has fewer than p subdiagonals
+            raise ShapeError(f"factor size n={factors.n} must exceed the lower factor count p={factors.p}")
+        return factors
 
     def __repr__(self):
         return f"DarbouxFactors(p={self.p}, n={self.n}, C={self.C})"

@@ -33,12 +33,8 @@ per trajectory to 0-d arrays of the state's dtype (as numpy casts a Python
 number), so no pass converts a Python number, and passes ``out`` positionally.
 Every array lattice allocates starts on a 64-byte boundary, as one inside a
 cache line splits vector loads across two lines.
-A sweep of at least 2 * _RUN_BLOCKS blocks, in a process that may run on
-more than one CPU, splits its blocks into contiguous runs of _RUN_BLOCKS or
-more, at most one per CPU, each swept in its own thread with its own kernel
-and buffers (numpy releases the GIL inside its loops); the runs are merged in
-sample order, so its report is the serial one.  A shorter sweep, or a
-one-CPU process, starts no thread.
+Every check is one sweep in the caller's thread with one set of block buffers
+(and, for a verifier, one kernel); a float64 block takes its abs in place.
 Both flows are finite systems: entries past the matrix or the table read
 as zero.  The n x n Toda lattice and the KdV lattice of the n-column
 table (``factors_to_table``, last column (u_{n-1}, 0, ..., 0)) are then
@@ -48,12 +44,9 @@ and Symes), so every check covers every entry.
 
 from __future__ import annotations
 
-import contextvars
 import functools
 import math
 import operator
-import os
-import threading
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -311,31 +304,25 @@ def evolve_kdv(table0: GammaTable, dt: float = 1e-3, steps: int = 100) -> Trajec
 # verification
 
 
-def _cpus() -> int:
-    """CPUs this process may run on; 1 where the platform lacks CPU affinity."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-
-
-def _bounds(count: int, limit: int) -> list:
-    """Bounds of count items in contiguous runs, one per CPU but no more than limit, at least one."""
-    runs = max(1, min(_cpus(), limit, count))
-    return [count * k // runs for k in range(runs + 1)]
-
-
 def _entry_id(at: tuple) -> str:
     """Id of the entry at (d, i) of a sample's Toda bands, or at (k,) of its gamma table."""
     return f"a[{at[1]},{at[1] - at[0]}]" if len(at) == 2 else f"gamma[{at[0] + 1}]"
 
 
-def _worse(v: float, worst: float) -> bool:
-    """Whether v replaces worst: only a strictly larger number, or a first NaN."""
-    return v > worst or (v != v and worst == worst)
+def _worst(residual, lo: int, hi: int, block: int):
+    """Worst residual over samples lo..hi-1, swept in blocks of samples, and its (entry, sample).
 
-
-def _sweep(residual, starts: range, hi: int, block: int):
-    """Worst residual over the blocks that start at starts, and its (entry, sample)."""
+    ``residual(m0)`` gives samples m0..m0+block-1 of Toda band residuals
+    (block, p + 1, rows), whose d slots before band d's first row are zeroed
+    here, or of gamma residuals (block, size).  Every block has
+    block <= hi - lo samples, so the last starts at hi - block and may sweep
+    samples again.  Only a strictly larger entry in C order replaces the
+    worst, so on ties the first sample, then band and row, wins, and a sample
+    swept again changes nothing; a NaN is worse than any number.  The
+    location is () while nothing exceeds zero.
+    """
     worst, arg = 0.0, ()
-    for m0 in starts:
+    for m0 in range(lo, hi, block):
         m0 = min(m0, hi - block)
         res = residual(m0)
         for d in range(1, res.shape[1] if res.ndim == 3 else 0):
@@ -343,94 +330,35 @@ def _sweep(residual, starts: range, hi: int, block: int):
         if res.size:
             k = int(np.argmax(res))  # argmax stops at the first NaN
             v = float(res.flat[k])
-            if _worse(v, worst):
+            if v > worst or (v != v and worst == worst):
                 m, *at = map(int, np.unravel_index(k, res.shape))
                 worst, arg = v, (_entry_id(at), m0 + m)
     return worst, arg
 
 
-# A worker thread repays its start, its kernel and its fresh block buffers only
-# over a run of at least this many blocks: split in two on two CPUs (x86-64,
-# numpy 2.4, p = 1-3, real and complex), verify_toda and verify_kdv sweeps of
-# 2 blocks took 1.1-1.8x as long as serial ones, of 8 blocks 0.8-1.2x, and of
-# 16-24 blocks 0.6-0.9x.
-_RUN_BLOCKS = 8
-
-
-def _worst(residuals, lo: int, hi: int, block: int):
-    """Worst residual over samples lo..hi-1, swept in blocks of samples, and its (entry, sample).
-
-    ``residuals()`` builds a function with its own buffers: ``residual(m0)``
-    gives samples m0..m0+block-1 of Toda band residuals (block, p + 1, rows),
-    whose d slots before band d's first row are zeroed here, or of gamma
-    residuals (block, size).  Every block has block <= hi - lo samples, so
-    the last starts at hi - block and may sweep samples again.  Only a
-    strictly larger entry in C order replaces the worst, so on ties the
-    first sample, then band and row, wins, and a sample swept again changes
-    nothing; a NaN is worse than any number.  The location is () while
-    nothing exceeds zero.
-
-    The blocks are split into contiguous runs, at most one per CPU and, if
-    more than one, each of _RUN_BLOCKS blocks or more; every run is swept
-    through its own residual function: the first here, the others in
-    threads that run in a copy of this context, as numpy's error state is a
-    context variable.  Every thread is joined before this raises the first
-    run's exception or merges the runs' results in sample order by the same
-    rule, so the report is the serial one.  A single run starts no thread.
-    """
-    starts = range(lo, hi, block)
-    bounds = _bounds(len(starts), len(starts) // _RUN_BLOCKS)
-    runs = [starts[a:b] for a, b in zip(bounds, bounds[1:])]
-    results = [None] * len(runs)
-
-    def sweep(k, residual):
-        try:
-            results[k] = _sweep(residual, runs[k], hi, block)
-        except BaseException as exc:
-            results[k] = exc
-
-    threads = []
-    try:
-        for k in range(1, len(runs)):
-            run = contextvars.copy_context().run
-            thread = threading.Thread(target=run, args=(sweep, k, residuals()))
-            thread.start()
-            threads.append(thread)
-        sweep(0, residuals())
-    finally:
-        for thread in threads:
-            thread.join()
-    for result in results:
-        if isinstance(result, BaseException):
-            raise result
-    return functools.reduce(lambda a, b: b if _worse(b[0], a[0]) else a, results)
-
-
 def _central(data: np.ndarray, dt: float, kernel, p: int):
     """_worst of central differences against kernel's rhs, over every entry.
 
-    Each residual function builds one kernel and its block buffers; each
-    block computes (a - b) / (2 dt) - rhs, then abs, in that order.
+    The sweep builds one kernel and one set of block buffers; each block
+    computes (a - b) / (2 dt) - rhs, then abs, in that order, into diff
+    itself for float64 data.
     """
     if len(data) < 3:
         raise InsufficientSamples(f"need at least 3 samples, have {len(data)}")
     shape = (min(max(1, _BLOCK_BYTES // data[0].nbytes), len(data) - 2), *data.shape[1:])
+    diff, slope = _empty(shape, data.dtype), _empty(shape, data.dtype)
+    res = diff if data.dtype == float else _empty(shape, float)
+    arg, rhs = kernel(shape, data.dtype, p)
 
-    def residuals():
-        diff, slope, res = (_empty(shape, t) for t in (data.dtype, data.dtype, float))
-        arg, rhs = kernel(shape, data.dtype, p)
+    def residual(m0):
+        m1 = m0 + shape[0]
+        np.subtract(data[m0 + 1 : m1 + 1], data[m0 - 1 : m1 - 1], out=diff)
+        np.divide(diff, 2 * dt, out=diff)
+        arg[...] = data[m0:m1]
+        rhs(slope)
+        return np.abs(np.subtract(diff, slope, out=diff), out=res)
 
-        def residual(m0):
-            m1 = m0 + shape[0]
-            np.subtract(data[m0 + 1 : m1 + 1], data[m0 - 1 : m1 - 1], out=diff)
-            np.divide(diff, 2 * dt, out=diff)
-            arg[...] = data[m0:m1]
-            rhs(slope)
-            return np.abs(np.subtract(diff, slope, out=diff), out=res)
-
-        return residual
-
-    return _worst(residuals, 1, len(data) - 1, shape[0])
+    return _worst(residual, 1, len(data) - 1, shape[0])
 
 
 def verify_toda(traj: Trajectory, tol: float) -> ResidualReport:
@@ -565,17 +493,15 @@ def theorem1_diagram(
     block = min(max(1, _BLOCK_BYTES // direct[0].nbytes), len(direct))
     dtype = np.result_type(direct, recon[0])
 
-    def path_residuals():
-        diff, res = (_empty(direct[:block].shape, t) for t in (dtype, float))
+    diff = _empty(direct[:block].shape, dtype)
+    res = diff if dtype == float else _empty(diff.shape, float)
 
-        def path_residual(m0):
-            m1 = m0 + block
-            np.subtract(direct[m0:m1], recon[0][m0:m1], out=diff)
-            return np.abs(diff, out=res)
+    def path_residual(m0):
+        m1 = m0 + block
+        np.subtract(direct[m0:m1], recon[0][m0:m1], out=diff)
+        return np.abs(diff, out=res)
 
-        return path_residual
-
-    worst, arg = _worst(path_residuals, 0, len(direct), block)
+    worst, arg = _worst(path_residual, 0, len(direct), block)
     reports = {"path": _report("path agreement", worst, arg, tol_path)}
 
     if len(traj_table) >= 3:

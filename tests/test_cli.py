@@ -386,6 +386,19 @@ def test_transform_rejects_a_factor_size_that_is_not_a_json_integer(key, value, 
     assert out["message"].endswith("must be JSON integers")
 
 
+@pytest.mark.parametrize("p,n", [(1, 1), (2, 2)])
+def test_transform_rejects_factors_no_larger_than_their_count(p, n, tmp_path, capsys):
+    # factorize never writes such a file: its product has fewer than p subdiagonals
+    U = banded.Banded(0, 1, np.array([np.ones(n), np.arange(2.0, n + 2)]))
+    L = banded.Banded(1, 0, np.array([np.ones(n), np.full(n, 0.5)]))
+    fpath = tmp_path / "factors.json"
+    fpath.write_text(json.dumps(DarbouxFactors(U, (L,) * p).to_json_dict()))
+    code, out = run_json(["transform", "--factors", str(fpath), "--i", "0"], capsys)
+    assert code == 1
+    assert out == {"error": "ShapeError",
+                   "message": f"factor size n={n} must exceed the lower factor count p={p}"}
+
+
 def test_transform_index_out_of_range(capsys):
     code, payload = run_json(["transform", "--p", "2", "--i", "5"], capsys)
     assert code == 1

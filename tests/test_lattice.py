@@ -1,8 +1,7 @@
 """Flows, residual checks, and the commuting-diagram verification."""
 
-import sys
+import os
 import threading
-import time
 import tracemalloc
 from collections.abc import Sequence
 
@@ -296,16 +295,20 @@ def test_lattice_buffers_start_on_a_cache_line(mode, monkeypatch):
     for verify, traj in ((verify_toda, toda), (verify_kdv, kdv)):
         made.clear()
         verify(traj, 1.0)
-        # diff, slope and res for the 39 interior samples, then the kernel's own buffers
-        assert [(a.dtype, a.shape) for a in made[:3]] == [
-            (t, (39, *traj.data.shape[1:])) for t in (dtype, dtype, np.float64)]
+        # diff and slope for the 39 interior samples, a float64 res only for complex
+        # data (float64 residuals overwrite diff), then the kernel's own buffers
+        block = (39, *traj.data.shape[1:])
+        want = [dtype, dtype] if mode == "real" else [dtype, dtype, np.float64]
+        assert [(a.dtype, a.shape) for a in made[: len(want)]] == [(t, block) for t in want]
+        assert made[len(want)].shape != block
         assert all(a.ctypes.data % 64 == 0 for a in made)
     made.clear()
     theorem1_diagram(J, 0.05, rng=np.random.default_rng(4), steps=4)
-    # the path check's difference in the instance's field and float64 residual, on all n rows
-    shapes = [(a.dtype, a.shape) for a in made]
+    # on all n rows: RK4's Toda trajectory, then the path check's difference in the
+    # instance's field, and a float64 residual only for complex data
     block = (5, 4, J.n)
-    assert (dtype, block) in shapes and (np.float64, block) in shapes
+    shapes = [(a.dtype, a.shape) for a in made if a.shape == block]
+    assert shapes == [(dtype, block)] * 2 + ([] if mode == "real" else [(np.float64, block)])
     assert all(a.ctypes.data % 64 == 0 for a in made)
 
 
@@ -596,12 +599,6 @@ def test_array_flows_equal_per_state_route_bit_for_bit(p, mode, monkeypatch):
         assert (rep.max_residual, rep.argmax) == kdv_want
 
 
-def force_workers(monkeypatch, workers):
-    """Split every sweep of at least `workers` blocks into `workers` runs."""
-    monkeypatch.setattr(lattice, "_cpus", lambda: workers)
-    monkeypatch.setattr(lattice, "_RUN_BLOCKS", 1)
-
-
 def test_verifier_sweep_builds_one_kernel(monkeypatch):
     J = graded_scale(random_hessenberg(2, 16, seed=6), 0.4)
     _, table = darboux_factorization(J, 0.1, rng=np.random.default_rng(6))
@@ -616,18 +613,20 @@ def test_verifier_sweep_builds_one_kernel(monkeypatch):
 
     monkeypatch.setattr(lattice, "_toda_kernel", counting(lattice._toda_kernel))
     monkeypatch.setattr(lattice, "_kdv_kernel", counting(lattice._kdv_kernel))
-    for workers in (1, 2, 3):
-        force_workers(monkeypatch, workers)
-        for traj, verify in ((toda, verify_toda), (kdv, verify_kdv)):
-            # 99 interior samples in blocks of 8: twelve blocks, and a thirteenth
-            # that starts five samples early, through one kernel per worker
-            monkeypatch.setattr(lattice, "_BLOCK_BYTES", 8 * traj.data[0].nbytes)
-            built.clear()
-            verify(traj, 1.0)
-            assert built == [(8, *traj.data.shape[1:])] * workers
+    for traj, verify in ((toda, verify_toda), (kdv, verify_kdv)):
+        # 99 interior samples in blocks of 8: twelve blocks, and a thirteenth
+        # that starts five samples early, through one kernel
+        monkeypatch.setattr(lattice, "_BLOCK_BYTES", 8 * traj.data[0].nbytes)
+        built.clear()
+        verify(traj, 1.0)
+        assert built == [(8, *traj.data.shape[1:])]
 
 
-def count_started_threads(monkeypatch):
+def test_no_check_starts_a_thread_on_many_cpus(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
+    J = graded_scale(random_hessenberg(2, 16, seed=6), 0.4)
+    _, table = darboux_factorization(J, 0.1, rng=np.random.default_rng(6))
+    toda, kdv = evolve_toda(J, dt=1e-3, steps=100), evolve_kdv(table, dt=1e-3, steps=100)
     started, start = [], threading.Thread.start
 
     def counted_start(thread):
@@ -635,163 +634,87 @@ def count_started_threads(monkeypatch):
         start(thread)
 
     monkeypatch.setattr(threading.Thread, "start", counted_start)
-    return started
-
-
-def test_a_single_block_sweep_starts_no_thread(monkeypatch):
-    J = graded_scale(random_hessenberg(2, 16, seed=6), 0.4)
-    traj = evolve_toda(J, dt=1e-3, steps=100)
-    force_workers(monkeypatch, 3)
-    started = count_started_threads(monkeypatch)
-    # the default block holds all 99 interior samples; one CPU sweeps thirteen serially
-    verify_toda(traj, 1.0)
-    monkeypatch.setattr(lattice, "_BLOCK_BYTES", 8 * traj.data[0].nbytes)
-    force_workers(monkeypatch, 1)
-    verify_toda(traj, 1.0)
+    # four-sample blocks: 25 blocks per sweep of 99 interior samples, 26 for the path
+    monkeypatch.setattr(lattice, "_BLOCK_BYTES", 4 * toda.data[0].nbytes)
+    verify_toda(toda, 1.0)
+    monkeypatch.setattr(lattice, "_BLOCK_BYTES", 4 * kdv.data[0].nbytes)
+    verify_kdv(kdv, 1.0)
+    monkeypatch.setattr(lattice, "_BLOCK_BYTES", 4 * toda.data[0].nbytes)
+    theorem1_diagram(J, 0.1, rng=np.random.default_rng(6), steps=100)
     assert started == []
-    force_workers(monkeypatch, 2)
-    verify_toda(traj, 1.0)
-    assert len(started) == 1 and not started[0].is_alive()
 
 
-@pytest.mark.parametrize("cpus", [2, 3])
-def test_a_sweep_splits_only_into_runs_of_at_least_run_blocks(cpus, monkeypatch):
-    monkeypatch.setattr(lattice, "_cpus", lambda: cpus)
-    started = count_started_threads(monkeypatch)
-    run = lattice._RUN_BLOCKS
-    # one-sample blocks: one thread per run after the first, each of run blocks or more
-    for blocks, threads in ((1, 0), (2 * run - 1, 0), (2 * run, 1), (3 * run - 1, 1),
-                            (3 * run, cpus - 1), (10 * run, cpus - 1)):
-        seen, values = [], np.ones((blocks, 3))
-        started.clear()
-        residuals = fixed_residuals(values, 1, seen)
-        assert lattice._worst(residuals, 0, blocks, 1) == (1.0, ("gamma[1]", 0))
-        assert len(started) == threads and len({thread for thread, _ in seen}) == threads + 1
+def fixed_residual(values, block):
+    """A _worst residual over stored gamma residuals (samples, size), copied block by block."""
+    buf = np.empty((block, values.shape[1]))
+
+    def residual(m0):
+        buf[...] = values[m0 : m0 + block]
+        return buf
+
+    return residual
 
 
-def fixed_residuals(values, block, seen=None):
-    """A _worst residual factory over stored gamma residuals (samples, size).
-
-    Every residual function copies its blocks into its own buffer; seen, if
-    given, gets the calling thread and numpy's error state per block.
-    """
-    def residuals():
-        buf = np.empty((block, values.shape[1]))
-
-        def residual(m0):
-            if seen is not None:
-                seen.append((threading.current_thread(), np.geterr()))
-            buf[...] = values[m0 : m0 + block]
-            return buf
-
-        return residual
-
-    return residuals
-
-
-def sweep(values, block, workers, monkeypatch):
-    force_workers(monkeypatch, workers)
-    return lattice._worst(fixed_residuals(values, block), 0, len(values), block)
+def sweep(values, block):
+    return lattice._worst(fixed_residual(values, block), 0, len(values), block)
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4])
 @pytest.mark.parametrize("mode", ["real", "complex"])
-def test_parallel_verifier_reports_equal_the_serial_ones(p, mode, monkeypatch):
+def test_verifier_reports_equal_at_every_block_size(p, mode, monkeypatch):
     J = graded_scale(random_hessenberg(p, 16, seed=60 + p, mode=mode), 0.3)
     table = GammaTable(p, 16, kdv_table(p, (p + 1) * 16, mode, seed=70 + p))
     toda, kdv = evolve_toda(J, dt=1e-3, steps=40), evolve_kdv(table, dt=1e-3, steps=40)
     for traj, verify in ((toda, verify_toda), (kdv, verify_kdv)):
-        # 39 interior samples: thirteen blocks of three, or eight of five whose
-        # last starts one sample early
-        for samples in (3, 5):
+        # 39 interior samples: one block, thirteen blocks of three, or eight of
+        # five whose last starts one sample early
+        reports = []
+        for samples in (39, 3, 5):
             monkeypatch.setattr(lattice, "_BLOCK_BYTES", samples * traj.data[0].nbytes)
-            reports = []
-            for workers in (1, 2, 3):
-                force_workers(monkeypatch, workers)
-                rep = verify(traj, 1e-6)
-                reports.append((rep.max_residual, rep.argmax, rep.passed))
-            assert reports[0][0] > 0
-            assert reports[1] == reports[0] and reports[2] == reports[0]
+            rep = verify(traj, 1e-6)
+            reports.append((rep.max_residual, rep.argmax, rep.passed))
+        assert reports[0][0] > 0
+        assert reports[1] == reports[0] and reports[2] == reports[0]
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3])
-def test_parallel_sweep_keeps_the_first_of_equal_maxima(workers, monkeypatch):
-    # blocks of two start at samples 0, 2, 4, 6: two or three workers split them
-    # between samples 3 and 4, where equal maxima sit on both sides
+def test_sweep_keeps_the_first_of_equal_maxima():
+    # blocks of two start at samples 0, 2, 4, 6, with equal maxima in samples 3 and 4
     values = np.zeros((8, 3))
     values[3, 1] = values[4, 0] = values[7, 2] = 2.0
     values[1, 2] = 1.0
-    assert sweep(values, 2, workers, monkeypatch) == (2.0, ("gamma[2]", 3))
+    assert sweep(values, 2) == (2.0, ("gamma[2]", 3))
     # an odd sample count: the last block starts one early and sweeps sample 6 again
-    assert sweep(values[:7], 2, workers, monkeypatch) == (2.0, ("gamma[2]", 3))
-    assert sweep(np.zeros((8, 3)), 2, workers, monkeypatch) == (0.0, ())
+    assert sweep(values[:7], 2) == (2.0, ("gamma[2]", 3))
+    assert sweep(np.zeros((8, 3)), 2) == (0.0, ())
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3])
-def test_parallel_sweep_keeps_the_first_nan(workers, monkeypatch):
+def test_sweep_keeps_the_first_nan():
     values = np.zeros((8, 3))
     values[1, 0] = 5.0
-    values[6, 2] = np.nan  # only in the last worker's run
-    worst, arg = sweep(values, 2, workers, monkeypatch)
+    values[6, 2] = np.nan  # in the last block, after the largest number
+    worst, arg = sweep(values, 2)
     assert np.isnan(worst) and arg == ("gamma[3]", 6)
-    values[2, 1] = np.nan  # in the first run of two workers, the second of three
-    worst, arg = sweep(values, 2, workers, monkeypatch)
+    values[2, 1] = np.nan  # in an earlier block
+    worst, arg = sweep(values, 2)
     assert np.isnan(worst) and arg == ("gamma[2]", 2)
-
-
-def test_many_sweep_threads_switching_every_microsecond_keep_every_result(monkeypatch):
-    # more workers than cores, each run eight one-sample blocks: a lost or
-    # misplaced run result changes the worst entry or the tie it keeps
-    firsts, largest = np.ones((64, 3)), np.ones((64, 3))
-    largest[60, 2] = 2.0
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(20):
-            assert sweep(firsts, 1, 8, monkeypatch) == (1.0, ("gamma[1]", 0))
-            assert sweep(largest, 1, 8, monkeypatch) == (2.0, ("gamma[3]", 60))
-    finally:
-        sys.setswitchinterval(interval)
+    # the last block starts one early and sweeps the first NaN again
+    values[6, 2] = values[2, 1] = 0.0
+    values[5, 0] = values[6, 1] = np.nan
+    worst, arg = sweep(values[:7], 2)
+    assert np.isnan(worst) and arg == ("gamma[1]", 5)
 
 
 @pytest.mark.parametrize("failing", [0, 6])
-@pytest.mark.parametrize("workers", [2, 3])
-def test_an_exception_in_a_sweep_run_is_raised_in_the_caller(failing, workers, monkeypatch):
-    # failing at sample 0 is the calling thread's run, at sample 6 a worker thread's;
-    # the other blocks take a while, so an unjoined thread would still run
-    force_workers(monkeypatch, workers)
-    values = np.ones((8, 3))
-    made = fixed_residuals(values, 2)
+def test_an_exception_in_a_residual_is_raised_in_the_caller(failing):
+    residual = fixed_residual(np.ones((8, 3)), 2)
 
-    def residuals():
-        residual = made()
+    def failing_residual(m0):
+        if m0 == failing:
+            raise ZeroDivisionError(f"block at sample {m0}")
+        return residual(m0)
 
-        def failing_residual(m0):
-            if m0 == failing:
-                raise ZeroDivisionError(f"block at sample {m0}")
-            time.sleep(0.02)
-            return residual(m0)
-
-        return failing_residual
-
-    threads = threading.active_count()
     with pytest.raises(ZeroDivisionError, match=f"block at sample {failing}"):
-        lattice._worst(residuals, 0, len(values), 2)
-    assert threading.active_count() == threads
-
-
-@pytest.mark.parametrize("workers", [2, 3])
-def test_sweep_threads_run_under_the_callers_numpy_error_state(workers, monkeypatch):
-    force_workers(monkeypatch, workers)
-    seen, values = [], np.ones((8, 3))
-    with np.errstate(divide="raise", over="ignore", under="warn", invalid="call"):
-        want = np.geterr()
-        lattice._worst(fixed_residuals(values, 2, seen), 0, len(values), 2)
-    assert want != np.geterr()
-    # four blocks of two samples, the first run's in this thread, the others' not
-    threads = {thread for thread, _ in seen}
-    assert len(seen) == 4 and threading.current_thread() in threads and len(threads) > 1
-    assert all(state == want for _, state in seen)
+        lattice._worst(failing_residual, 0, 8, 2)
 
 
 def test_array_flows_blow_up_at_the_per_state_time():
@@ -1245,21 +1168,17 @@ def test_commuting_diagram_reports_do_not_depend_on_the_block_size(monkeypatch):
         out = theorem1_diagram(J, C=0.015, params=params, dt=1e-3, steps=20)
         return {k: (r.max_residual, r.argmax, r.passed) for k, r in out.items()}
 
-    force_workers(monkeypatch, 1)
     want = reports()
     assert want["path"][0] > 0
     # one byte puts every sample in its own block; the other size holds three
     # samples of a reassembled transform, (p + 1, 16) in the data's dtype (float64
-    # for this real table), leaving a last block of one of the 19 interior samples;
-    # either is swept by one, two or three workers
+    # for this real table), leaving a last block of one of the 19 interior samples
     table = factors_to_table(darboux_factorization(J, 0.015, params=params)[0])
     sample = _transform_bands(evolve_kdv(table, steps=0).data[0], p, 0.015)[0]
     assert sample.shape == (p + 1, 16)
     for block in (1, 3 * sample.nbytes):
         monkeypatch.setattr(lattice, "_BLOCK_BYTES", block)
-        for workers in (1, 2, 3):
-            force_workers(monkeypatch, workers)
-            assert reports() == want
+        assert reports() == want
 
 
 def test_commuting_diagram_single_step_is_path_only():
