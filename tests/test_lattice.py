@@ -622,7 +622,8 @@ def test_verifier_sweep_builds_one_kernel(monkeypatch):
         assert built == [(8, *traj.data.shape[1:])]
 
 
-def test_no_check_starts_a_thread_on_many_cpus(monkeypatch):
+@pytest.mark.parametrize("check", ["verify_toda", "verify_kdv", "theorem1_diagram"])
+def test_no_check_starts_a_thread_on_many_cpus(check, monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
     J = graded_scale(random_hessenberg(2, 16, seed=6), 0.4)
     _, table = darboux_factorization(J, 0.1, rng=np.random.default_rng(6))
@@ -635,12 +636,12 @@ def test_no_check_starts_a_thread_on_many_cpus(monkeypatch):
 
     monkeypatch.setattr(threading.Thread, "start", counted_start)
     # four-sample blocks: 25 blocks per sweep of 99 interior samples, 26 for the path
-    monkeypatch.setattr(lattice, "_BLOCK_BYTES", 4 * toda.data[0].nbytes)
-    verify_toda(toda, 1.0)
-    monkeypatch.setattr(lattice, "_BLOCK_BYTES", 4 * kdv.data[0].nbytes)
-    verify_kdv(kdv, 1.0)
-    monkeypatch.setattr(lattice, "_BLOCK_BYTES", 4 * toda.data[0].nbytes)
-    theorem1_diagram(J, 0.1, rng=np.random.default_rng(6), steps=100)
+    traj = kdv if check == "verify_kdv" else toda
+    monkeypatch.setattr(lattice, "_BLOCK_BYTES", 4 * traj.data[0].nbytes)
+    if check == "theorem1_diagram":
+        theorem1_diagram(J, 0.1, rng=np.random.default_rng(6), steps=100)
+    else:
+        {"verify_toda": verify_toda, "verify_kdv": verify_kdv}[check](traj, 1.0)
     assert started == []
 
 
@@ -677,44 +678,51 @@ def test_verifier_reports_equal_at_every_block_size(p, mode, monkeypatch):
         assert reports[1] == reports[0] and reports[2] == reports[0]
 
 
-def test_sweep_keeps_the_first_of_equal_maxima():
-    # blocks of two start at samples 0, 2, 4, 6, with equal maxima in samples 3 and 4
+@pytest.mark.parametrize("block", [1, 2, 3])
+def test_sweep_keeps_the_first_of_equal_maxima(block):
+    # equal maxima in samples 3 and 4, in one block or in two
     values = np.zeros((8, 3))
     values[3, 1] = values[4, 0] = values[7, 2] = 2.0
     values[1, 2] = 1.0
-    assert sweep(values, 2) == (2.0, ("gamma[2]", 3))
-    # an odd sample count: the last block starts one early and sweeps sample 6 again
-    assert sweep(values[:7], 2) == (2.0, ("gamma[2]", 3))
-    assert sweep(np.zeros((8, 3)), 2) == (0.0, ())
+    assert sweep(values, block) == (2.0, ("gamma[2]", 3))
+    # seven samples: in blocks of two or three the last block starts early and
+    # sweeps sample 6, or samples 4 and 5, again
+    assert sweep(values[:7], block) == (2.0, ("gamma[2]", 3))
+    assert sweep(np.zeros((8, 3)), block) == (0.0, ())
 
 
-def test_sweep_keeps_the_first_nan():
+@pytest.mark.parametrize("block", [1, 2, 3])
+def test_sweep_keeps_the_first_nan(block):
     values = np.zeros((8, 3))
     values[1, 0] = 5.0
     values[6, 2] = np.nan  # in the last block, after the largest number
-    worst, arg = sweep(values, 2)
+    worst, arg = sweep(values, block)
     assert np.isnan(worst) and arg == ("gamma[3]", 6)
     values[2, 1] = np.nan  # in an earlier block
-    worst, arg = sweep(values, 2)
+    worst, arg = sweep(values, block)
     assert np.isnan(worst) and arg == ("gamma[2]", 2)
-    # the last block starts one early and sweeps the first NaN again
+    # in blocks of two or three the last block starts early and sweeps the first NaN again
     values[6, 2] = values[2, 1] = 0.0
     values[5, 0] = values[6, 1] = np.nan
-    worst, arg = sweep(values[:7], 2)
+    worst, arg = sweep(values[:7], block)
     assert np.isnan(worst) and arg == ("gamma[1]", 5)
 
 
 @pytest.mark.parametrize("failing", [0, 6])
-def test_an_exception_in_a_residual_is_raised_in_the_caller(failing):
-    residual = fixed_residual(np.ones((8, 3)), 2)
+@pytest.mark.parametrize("block", [1, 2, 3])
+def test_an_exception_in_a_residual_is_raised_in_the_caller(block, failing):
+    residual, swept = fixed_residual(np.ones((8, 3)), block), []
 
     def failing_residual(m0):
-        if m0 == failing:
-            raise ZeroDivisionError(f"block at sample {m0}")
+        swept.append(m0)
+        if m0 <= failing < m0 + block:
+            raise ZeroDivisionError(f"block with sample {failing}")
         return residual(m0)
 
-    with pytest.raises(ZeroDivisionError, match=f"block at sample {failing}"):
-        lattice._worst(failing_residual, 0, 8, 2)
+    with pytest.raises(ZeroDivisionError, match=f"block with sample {failing}"):
+        lattice._worst(failing_residual, 0, 8, block)
+    # the sweep stops at the failing block
+    assert failing < swept[-1] + block and all(m0 + block <= failing for m0 in swept[:-1])
 
 
 def test_array_flows_blow_up_at_the_per_state_time():
